@@ -1,12 +1,17 @@
 """Central marketplace: discovery, matchmaking, routing, trust scoring.
 
 All mutations are serialized through one logical event order (tick, session,
-sender); the simulation kernel drives it that way, and the watchdog
-recomputes trust scores whenever a session closes.
+sender); the simulation kernel drives it that way. Only a session's two
+participants may send in it. The trust watchdog is incremental: when a
+session closes, the concession ratios of its transcript are computed once
+and stored per participant, and the refresh pass then updates the Behavior
+Norm and Reputation Index of only the agents whose inputs changed. The
+scores equal a full recomputation over every closed transcript, bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 from dataclasses import dataclass, field
@@ -85,6 +90,10 @@ class RFQ:
     posted_at: int
 
 
+def _ad_order(ad: Advertisement) -> tuple[int, str]:
+    return (ad.posted_at, ad.ad_id)
+
+
 class AdvertisementRepository:
     """Registered agents, their declared agendas, and posted ads/RFQs."""
 
@@ -92,6 +101,8 @@ class AdvertisementRepository:
         self._roles: dict[AgentId, Perspective] = {}
         self._agendas: dict[tuple[AgentId, ProductId], ValidatedAgenda] = {}
         self._ads: dict[str, Advertisement] = {}
+        # Per product, kept sorted by _ad_order.
+        self._ads_by_product: dict[ProductId, list[Advertisement]] = {}
         self._rfqs: dict[str, RFQ] = {}
         self._ad_seq = 0
         self._rfq_seq = 0
@@ -107,6 +118,12 @@ class AdvertisementRepository:
 
     def agents(self) -> list[AgentId]:
         return sorted(self._roles)
+
+    def has_agent(self, agent: AgentId) -> bool:
+        return agent in self._roles
+
+    def agent_count(self) -> int:
+        return len(self._roles)
 
     def declare_agenda(
         self, agent: AgentId, product: ProductId, agenda: ValidatedAgenda
@@ -144,7 +161,7 @@ class AdvertisementRepository:
             ad_id = f"ad-{self._ad_seq}"
         elif ad_id in self._ads:
             raise DuplicateIdError(ad_id)
-        self._ads[ad_id] = Advertisement(
+        ad = Advertisement(
             ad_id=ad_id,
             agent=agent,
             product=product,
@@ -152,6 +169,8 @@ class AdvertisementRepository:
             issues=ranges,
             posted_at=posted_at,
         )
+        self._ads[ad_id] = ad
+        bisect.insort(self._ads_by_product.setdefault(product, []), ad, key=_ad_order)
         return ad_id
 
     def submit_rfq(
@@ -189,16 +208,21 @@ class AdvertisementRepository:
         product: Optional[ProductId] = None,
         issues: Optional[Iterable[IssueId]] = None,
     ) -> list[Advertisement]:
-        """All ads matching every supplied criterion, in submission order."""
+        """All ads matching every supplied criterion, by (posted_at, ad_id).
+
+        A product query walks only that product's ads.
+        """
         wanted = set(issues) if issues is not None else None
-        found = [
+        if product is None:
+            pool = sorted(self._ads.values(), key=_ad_order)
+        else:
+            pool = self._ads_by_product.get(product, [])
+        return [
             ad
-            for ad in self._ads.values()
+            for ad in pool
             if (agent is None or ad.agent == agent)
-            and (product is None or ad.product == product)
             and (wanted is None or wanted <= set(ad.issue_ids()))
         ]
-        return sorted(found, key=lambda ad: (ad.posted_at, ad.ad_id))
 
     def query_rfqs(
         self,
@@ -316,6 +340,8 @@ class SessionState:
     final_package: Optional[OfferPackage] = None
     closed_at: Optional[int] = None
     close_reason: Optional[str] = None
+    # Creation order within the marketplace; orders the watchdog's sums.
+    seq: int = 0
 
     @property
     def is_open(self) -> bool:
@@ -368,38 +394,56 @@ class TrustRecord:
     stats: TrustStats = field(default_factory=TrustStats)
 
 
-def compute_behavior_norm(
-    sessions: Iterable[SessionState], agent: AgentId
-) -> float:
-    """Mean concession ratio over the agent's own offer triples.
+def session_ratios(session: SessionState, agent: AgentId) -> list[float]:
+    """Concession ratios of the agent's own offer triples in one transcript.
 
-    Scans the agent's consecutive offers per issue across all closed
-    sessions; triples with a flat previous step have no defined ratio and
-    are skipped. With no usable triples the norm defaults to 1 (linear).
+    Consecutive offers are taken per issue, issues in sorted order; triples
+    with a flat previous step have no defined ratio and are skipped.
     """
-    ratios: list[float] = []
-    for session in sessions:
-        if session.is_open:
+    trails: dict[IssueId, list[float]] = {}
+    for msg in session.transcript:
+        if msg.kind is not MessageKind.OFFER or msg.sender != agent:
             continue
-        trails: dict[IssueId, list[float]] = {}
-        for msg in session.transcript:
-            if msg.kind is not MessageKind.OFFER or msg.sender != agent:
-                continue
-            if msg.package is None:
-                continue
-            for issue_id in sorted(msg.package.values):
-                trails.setdefault(issue_id, []).append(msg.package.values[issue_id])
-        for issue_id in sorted(trails):
-            trail = trails[issue_id]
-            for i in range(2, len(trail)):
-                lam = concession_rate(trail[i - 2], trail[i - 1], trail[i])
-                if lam is not None:
-                    ratios.append(lam)
+        if msg.package is None:
+            continue
+        for issue_id in sorted(msg.package.values):
+            trails.setdefault(issue_id, []).append(msg.package.values[issue_id])
+    ratios: list[float] = []
+    for issue_id in sorted(trails):
+        trail = trails[issue_id]
+        for i in range(2, len(trail)):
+            lam = concession_rate(trail[i - 2], trail[i - 1], trail[i])
+            if lam is not None:
+                ratios.append(lam)
+    return ratios
+
+
+def behavior_norm(ratios: Sequence[float]) -> float:
+    """Mean of the ratios, floored at 0; 1 (linear) when there are none.
+
+    The sum runs left to right, so callers pass the ratios in session
+    creation order to get the same bits as compute_behavior_norm.
+    """
     if not ratios:
         return 1.0
     # Tactic switches can make an offer trail retreat, yielding negative
     # ratios; the norm is a concession measure and stays non-negative.
     return max(0.0, sum(ratios) / len(ratios))
+
+
+def compute_behavior_norm(
+    sessions: Iterable[SessionState], agent: AgentId
+) -> float:
+    """Mean concession ratio over the agent's own offer triples.
+
+    The reference the incremental watchdog is tested against: scans every
+    closed session in the given order.
+    """
+    ratios: list[float] = []
+    for session in sessions:
+        if not session.is_open:
+            ratios.extend(session_ratios(session, agent))
+    return behavior_norm(ratios)
 
 
 def compute_reputation(stats: TrustStats, max_rounds_observed: int) -> float:
@@ -485,6 +529,7 @@ class TrustArchive:
 class DeliveryStatus(Enum):
     DELIVERED = "delivered"
     UNKNOWN_SESSION = "unknown-session"
+    NOT_PARTICIPANT = "not-participant"
     SESSION_CLOSED = "session-closed"
 
 
@@ -507,6 +552,14 @@ class Marketplace:
         self._session_seq = 0
         self._pending: dict[int, list[NegotiationMessage]] = {}
         self._log: list[NegotiationMessage] = []
+        # Watchdog state: per agent, (session seq, ratios) of its closed
+        # sessions in seq order; the running max of rounds to agreement;
+        # agents whose inputs changed since the last pass; and the
+        # (max rounds, registered agents) the last full sweep saw.
+        self._ratios: dict[AgentId, list[tuple[int, list[float]]]] = {}
+        self._max_rounds = 0
+        self._dirty: set[AgentId] = set()
+        self._swept: Optional[tuple[int, int]] = None
 
     # -- matchmaking -------------------------------------------------------
 
@@ -550,6 +603,7 @@ class Marketplace:
             issue_ids=match.issue_ids,
             commence_at=now,
             t_max=t_max,
+            seq=self._session_seq,
         )
         self.sessions[session.session] = session
         info = CommenceInfo(
@@ -593,27 +647,29 @@ class Marketplace:
         """Append a message to its session transcript and queue delivery.
 
         Acquire and Terminate close the session (exactly once); messages for
-        unknown or closed sessions are counted against the sender and
+        unknown or closed sessions, and messages from anyone but the
+        session's buyer and seller, are counted against the sender and
         dropped.
         """
         session = self.sessions.get(msg.session)
         if session is None:
-            self.trust.record(msg.sender).stats.violations += 1
-            return DeliveryResult(DeliveryStatus.UNKNOWN_SESSION, ("unknown-session",))
+            return self._reject(msg.sender, DeliveryStatus.UNKNOWN_SESSION)
+        if msg.sender not in session.participants():
+            return self._reject(msg.sender, DeliveryStatus.NOT_PARTICIPANT)
         if not session.is_open:
             # A message crossing the close in the same tick is a benign race;
             # only sends after the sender could have learned of the closure
             # count against compliance.
             closed_at = session.closed_at if session.closed_at is not None else -1
             if msg.sent_at > closed_at:
-                self.trust.record(msg.sender).stats.violations += 1
-                return DeliveryResult(DeliveryStatus.SESSION_CLOSED, ("session-closed",))
+                return self._reject(msg.sender, DeliveryStatus.SESSION_CLOSED)
             return DeliveryResult(DeliveryStatus.SESSION_CLOSED, ())
 
         violations = list(self._compliance_violations(session, msg))
         stats = self.trust.record(msg.sender).stats
         stats.messages_sent += 1
         stats.violations += len(violations)
+        self._dirty.add(msg.sender)
 
         session.transcript.append(msg)
         self._log.append(msg)
@@ -631,6 +687,12 @@ class Marketplace:
             session.close_reason = msg.reason
             self._on_close(session)
         return DeliveryResult(DeliveryStatus.DELIVERED, tuple(violations))
+
+    def _reject(self, sender: AgentId, status: DeliveryStatus) -> DeliveryResult:
+        """Drop a message, counting one violation against its sender."""
+        self.trust.record(sender).stats.violations += 1
+        self._dirty.add(sender)
+        return DeliveryResult(status, (status.value,))
 
     def _compliance_violations(
         self, session: SessionState, msg: NegotiationMessage
@@ -662,32 +724,49 @@ class Marketplace:
     # -- watchdog ----------------------------------------------------------
 
     def _on_close(self, session: SessionState) -> None:
+        """Fold one closed session into the watchdog state, then refresh."""
         agreed = session.outcome is SessionOutcome.AGREED
         rounds = session.offer_count()
+        if agreed:
+            self._max_rounds = max(self._max_rounds, rounds)
         for agent in session.participants():
             stats = self.trust.record(agent).stats
             stats.sessions_observed += 1
             if agreed:
                 stats.agreements += 1
                 stats.rounds_to_agreement.append(rounds)
+            ratios = session_ratios(session, agent)
+            if ratios:
+                bisect.insort(self._ratios.setdefault(agent, []), (session.seq, ratios))
+            self._dirty.add(agent)
         self.recompute_trust()
 
-    def max_rounds_observed(self) -> int:
-        best = 0
-        for session in self.sessions.values():
-            if session.outcome is SessionOutcome.AGREED:
-                best = max(best, session.offer_count())
-        return best
-
     def recompute_trust(self) -> None:
-        """Event-driven watchdog pass: refresh B and R for every known agent."""
-        max_rounds = self.max_rounds_observed()
-        closed = [s for s in self.sessions.values() if not s.is_open]
-        for agent in self.repo.agents():
+        """Event-driven watchdog pass: refresh B, stance and R where inputs changed.
+
+        A registered agent is refreshed when routing touched its stats or a
+        session it took part in closed since the last pass. Every registered
+        agent is refreshed, and gets its record, on the first pass, when the
+        running max of rounds to agreement has grown (R is normalised by it),
+        and when the number of registered agents has changed. B sums the
+        stored ratios in session creation order, so every score equals
+        compute_behavior_norm and compute_reputation over all closed
+        sessions, bit for bit.
+        """
+        sweep = (self._max_rounds, self.repo.agent_count())
+        if sweep != self._swept:
+            self._swept = sweep
+            agents: Iterable[AgentId] = self.repo.agents()
+        else:
+            agents = [a for a in self._dirty if self.repo.has_agent(a)]
+        self._dirty.clear()
+        for agent in agents:
             rec = self.trust.record(agent)
-            rec.behavior_norm = compute_behavior_norm(closed, agent)
+            rec.behavior_norm = behavior_norm(
+                [r for _, ratios in self._ratios.get(agent, ()) for r in ratios]
+            )
             rec.stance = classify_concession(rec.behavior_norm)
-            rec.reputation = compute_reputation(rec.stats, max_rounds)
+            rec.reputation = compute_reputation(rec.stats, self._max_rounds)
 
     # -- state queries and export -------------------------------------------
 

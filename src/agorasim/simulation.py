@@ -8,6 +8,7 @@ scenario and seed produce byte-identical transcripts and reports.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -156,7 +157,10 @@ def _as_int(value: Any, path: str) -> int:
 def _as_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        _fail(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _as_bool(value: Any, path: str) -> bool:

@@ -55,6 +55,16 @@ class TestValidate:
         assert main(["validate", "--scenario", str(tmp_path / "nope.yaml")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_infinite_range_names_the_field(self, tmp_path, capsys):
+        path = tmp_path / "inf.yaml"
+        path.write_text(
+            BILATERAL_SCENARIO.replace("min: 10, max: 20}", "min: 10, max: .inf}", 1),
+            encoding="utf-8",
+        )
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert "$.agents[0].agendas[0].issues[0].max" in capsys.readouterr().err
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+
 
 class TestRun:
     def test_writes_artifacts(self, scenario_file, tmp_path, capsys):

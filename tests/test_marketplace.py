@@ -1,9 +1,12 @@
 """Marketplace: repository, matchmaking, session routing, watchdog scores."""
 
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from agorasim import marketplace
 from agorasim.core import (
     MessageKind,
     NegotiationMessage,
@@ -26,8 +29,11 @@ from agorasim.marketplace import (
     match_alliances,
     ranges_overlap,
 )
+from agorasim.simulation import load_scenario, run_simulation_with_market
 from agorasim.tactics import Stance, classify_concession
 from conftest import make_agenda, make_issue
+
+SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))
 
 
 def repo_with(*agents):
@@ -339,6 +345,27 @@ class TestSessions:
         result = market.route_message(self.offer("s-ghost"))
         assert result.status is DeliveryStatus.UNKNOWN_SESSION
 
+    def test_non_participant_message_dropped(self):
+        market = self.fresh_market()
+        market.repo.register_agent("outsider", Perspective.BUYER)
+        session = market.commence_negotiation(self.match(), now=0)
+        commenced = market.transcript_lines()
+        result = market.route_message(
+            NegotiationMessage(
+                session=session.session, sender="outsider", receiver="seller-1",
+                round=0, sent_at=1, kind=MessageKind.ACQUIRE,
+                package=OfferPackage(values={"price": 15.0}),
+            )
+        )
+        assert result.status is DeliveryStatus.NOT_PARTICIPANT
+        assert result.violations == ("not-participant",)
+        assert session.is_open
+        assert len(session.transcript) == 2
+        assert market.transcript_lines() == commenced
+        assert market.due_messages(2) == {}
+        stats = market.trust.record("outsider").stats
+        assert (stats.violations, stats.messages_sent) == (1, 0)
+
     def test_closed_session_rejects_offers(self):
         market = self.fresh_market()
         session = market.commence_negotiation(self.match(), now=0)
@@ -407,6 +434,21 @@ class TestSessions:
             self.offer(session.session, value=99.0, sent_at=2, round=1)
         )
         assert market.trust.record("seller-1").stats.violations == 2
+
+
+def assert_trust_matches_bruteforce(market):
+    """Every registered agent's scores equal a full rescan of closed sessions."""
+    closed = [s for s in market.sessions.values() if not s.is_open]
+    max_rounds = max(
+        (s.offer_count() for s in closed if s.outcome is SessionOutcome.AGREED),
+        default=0,
+    )
+    for agent in market.repo.agents():
+        rec = market.trust.record(agent)
+        norm = compute_behavior_norm(closed, agent)
+        assert rec.behavior_norm == norm
+        assert rec.stance is classify_concession(norm)
+        assert rec.reputation == compute_reputation(rec.stats, max_rounds)
 
 
 class TestWatchdog:
@@ -502,3 +544,106 @@ class TestWatchdog:
         market.recompute_trust()
         assert market.trust.export_lines() == market.trust.export_lines()
         assert len(market.trust.export_lines()) == 2
+
+
+class TestIncrementalWatchdog:
+    AGENTS = ("b1", "b2", "s1", "s2")
+
+    def market(self):
+        market = Marketplace()
+        ranges = {"price": (10, 20), "memory": (1, 8)}
+        market.repo = repo_with(
+            *((a, Perspective.BUYER if a[0] == "b" else Perspective.SELLER, "vm", ranges)
+              for a in self.AGENTS)
+        )
+        return market
+
+    def commence(self, market, i, buyer="b1", seller="s1"):
+        match = Match(f"rfq-{i}", f"ad-{i}", "vm", buyer, seller, ("price", "memory"))
+        return market.commence_negotiation(match, now=0)
+
+    def send(self, market, session, sender, kind, sent_at, values=None):
+        buyer, seller = session.participants()
+        package = OfferPackage(values=values) if values is not None else None
+        return market.route_message(
+            NegotiationMessage(
+                session=session.session, sender=sender,
+                receiver=seller if sender == buyer else buyer,
+                round=len(session.transcript), sent_at=sent_at, kind=kind,
+                package=package, reason="deadline" if kind is MessageKind.TERMINATE else None,
+            )
+        )
+
+    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
+    def test_scores_equal_bruteforce_after_every_close(self, path, monkeypatch):
+        checked = []
+        refresh = Marketplace.recompute_trust
+
+        def refresh_and_check(market):
+            refresh(market)
+            assert_trust_matches_bruteforce(market)
+            checked.append(market)
+
+        monkeypatch.setattr(Marketplace, "recompute_trust", refresh_and_check)
+        _, _, market = run_simulation_with_market(
+            load_scenario(path.read_text(encoding="utf-8"))
+        )
+        closed = sum(1 for s in market.sessions.values() if not s.is_open)
+        assert closed > 0
+        assert len(checked) == closed
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_out_of_order_closes_equal_bruteforce(self, data):
+        market = self.market()
+        sessions = [
+            self.commence(
+                market, i,
+                buyer=data.draw(st.sampled_from(["b1", "b2"])),
+                seller=data.draw(st.sampled_from(["s1", "s2"])),
+            )
+            for i in range(data.draw(st.integers(1, 8)))
+        ]
+        # Wide-ranging values make the float sum of B depend on its order.
+        value = st.floats(min_value=0.0, max_value=30.0)
+        for tick, closing in enumerate(
+            data.draw(st.permutations(sessions)), start=1
+        ):
+            open_now = [s for s in sessions if s.is_open]
+            for _ in range(data.draw(st.integers(0, 8))):
+                session = data.draw(st.sampled_from(open_now))
+                # Any agent may try to send; outsiders are rejected.
+                sender = data.draw(st.sampled_from(self.AGENTS))
+                values = {"price": data.draw(value), "memory": data.draw(value)}
+                self.send(market, session, sender, MessageKind.OFFER, tick, values)
+            kind = data.draw(st.sampled_from([MessageKind.ACQUIRE, MessageKind.TERMINATE]))
+            sender = data.draw(st.sampled_from(closing.participants()))
+            self.send(market, closing, sender, kind, tick, {"price": 15.0, "memory": 4.0})
+            assert not closing.is_open
+            assert_trust_matches_bruteforce(market)
+
+    def test_close_folds_only_that_session(self, monkeypatch):
+        market = self.market()
+        sessions = [self.commence(market, i) for i in range(3)]
+        for tick in range(1, 5):
+            for session in sessions:
+                for sender in session.participants():
+                    values = {"price": 20.0 - tick * tick, "memory": 1.0 + tick}
+                    self.send(market, session, sender, MessageKind.OFFER, tick, values)
+        for session in sessions[:2]:
+            self.send(market, session, "b1", MessageKind.TERMINATE, 5)
+
+        folded = []
+        real = marketplace.session_ratios
+
+        def counting(session, agent):
+            folded.append((session.session, agent))
+            return real(session, agent)
+
+        def forbidden(*args):
+            raise AssertionError("the watchdog rescanned closed transcripts")
+
+        monkeypatch.setattr(marketplace, "session_ratios", counting)
+        monkeypatch.setattr(marketplace, "compute_behavior_norm", forbidden)
+        self.send(market, sessions[2], "s1", MessageKind.TERMINATE, 5)
+        assert folded == [(sessions[2].session, "b1"), (sessions[2].session, "s1")]

@@ -107,6 +107,15 @@ class TestLoadScenario:
         with pytest.raises(ScenarioValidationError):
             load_scenario(doc)
 
+    def test_nan_schedule_tick_rejected(self):
+        doc = MINIMAL.replace(
+            "    role: buyer\n",
+            "    role: buyer\n    resources: {schedule: [[0, 1.0], [.nan, 0.5]]}\n",
+        )
+        with pytest.raises(ScenarioValidationError) as exc:
+            load_scenario(doc)
+        assert exc.value.path == "$.agents[0].resources.schedule[1][0]"
+
     def test_reserved_agent_prefix(self):
         doc = MINIMAL.replace("id: b", 'id: "@b"')
         with pytest.raises(ScenarioValidationError):

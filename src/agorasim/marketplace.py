@@ -7,6 +7,12 @@ session closes, the concession ratios of its transcript are computed once
 and stored per participant, and the refresh pass then updates the Behavior
 Norm and Reputation Index of only the agents whose inputs changed. The
 scores equal a full recomputation over every closed transcript, bit for bit.
+
+Matchmaking is incremental too. The repository marks a product stale when a
+posting, an agenda or an agent role that it depends on changes, and the
+watchdog marks an advertiser's products stale when that agent's reputation
+changes. Each matchmaking pass scans only the stale products and finds the
+same matches, in the same order, as a pass over every RFQ.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -94,20 +101,34 @@ def _ad_order(ad: Advertisement) -> tuple[int, str]:
     return (ad.posted_at, ad.ad_id)
 
 
+def _rfq_order(rfq: RFQ) -> tuple[int, str]:
+    return (rfq.posted_at, rfq.rfq_id)
+
+
 class AdvertisementRepository:
-    """Registered agents, their declared agendas, and posted ads/RFQs."""
+    """Registered agents, their declared agendas, and posted ads/RFQs.
+
+    Also records the products whose matches may have changed since the
+    last matchmaking pass (see stale_products).
+    """
 
     def __init__(self) -> None:
         self._roles: dict[AgentId, Perspective] = {}
         self._agendas: dict[tuple[AgentId, ProductId], ValidatedAgenda] = {}
         self._ads: dict[str, Advertisement] = {}
-        # Per product, kept sorted by _ad_order.
+        # Per product, kept sorted by _ad_order and _rfq_order.
         self._ads_by_product: dict[ProductId, list[Advertisement]] = {}
+        self._rfqs_by_product: dict[ProductId, list[RFQ]] = {}
+        # Products each agent has advertised.
+        self._advertised: dict[AgentId, set[ProductId]] = {}
         self._rfqs: dict[str, RFQ] = {}
+        self._stale: set[ProductId] = set()
         self._ad_seq = 0
         self._rfq_seq = 0
 
     def register_agent(self, agent: AgentId, role: Perspective) -> None:
+        if self._roles.get(agent, role) is not role:
+            self._stale.update(p for a, p in self._agendas if a == agent)
         self._roles[agent] = role
 
     def agent_role(self, agent: AgentId) -> Perspective:
@@ -131,6 +152,7 @@ class AdvertisementRepository:
         if agent not in self._roles:
             raise UnknownAgentError(agent)
         self._agendas[(agent, product)] = agenda
+        self._stale.add(product)
 
     def declared_agenda(
         self, agent: AgentId, product: ProductId
@@ -171,6 +193,8 @@ class AdvertisementRepository:
         )
         self._ads[ad_id] = ad
         bisect.insort(self._ads_by_product.setdefault(product, []), ad, key=_ad_order)
+        self._advertised.setdefault(agent, set()).add(product)
+        self._stale.add(product)
         return ad_id
 
     def submit_rfq(
@@ -192,7 +216,7 @@ class AdvertisementRepository:
             rfq_id = f"rfq-{self._rfq_seq}"
         elif rfq_id in self._rfqs:
             raise DuplicateIdError(rfq_id)
-        self._rfqs[rfq_id] = RFQ(
+        rfq = RFQ(
             rfq_id=rfq_id,
             agent=agent,
             product=product,
@@ -200,6 +224,9 @@ class AdvertisementRepository:
             min_reputation=min_reputation,
             posted_at=posted_at,
         )
+        self._rfqs[rfq_id] = rfq
+        bisect.insort(self._rfqs_by_product.setdefault(product, []), rfq, key=_rfq_order)
+        self._stale.add(product)
         return rfq_id
 
     def query_advertisements(
@@ -229,13 +256,35 @@ class AdvertisementRepository:
         agent: Optional[AgentId] = None,
         product: Optional[ProductId] = None,
     ) -> list[RFQ]:
-        found = [
-            rfq
-            for rfq in self._rfqs.values()
-            if (agent is None or rfq.agent == agent)
-            and (product is None or rfq.product == product)
-        ]
-        return sorted(found, key=lambda rfq: (rfq.posted_at, rfq.rfq_id))
+        """All RFQs matching every supplied criterion, by (posted_at, rfq_id)."""
+        if product is None:
+            pool = sorted(self._rfqs.values(), key=_rfq_order)
+        else:
+            pool = self._rfqs_by_product.get(product, [])
+        return [rfq for rfq in pool if agent is None or rfq.agent == agent]
+
+    def rfqs_for(self, products: Iterable[ProductId]) -> list[RFQ]:
+        """The RFQs of the given products, merged into (posted_at, rfq_id) order."""
+        return sorted(
+            chain.from_iterable(self._rfqs_by_product.get(p, ()) for p in products),
+            key=_rfq_order,
+        )
+
+    # -- change tracking ---------------------------------------------------
+
+    def stale_products(self) -> set[ProductId]:
+        """Products touched by a posting, an agenda, a role change or
+        mark_advertiser_stale since the last take_stale."""
+        return self._stale
+
+    def take_stale(self) -> set[ProductId]:
+        """The stale products; the set starts empty again."""
+        stale, self._stale = self._stale, set()
+        return stale
+
+    def mark_advertiser_stale(self, agent: AgentId) -> None:
+        """Mark every product the agent advertises (its reputation changed)."""
+        self._stale.update(self._advertised.get(agent, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +310,7 @@ def match_alliances(
     trust: "TrustArchive",
     exclude: Iterable[tuple[str, str]] = (),
     require_overlap: bool = True,
+    products: Optional[Iterable[ProductId]] = None,
 ) -> list[Match]:
     """Pair RFQs with compatible ads.
 
@@ -268,10 +318,12 @@ def match_alliances(
     a subset of the ad's, the ad owner's reputation to meet the RFQ's bar,
     and (unless disabled) per-issue range overlap between the two parties'
     declared agendas. Output order follows RFQ then ad submission order.
+    With `products`, only the RFQs of those products are paired.
     """
     skip = set(exclude)
+    rfqs = repo.query_rfqs() if products is None else repo.rfqs_for(products)
     matches: list[Match] = []
-    for rfq in repo.query_rfqs():
+    for rfq in rfqs:
         rfq_role = repo.agent_role(rfq.agent)
         rfq_agenda = repo.declared_agenda(rfq.agent, rfq.product)
         if rfq_agenda is None:
@@ -354,6 +406,11 @@ class SessionState:
         return (self.buyer, self.seller)
 
 
+# One shared encoder: json.dumps with non-default arguments builds a new one
+# for every call.
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
 def transcript_line(msg: NegotiationMessage) -> str:
     """One message as a stable-field-order JSON line."""
     values = None
@@ -369,7 +426,7 @@ def transcript_line(msg: NegotiationMessage) -> str:
         "values": values,
         "reason": msg.reason,
     }
-    return json.dumps(record, separators=(",", ":"), ensure_ascii=False)
+    return _COMPACT_JSON.encode(record)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +553,7 @@ class TrustArchive:
         lines = []
         for rec in self.records():
             lines.append(
-                json.dumps(
+                _COMPACT_JSON.encode(
                     {
                         "agent": rec.agent,
                         "behavior_norm": rec.behavior_norm,
@@ -514,9 +571,7 @@ class TrustArchive:
                                 else None
                             ),
                         },
-                    },
-                    separators=(",", ":"),
-                    ensure_ascii=False,
+                    }
                 )
             )
         return lines
@@ -564,11 +619,20 @@ class Marketplace:
     # -- matchmaking -------------------------------------------------------
 
     def run_matchmaking(self, now: int) -> list[SessionState]:
-        """Match new (RFQ, ad) pairs and commence their sessions."""
+        """Match new (RFQ, ad) pairs of the stale products and commence their
+        sessions; the stale set starts empty again.
+
+        A pair whose inputs did not change since the last pass cannot match
+        now if it did not then, so the result equals a pass over every RFQ.
+        Reputations must change through recompute_trust for this to hold.
+        """
+        stale = self.repo.take_stale()
+        if not stale:
+            return []
         created = []
         for match in match_alliances(
             self.repo, self.trust, exclude=self._matched,
-            require_overlap=self.require_overlap,
+            require_overlap=self.require_overlap, products=stale,
         ):
             self._matched.add((match.rfq_id, match.ad_id))
             if (match.buyer, match.product) in self._agreed:
@@ -766,15 +830,23 @@ class Marketplace:
                 [r for _, ratios in self._ratios.get(agent, ()) for r in ratios]
             )
             rec.stance = classify_concession(rec.behavior_norm)
-            rec.reputation = compute_reputation(rec.stats, self._max_rounds)
+            reputation = compute_reputation(rec.stats, self._max_rounds)
+            if reputation != rec.reputation:
+                rec.reputation = reputation
+                # Its ads may now pass, or fail, an RFQ's reputation bar.
+                self.repo.mark_advertiser_stale(agent)
 
     # -- state queries and export -------------------------------------------
 
     def prospective_matches(self) -> list[Match]:
-        """Matches that would commence next tick; read-only probe."""
+        """Matches that would commence next tick; read-only probe of the
+        stale products."""
+        stale = self.repo.stale_products()
+        if not stale:
+            return []
         found = match_alliances(
             self.repo, self.trust, exclude=self._matched,
-            require_overlap=self.require_overlap,
+            require_overlap=self.require_overlap, products=stale,
         )
         return [
             m for m in found

@@ -1,8 +1,11 @@
 """Deterministic discrete-event kernel, scenario loading, and reporting.
 
-One tick runs: post ads/RFQs due, matchmake, deliver due messages, step every
-agent in id order, route outboxes in canonical order. Two runs with the same
-scenario and seed produce byte-identical transcripts and reports.
+One tick runs: post ads/RFQs due, matchmake the products whose matches may
+have changed, deliver due messages, step in id order the agents that have
+mail or a live session, route outboxes in canonical order. Stepping any
+other agent would do nothing, so the run is the same as stepping every
+agent. Two runs with the same scenario and seed produce byte-identical
+transcripts and reports.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 import yaml
+from yaml.composer import Composer
+from yaml.constructor import ConstructorError, SafeConstructor
+from yaml.resolver import Resolver
 
 from .agent import AgentState, PlanKind, PlanCondition, PlanLibrary, PlanRule, agent_step
 from .core import (
@@ -329,19 +335,78 @@ def _check_posting(
     return agent, product, issues
 
 
+class _ScalarErrors:
+    """Loader mixin: a tagged scalar the safe constructor cannot convert
+    (`!!int x`, `!!bool x`, `!!timestamp 2001-13-45`) raises a
+    ConstructorError at its line, not a bare ValueError, KeyError or
+    AttributeError."""
+
+    def construct_object(self, node: yaml.Node, deep: bool = False) -> Any:
+        try:
+            return super().construct_object(node, deep=deep)
+        except (ValueError, KeyError, AttributeError):
+            raise ConstructorError(
+                None, None, f"cannot construct a {node.tag} value", node.start_mark
+            ) from None
+
+
+class _SafeLoader(_ScalarErrors, yaml.SafeLoader):
+    pass
+
+
+if hasattr(yaml, "CSafeLoader"):
+
+    class _LibyamlSafeLoader(_ScalarErrors, yaml.cyaml.CParser, SafeConstructor, Resolver):
+        """yaml.CSafeLoader with the node tree built by the Python composer.
+
+        libyaml scans and parses; its composer recurses in C and overflows
+        the C stack (a segfault) on a document nested some 30 000 levels
+        deep, where the Python composer raises RecursionError.
+        """
+
+        def __init__(self, stream: str) -> None:
+            yaml.cyaml.CParser.__init__(self, stream)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
+            Composer.__init__(self)
+
+        check_node = Composer.check_node
+        get_node = Composer.get_node
+        get_single_node = Composer.get_single_node
+        compose_document = Composer.compose_document
+        compose_node = Composer.compose_node
+        compose_scalar_node = Composer.compose_scalar_node
+        compose_sequence_node = Composer.compose_sequence_node
+        compose_mapping_node = Composer.compose_mapping_node
+
+
+def _yaml_loader() -> type:
+    """The libyaml-backed loader when PyYAML has libyaml, else the pure one."""
+    if hasattr(yaml, "CSafeLoader"):
+        return _LibyamlSafeLoader
+    return _SafeLoader
+
+
 def load_scenario(document: str) -> Scenario:
     """Parse and fully validate a scenario document.
 
-    Raises ScenarioParseError (with a line number) for malformed YAML and
+    Parses with libyaml when PyYAML was built with it, else with the
+    pure-Python loader; both give the same scenario and the same error line
+    numbers, but the wording of a parse error's reason depends on the loader.
+    Raises ScenarioParseError for malformed YAML (with a line number), for
+    a tagged value that cannot be constructed (with its line) and for a
+    document nested too deeply to parse (without one), and
     ScenarioValidationError (with a path) for schema violations.
     """
     try:
-        root = yaml.safe_load(document)
+        root = yaml.load(document, Loader=_yaml_loader())
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
         reason = getattr(exc, "problem", None) or str(exc)
         raise ScenarioParseError(line, reason) from None
+    except RecursionError:
+        raise ScenarioParseError(None, "document is nested too deeply") from None
     if root is None:
         raise ScenarioValidationError("$", "empty document")
     root = _as_map(root, "$")
@@ -574,6 +639,10 @@ def run_simulation_with_market(
         rfqs_by_tick.setdefault(rfq.posted_at, []).append(rfq)
     last_post = max([0, *ads_by_tick, *rfqs_by_tick])
 
+    # Agents with a live session after their last step. An agent outside it
+    # with no mail has nothing to do: agent_step would return no messages
+    # and change nothing, so it is not called.
+    live: set[AgentId] = set()
     ticks = 0
     for now in range(scenario.t_end + 1):
         ticks = now
@@ -592,9 +661,11 @@ def run_simulation_with_market(
         market.run_matchmaking(now)
         inboxes = market.due_messages(now)
         outgoing = []
-        for agent_id in sorted(states):
+        busy = sorted(live.union(a for a in inboxes if a in states))
+        for agent_id in busy:
             _, outbox = agent_step(states[agent_id], inboxes.get(agent_id, []), now)
             outgoing.extend(outbox)
+        live = {a for a in busy if len(states[a].agenda_db)}
         outgoing.sort(key=lambda m: (m.sent_at, m.session, m.sender, m.round))
         for msg in outgoing:
             market.route_message(msg)
@@ -602,7 +673,7 @@ def run_simulation_with_market(
             now >= last_post
             and not market.has_pending_messages()
             and not market.open_sessions()
-            and not any(len(s.agenda_db) for s in states.values())
+            and not live
             and not market.prospective_matches()
         ):
             break

@@ -1,6 +1,9 @@
 """Agent runtime: proxy filtering, beliefs, plans, stepping, resolution."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agorasim.agent import (
     AgendaDB,
@@ -265,6 +268,37 @@ class TestAgentStep:
         _, outbox = agent_step(agent, [], now=5)
         assert [m.kind for m in outbox] == [MessageKind.OFFER]
         assert outbox[0].package.values["price"] == pytest.approx(10.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        now=st.integers(0, 200),
+        levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+        jitter=st.floats(0.0, 1.0),
+        past_sessions=st.integers(0, 2),
+    )
+    def test_idle_step_is_a_no_op(self, now, levels, jitter, past_sessions):
+        # The simulation skips agents with no mail and no live session; that
+        # is only sound while such a step sends nothing and changes nothing.
+        schedule = tuple((10.0 * i, level) for i, level in enumerate(levels))
+        agent = make_agent(
+            resources=ResourceProjection(points=schedule),
+            jitter=jitter,
+            rng=random.Random(now),
+        )
+        agent.declared_agendas["vm"] = make_agenda()
+        for i in range(past_sessions):
+            agent_step(agent, [commence(session=f"s-{i}", sent_at=0)], now=0)
+            agent_step(agent, [NegotiationMessage(
+                session=f"s-{i}", sender="seller-1", receiver="buyer-1", round=1,
+                sent_at=0, kind=MessageKind.TERMINATE, reason="deadline",
+            )], now=0)
+        assert len(agent.agenda_db) == 0
+        rng_state, tactic = agent.rng.getstate(), agent.tactic
+        _, outbox = agent_step(agent, [], now=now)
+        assert outbox == []
+        assert agent.rng.getstate() == rng_state
+        assert agent.tactic == tactic
+        assert len(agent.agenda_db) == 0
 
     def test_non_initiator_waits(self):
         agent = self.buyer()

@@ -1,9 +1,25 @@
 """CLI verbs, exit codes, and artifact determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from agorasim.cli import main
 from conftest import BILATERAL_SCENARIO
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs the CLI in a child process, first hiding libyaml if argv[1] is "pure".
+CLI_UNDER_LOADER = """
+import sys, yaml
+if sys.argv[1] == "pure":
+    del yaml.CSafeLoader
+from agorasim.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
 
 
 @pytest.fixture
@@ -64,6 +80,39 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == 1
         assert "$.agents[0].agendas[0].issues[0].max" in capsys.readouterr().err
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+class TestHostileInput:
+    """Documents that once crashed the CLI: the pure-Python loader raised
+    RecursionError on deep nesting, libyaml's composer overflowed the C
+    stack, and a bad tagged scalar raised a bare ValueError. Each runs in a
+    child process so that a crash fails the test instead of the suite."""
+
+    DOCUMENTS = {
+        "deep-flow": "[" * 5000 + "]" * 5000,
+        "deep-block": "- " * 50000 + "x\n",
+        "bad-tagged-int": "name: x\nt_end: !!int many\n",
+    }
+
+    @pytest.mark.parametrize("loader", ["libyaml", "pure"])
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("doc", sorted(DOCUMENTS))
+    def test_fails_cleanly(self, tmp_path, doc, verb, loader):
+        path = tmp_path / "hostile.yaml"
+        path.write_text(self.DOCUMENTS[doc], encoding="utf-8")
+        args = [verb, "--scenario", str(path)]
+        if verb == "run":
+            args += ["--out", str(tmp_path / "out")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c", CLI_UNDER_LOADER, loader, *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
 
 
 class TestRun:

@@ -647,3 +647,162 @@ class TestIncrementalWatchdog:
         monkeypatch.setattr(marketplace, "compute_behavior_norm", forbidden)
         self.send(market, sessions[2], "s1", MessageKind.TERMINATE, 5)
         assert folded == [(sessions[2].session, "b1"), (sessions[2].session, "s1")]
+
+
+class TestIncrementalMatchmaking:
+    """run_matchmaking and prospective_matches scan only the stale products;
+    both must equal a full pass over every RFQ."""
+
+    BUYERS = ("b1", "b2", "b3")
+    SELLERS = ("s1", "s2", "s3")
+    PRODUCTS = ("db", "gpu", "vm")
+    FLIPPED = {Perspective.BUYER: Perspective.SELLER, Perspective.SELLER: Perspective.BUYER}
+
+    def market(self, price_ranges, require_overlap=True):
+        """price_ranges: agent -> (lo, hi), the same for every product."""
+        market = Marketplace(require_overlap=require_overlap)
+        for agent in self.BUYERS + self.SELLERS:
+            market.repo.register_agent(
+                agent, Perspective.BUYER if agent[0] == "b" else Perspective.SELLER
+            )
+            for product in self.PRODUCTS:
+                self.declare(market, agent, product, price_ranges.get(agent, (10, 20)))
+        return market
+
+    def declare(self, market, agent, product, price):
+        issues = (make_issue("memory", 0.5, 1, 8), make_issue("price", 0.5, *price))
+        market.repo.declare_agenda(agent, product, make_agenda(*issues))
+
+    def send(self, market, session, sender, kind, tick, price=12.0):
+        market.route_message(NegotiationMessage(
+            session=session.session, sender=sender,
+            receiver=session.seller if sender == session.buyer else session.buyer,
+            round=len(session.transcript), sent_at=tick, kind=kind,
+            package=OfferPackage(values={"memory": 4.0, "price": price}),
+            reason="deadline" if kind is MessageKind.TERMINATE else None,
+        ))
+
+    def test_reputation_rise_rematches(self):
+        market = self.market({})
+        market.repo.submit_advertisement("s1", "vm")
+        market.repo.submit_rfq("b1", "vm", min_reputation=0.7)
+        market.repo.submit_advertisement("s1", "db")
+        market.repo.submit_rfq("b2", "db")
+        [deal] = market.run_matchmaking(0)
+        assert market.run_matchmaking(1) == []
+        self.send(market, deal, "b2", MessageKind.ACQUIRE, 1)  # s1's R: 0.5 -> 0.8
+        assert market.repo.stale_products() == {"db", "vm"}
+        [session] = market.run_matchmaking(2)
+        assert (session.buyer, session.seller, session.product) == ("b1", "s1", "vm")
+
+    def test_agenda_change_rematches(self):
+        market = self.market({"b1": (1, 5)})
+        market.repo.submit_advertisement("s1", "vm")
+        market.repo.submit_rfq("b1", "vm")
+        assert market.run_matchmaking(0) == []
+        self.declare(market, "b1", "vm", (5, 15))
+        [session] = market.run_matchmaking(1)
+        assert (session.buyer, session.seller) == ("b1", "s1")
+
+    def test_role_change_rematches(self):
+        market = self.market({})
+        market.repo.submit_advertisement("b2", "vm")
+        market.repo.submit_rfq("b1", "vm")
+        assert market.run_matchmaking(0) == []
+        market.repo.register_agent("b2", Perspective.SELLER)
+        [session] = market.run_matchmaking(1)
+        assert (session.buyer, session.seller) == ("b1", "b2")
+
+    def test_quiet_tick_scans_nothing(self, monkeypatch):
+        market = self.market({})
+        market.repo.submit_advertisement("s1", "vm")
+        market.repo.submit_rfq("b1", "vm")
+        assert len(market.run_matchmaking(0)) == 1
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a quiet tick ran a match pass")
+
+        monkeypatch.setattr(marketplace, "match_alliances", forbidden)
+        assert market.prospective_matches() == []
+        assert market.run_matchmaking(1) == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_stale_scan_equals_full_pass(self, data):
+        agents = st.sampled_from(self.BUYERS + self.SELLERS)
+        products = st.sampled_from(self.PRODUCTS)
+        prices = st.integers(0, 20).flatmap(
+            lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, 30))
+        )
+        market = self.market(
+            data.draw(st.dictionaries(agents, prices)), require_overlap=data.draw(st.booleans())
+        )
+        repo = market.repo
+        matched: set[tuple[str, str]] = set()
+        spied: list[list[Match]] = []
+
+        def spy(*args, **kwargs):
+            spied.append(full_pass(*args, **kwargs))
+            return spied[-1]
+
+        full_pass = marketplace.match_alliances
+        events = st.sampled_from(["ad", "rfq", "agenda", "role", "offer", "close", "close"])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(marketplace, "match_alliances", spy)
+            for tick in range(data.draw(st.integers(1, 16))):
+                for event in data.draw(st.lists(events, max_size=3)):
+                    agent, product = data.draw(agents), data.draw(products)
+                    open_now = market.open_sessions()
+                    if event == "ad":
+                        repo.submit_advertisement(
+                            agent, product, posted_at=tick,
+                            issues=data.draw(st.sampled_from([None, ("price",)])),
+                        )
+                    elif event == "rfq":
+                        repo.submit_rfq(
+                            agent, product, posted_at=tick,
+                            issues=data.draw(st.sampled_from([None, ("price",)])),
+                            min_reputation=data.draw(st.sampled_from([0.0, 0.4, 0.6, 0.9])),
+                        )
+                    elif event == "agenda":
+                        self.declare(market, agent, product, data.draw(prices))
+                    elif event == "role":
+                        repo.register_agent(agent, self.FLIPPED[repo.agent_role(agent)])
+                    elif open_now:
+                        # Offers out of the sender's range lower its compliance;
+                        # closes change agreement rates and rounds.
+                        session = market.sessions[data.draw(st.sampled_from(open_now))]
+                        sender = data.draw(st.sampled_from(session.participants()))
+                        if event == "offer":
+                            price = data.draw(st.sampled_from([12.0, 99.0]))
+                            self.send(market, session, sender, MessageKind.OFFER, tick, price)
+                        else:
+                            kind = data.draw(st.sampled_from(
+                                [MessageKind.ACQUIRE, MessageKind.TERMINATE]
+                            ))
+                            self.send(market, session, sender, kind, tick)
+
+                expected = full_pass(
+                    repo, market.trust, exclude=matched,
+                    require_overlap=market.require_overlap,
+                )
+                agreed = {
+                    (agent, s.product)
+                    for s in market.sessions.values()
+                    if s.outcome is SessionOutcome.AGREED
+                    for agent in s.participants()
+                }
+                commencing = [
+                    m for m in expected
+                    if (m.buyer, m.product) not in agreed
+                    and (m.seller, m.product) not in agreed
+                ]
+                assert market.prospective_matches() == commencing
+
+                spied.clear()
+                created = market.run_matchmaking(tick)
+                assert (spied[-1] if spied else []) == expected
+                assert [(s.buyer, s.seller, s.product, s.issue_ids) for s in created] == [
+                    (m.buyer, m.seller, m.product, m.issue_ids) for m in commencing
+                ]
+                matched.update((m.rfq_id, m.ad_id) for m in expected)

@@ -1,9 +1,12 @@
 """Scenario loading, kernel runs, replay determinism, report rendering."""
 
 import json
+from pathlib import Path
 
 import pytest
+import yaml
 
+from agorasim import simulation
 from agorasim.simulation import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -11,6 +14,8 @@ from agorasim.simulation import (
     load_scenario,
     run_simulation,
 )
+
+SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))
 
 MINIMAL = """
 name: minimal
@@ -120,6 +125,56 @@ class TestLoadScenario:
         doc = MINIMAL.replace("id: b", 'id: "@b"')
         with pytest.raises(ScenarioValidationError):
             load_scenario(doc)
+
+
+# Malformed documents and the line their ScenarioParseError names, which
+# must not depend on the loader.
+MALFORMED = {
+    "unclosed-flow": ("name: x\nagents: [a, b\n", 3),
+    "bad-indent": ("name: x\nagents:\n  - id: a\n   role: buyer\n", 4),
+    "tab-indent": ("name: x\n\tt_end: 3\n", 2),
+    "nested-colon": ("name: x\nt_end: b: c\n", 2),
+    "unclosed-quote": ('name: "abc\nt_end: 3\n', 3),
+    "undefined-alias": ("name: x\nt_end: *nope\n", 2),
+    "unknown-tag": ("name: x\nt_end: !!python/object:os.system x\n", 2),
+    "stray-bracket": ("name: x\n]\n", 2),
+    "second-document": ("name: x\n---\nt_end: 3\n", 2),
+    "bad-escape": ('name: x\nt_end: "\\q"\n', 2),
+    "bad-int": ("name: x\n\nt_end: !!int xyz\n", 3),
+    "bad-bool": ("name: x\noptions: {require_overlap: !!bool maybe}\n", 2),
+}
+
+
+@pytest.fixture(params=["libyaml", "pure"])
+def yaml_loader(request, monkeypatch):
+    """Runs a test under each loader: libyaml, and the pure-Python one."""
+    if request.param == "pure":
+        monkeypatch.delattr(yaml, "CSafeLoader")
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    assert (simulation._yaml_loader() is simulation._SafeLoader) == (request.param == "pure")
+    return request.param
+
+
+class TestLoaders:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_parse_error_line_is_loader_independent(self, yaml_loader, name):
+        document, line = MALFORMED[name]
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(document)
+        assert err.value.line == line
+
+    def test_deep_nesting_is_a_parse_error(self, yaml_loader):
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario("[" * 5000 + "]" * 5000)
+        assert err.value.line is None
+
+    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
+    def test_shipped_scenarios_load_equal(self, path, monkeypatch):
+        text = path.read_text(encoding="utf-8")
+        with_libyaml = load_scenario(text)
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        assert load_scenario(text) == with_libyaml
 
 
 class TestRunSimulation:

@@ -34,7 +34,6 @@ from .tactics import (
     TacticParams,
     adapt_tactic,
     aggregate_utility,
-    classify_concession,
     concession_rate,
     decide_response,
     effective_deadline,
@@ -182,8 +181,6 @@ class IssueBelief:
 class SessionBelief:
     issues: dict[IssueId, IssueBelief] = field(default_factory=dict)
     last_package: Optional[OfferPackage] = None
-    stance_estimate: Optional[Stance] = None
-    last_update: int = -1
 
 
 class Beliefset:
@@ -216,13 +213,11 @@ class Beliefset:
         return sum(ratios) / len(ratios)
 
 
-def update_beliefs(
-    beliefs: Beliefset, msg: NegotiationMessage, now: int
-) -> Beliefset:
+def update_beliefs(beliefs: Beliefset, msg: NegotiationMessage) -> Beliefset:
     """Fold an accepted opponent offer into the belief store.
 
-    Keeps the last three values per issue, recomputes the concession ratio
-    once three exist, and refreshes the stance estimate.
+    Keeps the last three values per issue and recomputes the concession
+    ratio once three exist.
     """
     if msg.package is None:
         return beliefs
@@ -234,10 +229,6 @@ def update_beliefs(
         if len(ib.history) == BELIEF_WINDOW:
             ib.lam = concession_rate(*ib.history)
     sb.last_package = msg.package
-    sb.last_update = now
-    lam = beliefs.mean_lambda(msg.session)
-    if lam is not None:
-        sb.stance_estimate = classify_concession(lam)
     return beliefs
 
 
@@ -568,7 +559,7 @@ def agent_step(
             continue
 
         # Offer: learn, adapt, recompute the hybrid deadline, then plan.
-        update_beliefs(state.beliefs, msg, now)
+        update_beliefs(state.beliefs, msg)
         entry.offers_received += 1
         lam = state.beliefs.mean_lambda(msg.session)
         state.tactic = adapt_tactic(

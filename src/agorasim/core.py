@@ -181,17 +181,22 @@ def validate_agenda(agenda: Agenda) -> ValidatedAgenda:
     return agenda
 
 
+def check_in_range(spec: IssueSpec, offered: float) -> None:
+    """Raise OutOfRangeError unless offered lies in the issue's [min, max]."""
+    if not spec.min_value <= offered <= spec.max_value:
+        raise OutOfRangeError(
+            f"issue {spec.issue_id!r}: value {offered} outside "
+            f"[{spec.min_value}, {spec.max_value}]"
+        )
+
+
 def issue_score(spec: IssueSpec, offered: float, perspective: Perspective) -> float:
     """Normalize an offered value into a [0, 1] score for one side.
 
     Buyer score is (max - offered)/(max - min); seller score is its
     complement, so the two perspectives always sum to 1.
     """
-    if not spec.min_value <= offered <= spec.max_value:
-        raise OutOfRangeError(
-            f"issue {spec.issue_id!r}: value {offered} outside "
-            f"[{spec.min_value}, {spec.max_value}]"
-        )
+    check_in_range(spec, offered)
     return kernels.issue_score(
         spec.min_value, spec.max_value, offered, perspective is Perspective.BUYER
     )

@@ -405,6 +405,13 @@ class SessionState:
     def participants(self) -> tuple[AgentId, AgentId]:
         return (self.buyer, self.seller)
 
+    def last_offer(self, sender: AgentId) -> Optional[OfferPackage]:
+        """The package of the sender's latest offer here, None before one."""
+        for msg in reversed(self.transcript):
+            if msg.kind is MessageKind.OFFER and msg.sender == sender:
+                return msg.package
+        return None
+
 
 # One shared encoder: json.dumps with non-default arguments builds a new one
 # for every call.
@@ -585,6 +592,7 @@ class DeliveryStatus(Enum):
     DELIVERED = "delivered"
     UNKNOWN_SESSION = "unknown-session"
     NOT_PARTICIPANT = "not-participant"
+    NOT_LAST_OFFER = "not-last-offer"
     SESSION_CLOSED = "session-closed"
 
 
@@ -711,9 +719,9 @@ class Marketplace:
         """Append a message to its session transcript and queue delivery.
 
         Acquire and Terminate close the session (exactly once); messages for
-        unknown or closed sessions, and messages from anyone but the
-        session's buyer and seller, are counted against the sender and
-        dropped.
+        unknown or closed sessions, messages from anyone but the session's
+        buyer and seller, and an acquire of anything but the other side's
+        last offer are counted against the sender and dropped.
         """
         session = self.sessions.get(msg.session)
         if session is None:
@@ -728,6 +736,11 @@ class Marketplace:
             if msg.sent_at > closed_at:
                 return self._reject(msg.sender, DeliveryStatus.SESSION_CLOSED)
             return DeliveryResult(DeliveryStatus.SESSION_CLOSED, ())
+        if msg.kind is MessageKind.ACQUIRE:
+            other = session.seller if msg.sender == session.buyer else session.buyer
+            offered = session.last_offer(other)
+            if offered is None or msg.package != offered:
+                return self._reject(msg.sender, DeliveryStatus.NOT_LAST_OFFER)
 
         violations = list(self._compliance_violations(session, msg))
         stats = self.trust.record(msg.sender).stats

@@ -4,12 +4,15 @@ One tick runs: post ads/RFQs due, matchmake the products whose matches may
 have changed, deliver due messages, step in id order the agents that have
 mail or a live session, route outboxes in canonical order. Stepping any
 other agent would do nothing, so the run is the same as stepping every
-agent. Two runs with the same scenario and seed produce byte-identical
-transcripts and reports.
+agent. A stretch of ticks with no mail, live agent, open session or stale
+product is skipped up to the next posting, for the same reason. Two runs
+with the same scenario and seed produce byte-identical transcripts and
+reports.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import random
@@ -335,6 +338,13 @@ def _check_posting(
     return agent, product, issues
 
 
+def _posting_tick(node: dict, path: str, t_end: int) -> int:
+    posted_at = _as_int(_get(node, "posted_at", path, default=0), f"{path}.posted_at")
+    if not 0 <= posted_at <= t_end:
+        _fail(f"{path}.posted_at", f"posted_at must lie in [0, t_end={t_end}], got {posted_at}")
+    return posted_at
+
+
 class _ScalarErrors:
     """Loader mixin: a tagged scalar the safe constructor cannot convert
     (`!!int x`, `!!bool x`, `!!timestamp 2001-13-45`) raises a
@@ -453,7 +463,7 @@ def load_scenario(document: str) -> Scenario:
         path = f"$.advertisements[{i}]"
         node = _as_map(node, path)
         agent, product, issues = _check_posting(node, path, agents)
-        posted_at = _as_int(_get(node, "posted_at", path, default=0), f"{path}.posted_at")
+        posted_at = _posting_tick(node, path, t_end)
         ads.append(AdSpec(agent=agent, product=product, issues=issues, posted_at=posted_at))
 
     rfqs = []
@@ -466,7 +476,7 @@ def load_scenario(document: str) -> Scenario:
         )
         if not 0.0 <= min_reputation <= 1.0:
             _fail(f"{path}.min_reputation", "min_reputation must lie in [0, 1]")
-        posted_at = _as_int(_get(node, "posted_at", path, default=0), f"{path}.posted_at")
+        posted_at = _posting_tick(node, path, t_end)
         rfqs.append(
             RfqSpec(
                 agent=agent,
@@ -637,14 +647,16 @@ def run_simulation_with_market(
     rfqs_by_tick: dict[int, list[RfqSpec]] = {}
     for rfq in scenario.rfqs:
         rfqs_by_tick.setdefault(rfq.posted_at, []).append(rfq)
-    last_post = max([0, *ads_by_tick, *rfqs_by_tick])
+    post_ticks = sorted({*ads_by_tick, *rfqs_by_tick})
+    last_post = max([0, *post_ticks])
 
     # Agents with a live session after their last step. An agent outside it
     # with no mail has nothing to do: agent_step would return no messages
     # and change nothing, so it is not called.
     live: set[AgentId] = set()
     ticks = 0
-    for now in range(scenario.t_end + 1):
+    now = 0
+    while now <= scenario.t_end:
         ticks = now
         for ad in ads_by_tick.get(now, []):
             market.repo.submit_advertisement(
@@ -669,14 +681,20 @@ def run_simulation_with_market(
         outgoing.sort(key=lambda m: (m.sent_at, m.session, m.sender, m.round))
         for msg in outgoing:
             market.route_message(msg)
-        if (
-            now >= last_post
-            and not market.has_pending_messages()
+        idle = (
+            not market.has_pending_messages()
             and not market.open_sessions()
             and not live
-            and not market.prospective_matches()
-        ):
+        )
+        if idle and now >= last_post and not market.prospective_matches():
             break
+        if idle and not market.repo.stale_products():
+            # Nothing can happen before the next posting: jump to it.
+            later = bisect.bisect_right(post_ticks, now)
+            target = post_ticks[later] if later < len(post_ticks) else scenario.t_end
+            now = max(now + 1, min(target, scenario.t_end))
+        else:
+            now += 1
 
     report = _build_report(scenario, seed, ticks, market)
     return market.transcript_lines(), report, market

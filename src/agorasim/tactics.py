@@ -1,7 +1,7 @@
 """Negotiation mathematics: utilities, concession curves, response rule.
 
 Everything here is a pure function over immutable inputs. The per-issue
-arithmetic is delegated to the kernel backend (compiled when available).
+arithmetic is delegated to `kernels`.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from .core import (
     MissingIssueError,
     NegotiationMessage,
     OfferPackage,
-    OutOfRangeError,
     Perspective,
     Direction,
     ValidatedAgenda,
+    check_in_range,
 )
 
 BETA_MIN = 0.05
@@ -81,9 +81,7 @@ class ResourceProjection:
     r_threshold: float = 0.1
 
     def level_at(self, t: float) -> float:
-        xs = [p[0] for p in self.points]
-        ys = [p[1] for p in self.points]
-        return kernels.piecewise_level(xs, ys, t)
+        return kernels.piecewise_level(self.points, t)
 
     def shifted(self, offset: float) -> "ResourceProjection":
         """View of the projection in session-relative time (t=0 at offset)."""
@@ -113,23 +111,10 @@ def aggregate_utility(
     Raises MissingIssueError when the package does not cover the agenda and
     OutOfRangeError when any value falls outside its issue's range.
     """
-    offers = []
-    mins = []
-    maxs = []
-    weights = []
     for spec in agenda.issues:
-        offered = package.value(spec.issue_id)
-        if not spec.min_value <= offered <= spec.max_value:
-            raise OutOfRangeError(
-                f"issue {spec.issue_id!r}: value {offered} outside "
-                f"[{spec.min_value}, {spec.max_value}]"
-            )
-        offers.append(offered)
-        mins.append(spec.min_value)
-        maxs.append(spec.max_value)
-        weights.append(spec.weight)
+        check_in_range(spec, package.value(spec.issue_id))
     return kernels.weighted_utility(
-        offers, mins, maxs, weights, perspective is Perspective.BUYER
+        agenda.issues, package.values, perspective is Perspective.BUYER
     )
 
 
@@ -220,9 +205,9 @@ def effective_deadline(t_max: float, projection: ResourceProjection) -> float:
     Depletion is the first time the projected level reaches r_threshold; a
     schedule that starts depleted yields 0.
     """
-    xs = [p[0] for p in projection.points]
-    ys = [p[1] for p in projection.points]
-    return kernels.threshold_crossing(xs, ys, projection.r_threshold, t_max)
+    return kernels.threshold_crossing(
+        projection.points, projection.r_threshold, t_max
+    )
 
 
 def decide_response(

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from agorasim.cli import main
 from conftest import BILATERAL_SCENARIO
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+BILATERAL_FILE = (ROOT / "scenarios" / "bilateral.yaml").read_text(encoding="utf-8")
 
 # Runs the CLI in a child process, first hiding libyaml if argv[1] is "pure".
 CLI_UNDER_LOADER = """
@@ -92,6 +95,13 @@ class TestHostileInput:
         "deep-flow": "[" * 5000 + "]" * 5000,
         "deep-block": "- " * 50000 + "x\n",
         "bad-tagged-int": "name: x\nt_end: !!int many\n",
+        # Once validated as OK, then run without ever posting the ad.
+        "ad-before-start": BILATERAL_FILE.replace(
+            "{agent: seller-1, product: vm}", "{agent: seller-1, product: vm, posted_at: -3}"
+        ),
+        "ad-after-end": BILATERAL_FILE.replace(
+            "{agent: seller-1, product: vm}", "{agent: seller-1, product: vm, posted_at: 500}"
+        ),
     }
 
     @pytest.mark.parametrize("loader", ["libyaml", "pure"])
@@ -116,6 +126,20 @@ class TestHostileInput:
 
 
 class TestRun:
+    def test_late_posting_runs_fast(self, tmp_path, capsys):
+        path = tmp_path / "late.yaml"
+        path.write_text(
+            BILATERAL_FILE.replace("t_end: 64", f"t_end: {10**8 + 64}").replace(
+                "product: vm}", f"product: vm, posted_at: {10**8}}}"
+            ),
+            encoding="utf-8",
+        )
+        started = time.perf_counter()
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - started < 2.0
+        assert code == 0
+        assert "1 sessions (1 agreed)" in capsys.readouterr().out
+
     def test_writes_artifacts(self, scenario_file, tmp_path, capsys):
         out_dir = tmp_path / "out"
         code = main(

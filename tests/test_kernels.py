@@ -1,140 +1,97 @@
-"""Backend parity: the compiled kernels must match the pure-Python twins bitwise."""
+"""Edge cases and properties of the negotiation kernels."""
 
 import math
-import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agorasim import _kernels_py
-
-speedups = pytest.importorskip(
-    "agorasim._speedups", reason="compiled kernel extension not built"
-)
-
-
-def same_float(a: float, b: float) -> bool:
-    if math.isnan(a) and math.isnan(b):
-        return True
-    return a == b
+from agorasim import kernels
+from conftest import make_issue
 
 
-class TestBackendParity:
-    def test_time_fraction(self):
-        rng = random.Random(101)
-        for _ in range(2000):
-            t = rng.uniform(-1, 50)
-            t_max = rng.choice([0.0, rng.uniform(0.1, 40)])
-            k = rng.uniform(0, 1)
-            beta = rng.uniform(0.05, 20)
-            assert same_float(
-                _kernels_py.time_fraction(t, t_max, k, beta),
-                speedups.time_fraction(t, t_max, k, beta),
-            )
-
-    def test_offer_value(self):
-        rng = random.Random(102)
-        for _ in range(2000):
-            lo = rng.uniform(-100, 100)
-            hi = lo + rng.uniform(0.01, 50)
-            f = rng.uniform(0, 1)
-            ascending = rng.random() < 0.5
-            assert same_float(
-                _kernels_py.offer_value(lo, hi, f, ascending),
-                speedups.offer_value(lo, hi, f, ascending),
-            )
-
-    def test_issue_score(self):
-        rng = random.Random(103)
-        for _ in range(2000):
-            lo = rng.uniform(-100, 100)
-            hi = lo + rng.uniform(0.01, 50)
-            offered = rng.uniform(lo, hi)
-            buyer = rng.random() < 0.5
-            assert same_float(
-                _kernels_py.issue_score(lo, hi, offered, buyer),
-                speedups.issue_score(lo, hi, offered, buyer),
-            )
-
-    def test_weighted_utility(self):
-        rng = random.Random(104)
-        for _ in range(500):
-            n = rng.randint(1, 8)
-            mins, maxs, offers, weights = [], [], [], []
-            raw = [rng.uniform(0.05, 1) for _ in range(n)]
-            total = sum(raw)
-            for i in range(n):
-                lo = rng.uniform(-50, 50)
-                hi = lo + rng.uniform(0.1, 80)
-                mins.append(lo)
-                maxs.append(hi)
-                offers.append(rng.uniform(lo, hi))
-                weights.append(raw[i] / total)
-            buyer = rng.random() < 0.5
-            assert same_float(
-                _kernels_py.weighted_utility(offers, mins, maxs, weights, buyer),
-                speedups.weighted_utility(offers, mins, maxs, weights, buyer),
-            )
-
-    def test_concession_ratio(self):
-        rng = random.Random(105)
-        cases = [(100.0, 100.0, 90.0), (1.0, 1.0, 1.0)]
-        for _ in range(2000):
-            cases.append(
-                (rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-50, 50))
-            )
-        for o2, o1, o0 in cases:
-            assert same_float(
-                _kernels_py.concession_ratio(o2, o1, o0),
-                speedups.concession_ratio(o2, o1, o0),
-            )
-
-    def test_piecewise_level_and_crossing(self):
-        rng = random.Random(106)
-        for _ in range(500):
-            n = rng.randint(1, 6)
-            xs = sorted(rng.uniform(0, 30) for _ in range(n))
-            ys = [rng.uniform(0, 1) for _ in range(n)]
-            for _ in range(10):
-                t = rng.uniform(-5, 40)
-                assert same_float(
-                    _kernels_py.piecewise_level(xs, ys, t),
-                    speedups.piecewise_level(xs, ys, t),
-                )
-            threshold = rng.uniform(0, 1)
-            t_max = rng.uniform(1, 40)
-            assert same_float(
-                _kernels_py.threshold_crossing(xs, ys, threshold, t_max),
-                speedups.threshold_crossing(xs, ys, threshold, t_max),
-            )
-
-
-class TestPurePythonEdgeCases:
+class TestKernelEdgeCases:
     def test_piecewise_outside_domain(self):
-        xs, ys = [2.0, 10.0], [0.8, 0.2]
-        assert _kernels_py.piecewise_level(xs, ys, 0.0) == 0.8
-        assert _kernels_py.piecewise_level(xs, ys, 99.0) == 0.2
-        assert _kernels_py.piecewise_level(xs, ys, 6.0) == pytest.approx(0.5)
+        points = ((2.0, 0.8), (10.0, 0.2))
+        assert kernels.piecewise_level(points, 0.0) == 0.8
+        assert kernels.piecewise_level(points, 99.0) == 0.2
+        assert kernels.piecewise_level(points, 6.0) == pytest.approx(0.5)
 
     def test_piecewise_step_schedule(self):
-        xs, ys = [0.0, 5.0, 5.0, 10.0], [1.0, 1.0, 0.3, 0.3]
-        assert _kernels_py.piecewise_level(xs, ys, 4.9) == pytest.approx(1.0)
-        assert _kernels_py.piecewise_level(xs, ys, 5.0) == pytest.approx(1.0)
-        assert _kernels_py.piecewise_level(xs, ys, 5.1) == pytest.approx(0.3)
+        points = ((0.0, 1.0), (5.0, 1.0), (5.0, 0.3), (10.0, 0.3))
+        assert kernels.piecewise_level(points, 4.9) == pytest.approx(1.0)
+        assert kernels.piecewise_level(points, 5.0) == pytest.approx(1.0)
+        assert kernels.piecewise_level(points, 5.1) == pytest.approx(0.3)
 
     def test_crossing_at_step(self):
-        xs, ys = [0.0, 5.0, 5.0, 10.0], [1.0, 1.0, 0.3, 0.3]
-        assert _kernels_py.threshold_crossing(xs, ys, 0.5, 20.0) == pytest.approx(5.0)
+        points = ((0.0, 1.0), (5.0, 1.0), (5.0, 0.3), (10.0, 0.3))
+        assert kernels.threshold_crossing(points, 0.5, 20.0) == pytest.approx(5.0)
 
     def test_crossing_never(self):
-        assert _kernels_py.threshold_crossing([0.0, 10.0], [0.9, 0.8], 0.2, 15.0) == 15.0
+        assert kernels.threshold_crossing(((0.0, 0.9), (10.0, 0.8)), 0.2, 15.0) == 15.0
 
     def test_crossing_capped_by_window(self):
-        xs, ys = [0.0, 100.0], [1.0, 0.0]
-        assert _kernels_py.threshold_crossing(xs, ys, 0.2, 20.0) == 20.0
+        points = ((0.0, 1.0), (100.0, 0.0))
+        assert kernels.threshold_crossing(points, 0.2, 20.0) == 20.0
 
     def test_flat_exactly_at_threshold(self):
-        xs, ys = [0.0, 4.0, 8.0], [1.0, 0.2, 0.2]
-        assert _kernels_py.threshold_crossing(xs, ys, 0.2, 20.0) == pytest.approx(4.0)
+        points = ((0.0, 1.0), (4.0, 0.2), (8.0, 0.2))
+        assert kernels.threshold_crossing(points, 0.2, 20.0) == pytest.approx(4.0)
+
+    def test_step_down_at_tick_zero_crosses_at_zero(self):
+        points = ((0.0, 1.0), (0.0, 0.05), (10.0, 0.05))
+        assert kernels.threshold_crossing(points, 0.1, 20.0) == 0.0
+
+    def test_step_up_at_tick_zero_starts_from_the_step(self):
+        points = ((0.0, 0.6), (0.0, 0.9), (10.0, 0.0))
+        crossing = kernels.threshold_crossing(points, 0.5, 20.0)
+        assert crossing == pytest.approx(10.0 * 0.4 / 0.9)
+        assert kernels.piecewise_level(points, crossing) == pytest.approx(0.5)
 
     def test_nan_for_flat_denominator(self):
-        assert math.isnan(_kernels_py.concession_ratio(5.0, 5.0, 4.0))
+        assert math.isnan(kernels.concession_ratio(5.0, 5.0, 4.0))
+
+    def test_weighted_utility_sums_in_spec_order(self):
+        specs = (make_issue("price", 0.25, 10.0, 20.0), make_issue("cpu", 0.75, 0.0, 8.0))
+        values = {"cpu": 2.0, "price": 12.0}
+        expected = 0.0
+        expected += 0.25 * kernels.issue_score(10.0, 20.0, 12.0, True)
+        expected += 0.75 * kernels.issue_score(0.0, 8.0, 2.0, True)
+        assert kernels.weighted_utility(specs, values, True) == expected
+
+
+# Ticks on a quarter-tick grid: near 1e-300 the crossing's product underflows.
+_TICKS = st.integers(min_value=-200, max_value=800).map(lambda q: q / 4)
+_LEVELS = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def _schedules(draw):
+    ticks = sorted(draw(st.lists(_TICKS, min_size=1, max_size=6)))
+    return tuple((t, draw(_LEVELS)) for t in ticks)
+
+
+class TestThresholdCrossingProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        points=_schedules(),
+        threshold=st.floats(min_value=0.01, max_value=0.99),
+        t_max=st.floats(min_value=0.0, max_value=250.0),
+    )
+    def test_first_crossing_within_window(self, points, threshold, t_max):
+        result = kernels.threshold_crossing(points, threshold, t_max)
+        assert 0.0 <= result <= t_max
+        for x, y in points:
+            # The crossing inside a segment may round past its end.
+            if 0.0 < x < result and not math.isclose(x, result):
+                assert y > threshold
+        if result < t_max:
+            # At a step down the level drops just after the step's tick; a
+            # zero-width dip shows only as a breakpoint at that tick.
+            after = math.nextafter(result, math.inf)
+            level = min(
+                kernels.piecewise_level(points, result),
+                kernels.piecewise_level(points, after),
+                *(y for x, y in points if x == result),
+            )
+            assert level <= threshold + 1e-9

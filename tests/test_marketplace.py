@@ -366,6 +366,36 @@ class TestSessions:
         stats = market.trust.record("outsider").stats
         assert (stats.violations, stats.messages_sent) == (1, 0)
 
+    def assert_forged_acquire_dropped(self, market, session, price):
+        routed = market.transcript_lines()
+        sent_before = market.trust.record("buyer-1").stats.messages_sent
+        result = market.route_message(
+            NegotiationMessage(
+                session=session.session, sender="buyer-1", receiver="seller-1",
+                round=5, sent_at=3, kind=MessageKind.ACQUIRE,
+                package=OfferPackage(values={"price": price}),
+            )
+        )
+        assert result.status is DeliveryStatus.NOT_LAST_OFFER
+        assert result.violations == ("not-last-offer",)
+        assert session.is_open
+        assert market.transcript_lines() == routed
+        assert market.due_messages(4) == {}
+        stats = market.trust.record("buyer-1").stats
+        assert (stats.violations, stats.messages_sent) == (1, sent_before)
+
+    def test_acquire_before_any_offer_dropped(self):
+        market = self.fresh_market()
+        session = market.commence_negotiation(self.match(), now=0)
+        self.assert_forged_acquire_dropped(market, session, 15.0)
+
+    def test_acquire_of_another_package_dropped(self):
+        market = self.fresh_market()
+        session = market.commence_negotiation(self.match(), now=0)
+        market.route_message(self.offer(session.session, sent_at=1))
+        market.due_messages(2)
+        self.assert_forged_acquire_dropped(market, session, 14.0)
+
     def test_closed_session_rejects_offers(self):
         market = self.fresh_market()
         session = market.commence_negotiation(self.match(), now=0)
@@ -618,7 +648,16 @@ class TestIncrementalWatchdog:
                 self.send(market, session, sender, MessageKind.OFFER, tick, values)
             kind = data.draw(st.sampled_from([MessageKind.ACQUIRE, MessageKind.TERMINATE]))
             sender = data.draw(st.sampled_from(closing.participants()))
-            self.send(market, closing, sender, kind, tick, {"price": 15.0, "memory": 4.0})
+            values = {"price": 15.0, "memory": 4.0}
+            if kind is MessageKind.ACQUIRE:
+                # An acquire must echo the other side's last offer.
+                other = closing.seller if sender == closing.buyer else closing.buyer
+                offered = closing.last_offer(other)
+                if offered is None:
+                    self.send(market, closing, other, MessageKind.OFFER, tick, values)
+                else:
+                    values = dict(offered.values)
+            self.send(market, closing, sender, kind, tick, values)
             assert not closing.is_open
             assert_trust_matches_bruteforce(market)
 
@@ -690,6 +729,7 @@ class TestIncrementalMatchmaking:
         market.repo.submit_rfq("b2", "db")
         [deal] = market.run_matchmaking(0)
         assert market.run_matchmaking(1) == []
+        self.send(market, deal, "s1", MessageKind.OFFER, 1)
         self.send(market, deal, "b2", MessageKind.ACQUIRE, 1)  # s1's R: 0.5 -> 0.8
         assert market.repo.stale_products() == {"db", "vm"}
         [session] = market.run_matchmaking(2)

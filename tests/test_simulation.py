@@ -121,6 +121,22 @@ class TestLoadScenario:
             load_scenario(doc)
         assert exc.value.path == "$.agents[0].resources.schedule[1][0]"
 
+    @pytest.mark.parametrize("section", ["advertisements", "rfqs"])
+    @pytest.mark.parametrize("tick", [-3, 31])
+    def test_posting_tick_outside_run_rejected(self, section, tick):
+        agent = "s" if section == "advertisements" else "b"
+        doc = MINIMAL.replace(
+            f"{{agent: {agent}, product: vm}}",
+            f"{{agent: {agent}, product: vm, posted_at: {tick}}}",
+        )
+        with pytest.raises(ScenarioValidationError) as exc:
+            load_scenario(doc)
+        assert exc.value.path == f"$.{section}[0].posted_at"
+
+    def test_posting_at_t_end_accepted(self):
+        doc = MINIMAL.replace("{agent: s, product: vm}", "{agent: s, product: vm, posted_at: 30}")
+        assert load_scenario(doc).advertisements[0].posted_at == 30
+
     def test_reserved_agent_prefix(self):
         doc = MINIMAL.replace("id: b", 'id: "@b"')
         with pytest.raises(ScenarioValidationError):
@@ -269,6 +285,52 @@ class TestRunSimulation:
             s.session for s in report.sessions if s.outcome in ("agreed", "terminated")
         }
         assert commenced == resolved
+
+
+def _posted_at(document: str, tick: int) -> str:
+    """The bilateral scenario with both postings at `tick` and t_end moved
+    out by as much."""
+    return (
+        document.replace("t_end: 64", f"t_end: {64 + tick}")
+        .replace("product: vm}", f"product: vm, posted_at: {tick}}}")
+    )
+
+
+class TestEmptyTicks:
+    BILATERAL = (Path(__file__).resolve().parents[1] / "scenarios" / "bilateral.yaml").read_text(
+        encoding="utf-8"
+    )
+
+    @pytest.mark.parametrize("delay", [1, 37, 250_000])
+    def test_late_postings_shift_the_run(self, delay):
+        base_lines, base = run_simulation(load_scenario(self.BILATERAL))
+        lines, report = run_simulation(load_scenario(_posted_at(self.BILATERAL, delay)))
+        shifted = []
+        for line in lines:
+            record = json.loads(line)
+            record["tick"] -= delay
+            shifted.append(record)
+        assert shifted == [json.loads(line) for line in base_lines]
+        assert report.ticks == base.ticks + delay
+        assert [s.closed_at - delay for s in report.sessions] == [
+            s.closed_at for s in base.sessions
+        ]
+        assert [(s.buyer_utility, s.seller_utility) for s in report.sessions] == [
+            (s.buyer_utility, s.seller_utility) for s in base.sessions
+        ]
+
+    def test_empty_ticks_are_not_visited(self, monkeypatch):
+        due = []
+        original = simulation.Marketplace.due_messages
+
+        def counting(market, now):
+            due.append(now)
+            return original(market, now)
+
+        monkeypatch.setattr(simulation.Marketplace, "due_messages", counting)
+        run_simulation(load_scenario(_posted_at(self.BILATERAL, 10**8)))
+        assert due[0] == 0 and due[1] == 10**8
+        assert len(due) < 30
 
 
 class TestEmitReport:

@@ -68,11 +68,14 @@ class FilterVerdict:
 
     @classmethod
     def passed(cls) -> "FilterVerdict":
-        return cls(ok=True)
+        return _PASSED
 
     @classmethod
     def rejected(cls, reason: RejectReason) -> "FilterVerdict":
         return cls(ok=False, reason=reason)
+
+
+_PASSED = FilterVerdict(ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +99,8 @@ class SessionEntry:
     next_round: int = 0
     last_seen_round: int = -1
     offers_received: int = 0
+    # The resource projection t_max_eff was computed from; None until then.
+    t_max_eff_of: Optional[ResourceProjection] = None
 
     @property
     def deadline(self) -> float:
@@ -151,11 +156,14 @@ def proxy_filter(
             return FilterVerdict.rejected(RejectReason.DEADLINE_EXCEEDED)
     if msg.package is not None:
         values = msg.package.values
-        for spec in entry.agenda.issues:
+        issues = entry.agenda.issues
+        for spec in issues:
             offered = values.get(spec.issue_id)
             if offered is None or not spec.min_value <= offered <= spec.max_value:
                 return FilterVerdict.rejected(RejectReason.OUT_OF_SPACE)
-        if set(values) - set(entry.agenda.issue_ids()):
+        # Every issue is present and issue ids are unique, so an extra key
+        # shows as a longer package.
+        if len(values) != len(issues):
             return FilterVerdict.rejected(RejectReason.OUT_OF_SPACE)
     if msg.round <= entry.last_seen_round:
         return FilterVerdict.rejected(RejectReason.STALE_ROUND)
@@ -321,7 +329,11 @@ class PlanContext:
 
 
 class PlanLibrary:
-    """Ordered trigger -> plan rules; first match wins."""
+    """Ordered trigger -> plan rules; first match wins.
+
+    `tests_target` records whether any rule tests OFFER_MEETS_TARGET; only
+    then does a plan context pay for the standing offer's utility.
+    """
 
     def __init__(self, rules: Sequence[PlanRule]) -> None:
         if not rules:
@@ -329,6 +341,9 @@ class PlanLibrary:
         if rules[-1].when is not PlanCondition.ALWAYS:
             raise ValueError("final plan rule must be a catch-all")
         self.rules: tuple[PlanRule, ...] = tuple(rules)
+        self.tests_target = any(
+            rule.when is PlanCondition.OFFER_MEETS_TARGET for rule in self.rules
+        )
 
     @classmethod
     def default(cls) -> "PlanLibrary":
@@ -468,7 +483,8 @@ def _open_session(state: AgentState, msg: NegotiationMessage, now: int) -> None:
         )
     agenda = restrict_agenda(declared, info.issue_ids)
     session_t_max = min(info.t_max, agenda.t_max)
-    t_max_eff = effective_deadline(session_t_max, state.resources.shifted(now))
+    resources = state.resources
+    t_max_eff = effective_deadline(session_t_max, resources.shifted(now))
     role = Perspective.BUYER if info.buyer == state.agent_id else Perspective.SELLER
     entry = SessionEntry(
         session=msg.session,
@@ -480,6 +496,7 @@ def _open_session(state: AgentState, msg: NegotiationMessage, now: int) -> None:
         t0=now,
         t_max_eff=t_max_eff,
         initiator=info.initiator == state.agent_id,
+        t_max_eff_of=resources,
     )
     state.agenda_db.add(entry)
     opening = generate_offer_package(agenda, 0.0, t_max_eff, state.tactic)
@@ -490,11 +507,16 @@ def _open_session(state: AgentState, msg: NegotiationMessage, now: int) -> None:
 def _plan_context(
     state: AgentState, entry: SessionEntry, now: int
 ) -> PlanContext:
+    """The facts the plan library may test for one session.
+
+    `target_met` (the standing offer's utility against the goal) is computed
+    only when a rule of the library tests it, and is False otherwise.
+    """
     goal = state.goals.get(entry.session)
     sb = state.beliefs.session(entry.session)
     standing = sb.last_package if sb is not None else None
     target_met = False
-    if standing is not None and goal is not None:
+    if standing is not None and goal is not None and state.plans.tests_target:
         target_met = (
             aggregate_utility(entry.agenda, standing, entry.role)
             >= goal.target_utility
@@ -558,16 +580,19 @@ def agent_step(
             _close(state, msg.session, GoalStatus.ACHIEVED)
             continue
 
-        # Offer: learn, adapt, recompute the hybrid deadline, then plan.
+        # Offer: learn, adapt, recompute the hybrid deadline if the resource
+        # projection was replaced, then plan.
         update_beliefs(state.beliefs, msg)
         entry.offers_received += 1
         lam = state.beliefs.mean_lambda(msg.session)
         state.tactic = adapt_tactic(
             state.tactic, 1.0 if lam is None else lam, entry.offers_received
         )
-        entry.t_max_eff = effective_deadline(
-            entry.session_t_max, state.resources.shifted(entry.t0)
-        )
+        if entry.t_max_eff_of is not state.resources:
+            entry.t_max_eff = effective_deadline(
+                entry.session_t_max, state.resources.shifted(entry.t0)
+            )
+            entry.t_max_eff_of = state.resources
         ctx = _plan_context(state, entry, now)
         plan = select_plan(state.plans, ctx)
         if plan is PlanKind.TERMINATE:
@@ -601,12 +626,12 @@ def agent_step(
     # Opening offers for sessions this agent initiates.
     for sid in state.agenda_db.active():
         entry = state.agenda_db.get(sid)
+        if not entry.initiator or entry.opened:
+            continue
         goal = state.goals.get(sid)
         if goal is None or goal.status is not GoalStatus.ACTIVE:
             continue
         ctx = _plan_context(state, entry, now)
-        if not ctx.opening_pending:
-            continue
         if select_plan(state.plans, ctx) is not PlanKind.MAKE_OFFER:
             continue
         params = _effective_params(state, aggressive)

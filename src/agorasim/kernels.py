@@ -82,13 +82,21 @@ def concession_ratio(o_minus2: float, o_minus1: float, o_now: float) -> float:
 
 
 def piecewise_level(points, t: float) -> float:
-    """Evaluate (tick, level) breakpoints at t, held constant outside them."""
+    """Evaluate (tick, level) breakpoints at t, held constant outside them.
+
+    At a tick with several breakpoints (a vertical step) the level is the
+    first one's; the last one's holds just after the tick.
+    """
     x0, y0 = points[0]
     if t <= x0:
         return y0
     last_x, last_y = points[-1]
-    if t >= last_x:
+    if t > last_x:
         return last_y
+    if t == last_x:
+        for x, y in points:
+            if x == last_x:
+                return y
     for x1, y1 in points:  # t is past points[0], so its pass only re-reads it
         if t <= x1:
             if x1 == x0:
@@ -99,31 +107,41 @@ def piecewise_level(points, t: float) -> float:
 
 
 def threshold_crossing(points, threshold: float, t_max: float) -> float:
-    """Earliest t in [0, t_max] where the schedule is at or below threshold.
+    """Earliest t in [0, t_max] where the level, or the level just after t,
+    is at or below threshold.
 
     Returns t_max when the level stays above threshold for the whole window.
     Beyond the last breakpoint the level is held constant. Segments are
-    linear, so the first crossing is always at a breakpoint or inside a
-    descending segment.
+    linear, so the first crossing is at a breakpoint or inside a descending
+    segment. At a tick with several breakpoints only the first (the level
+    there) and the last (the level just after) count, so a zero-width dip is
+    no crossing.
     """
     prev_t = 0.0
     prev_y = piecewise_level(points, 0.0)
     if prev_y <= threshold:
         return 0.0
-    zero_seen = False
+    before = None  # tick of the previous breakpoint
     for x, y in points:
-        if x < 0.0:
+        if x == before:
+            # A later breakpoint at one tick: the level just after the tick
+            # is the last one's.
+            if x >= 0.0:
+                prev_y = y
             continue
-        if x == 0.0 and not zero_seen:
-            # The level at 0 stands for the first breakpoint there; any
-            # later one at 0 is a step, taken like every other breakpoint.
-            zero_seen = True
+        before = x
+        if x <= 0.0:
+            # The level at 0 stands for the first breakpoint there.
             continue
+        if prev_y <= threshold:
+            break
         if y <= threshold:
             cx = prev_t + (prev_y - threshold) * (x - prev_t) / (prev_y - y)
             return cx if cx < t_max else t_max
         prev_t = x
         prev_y = y
         if prev_t >= t_max:
-            break
+            return t_max
+    if prev_y <= threshold:
+        return prev_t if prev_t < t_max else t_max
     return t_max

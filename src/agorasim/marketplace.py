@@ -472,6 +472,32 @@ def session_ratios(session: SessionState, agent: AgentId) -> list[float]:
             continue
         for issue_id in sorted(msg.package.values):
             trails.setdefault(issue_id, []).append(msg.package.values[issue_id])
+    return trail_ratios(trails)
+
+
+def offer_trails(
+    session: SessionState,
+) -> tuple[int, dict[AgentId, dict[IssueId, list[float]]]]:
+    """One pass over a transcript: its offer count and each sender's offered
+    values per issue, in transcript order (session_ratios' trails, for every
+    sender at once)."""
+    count = 0
+    by_sender: dict[AgentId, dict[IssueId, list[float]]] = {}
+    for msg in session.transcript:
+        if msg.kind is not MessageKind.OFFER:
+            continue
+        count += 1
+        if msg.package is None:
+            continue
+        trails = by_sender.setdefault(msg.sender, {})
+        for issue_id, value in msg.package.values.items():
+            trails.setdefault(issue_id, []).append(value)
+    return count, by_sender
+
+
+def trail_ratios(trails: dict[IssueId, list[float]]) -> list[float]:
+    """Concession ratios along each issue's trail, issues in sorted order;
+    triples with a flat previous step are skipped."""
     ratios: list[float] = []
     for issue_id in sorted(trails):
         trail = trails[issue_id]
@@ -803,7 +829,7 @@ class Marketplace:
     def _on_close(self, session: SessionState) -> None:
         """Fold one closed session into the watchdog state, then refresh."""
         agreed = session.outcome is SessionOutcome.AGREED
-        rounds = session.offer_count()
+        rounds, trails = offer_trails(session)
         if agreed:
             self._max_rounds = max(self._max_rounds, rounds)
         for agent in session.participants():
@@ -812,7 +838,7 @@ class Marketplace:
             if agreed:
                 stats.agreements += 1
                 stats.rounds_to_agreement.append(rounds)
-            ratios = session_ratios(session, agent)
+            ratios = trail_ratios(trails.get(agent, {}))
             if ratios:
                 bisect.insort(self._ratios.setdefault(agent, []), (session.seq, ratios))
             self._dirty.add(agent)

@@ -7,7 +7,7 @@ arithmetic is delegated to `kernels`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -149,12 +149,20 @@ def issue_beta(base_beta: float, weight: float, n_issues: int) -> float:
 def generate_offer_package(
     agenda: ValidatedAgenda, t: float, t_max_eff: float, params: TacticParams
 ) -> OfferPackage:
-    """Full package at time t, conceding low-weight issues first."""
+    """Full package at time t, conceding low-weight issues first.
+
+    Each value is generate_offer_value's for the issue under its own
+    exponent, issue_beta, by the same expressions.
+    """
     n = len(agenda.issues)
     values: dict[str, float] = {}
     for spec in agenda.issues:
-        per_issue = replace(params, beta=issue_beta(params.beta, spec.weight, n))
-        values[spec.issue_id] = generate_offer_value(spec, t, t_max_eff, per_issue)
+        f = kernels.time_fraction(
+            t, t_max_eff, params.k, issue_beta(params.beta, spec.weight, n)
+        )
+        values[spec.issue_id] = kernels.offer_value(
+            spec.min_value, spec.max_value, f, spec.direction is Direction.ASCENDING
+        )
     return OfferPackage(values=values)
 
 

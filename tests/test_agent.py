@@ -10,6 +10,7 @@ from agorasim.agent import (
     AgentState,
     Beliefset,
     EmptyCandidatesError,
+    FilterVerdict,
     GoalRepository,
     GoalStatus,
     PlanCondition,
@@ -33,7 +34,13 @@ from agorasim.core import (
     Perspective,
 )
 from agorasim.marketplace import transcript_line
-from agorasim.tactics import ResourceProjection, Stance, TacticParams, classify_concession
+from agorasim.tactics import (
+    ResourceProjection,
+    Stance,
+    TacticParams,
+    classify_concession,
+    effective_deadline,
+)
 from conftest import make_agenda, make_agent, make_entry, make_issue, make_offer
 
 
@@ -90,6 +97,11 @@ class TestProxyFilter:
         second = proxy_filter(msg, entry, now=2)
         assert first.ok and second.ok
         assert first == second
+
+    def test_pass_verdict_is_shared(self):
+        verdict = proxy_filter(make_offer(), make_entry(), now=2)
+        assert verdict is FilterVerdict.passed()
+        assert verdict.reason is None
 
 
 class TestBeliefs:
@@ -455,6 +467,72 @@ class TestAgentStep:
         )
         assert [m.kind for m in outbox] == [MessageKind.TERMINATE]
         assert "s-1" not in agent.agenda_db
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_deadline_is_fresh_after_every_step(self, data):
+        # The hybrid deadline is recomputed only when the projection object
+        # is replaced; it must always equal a fresh computation.
+        def projection():
+            ticks = sorted(data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=4)))
+            levels = st.floats(0.0, 1.0)
+            return ResourceProjection(
+                points=tuple((float(t), data.draw(levels)) for t in ticks),
+                r_threshold=data.draw(st.floats(0.0, 0.5)),
+            )
+
+        def assert_fresh(agent):
+            for sid in agent.agenda_db.active():
+                entry = agent.agenda_db.get(sid)
+                assert entry.t_max_eff == effective_deadline(
+                    entry.session_t_max, agent.resources.shifted(entry.t0)
+                )
+
+        agent = make_agent(resources=projection())
+        agent.declared_agendas["vm"] = make_agenda(t_max=40)
+        now = data.draw(st.integers(0, 10))
+        agent_step(agent, [commence(sent_at=now, t_max=40, receiver="buyer-1")], now)
+        assert_fresh(agent)
+        for round_ in range(data.draw(st.integers(1, 8))):
+            if data.draw(st.booleans()):
+                agent.resources = projection()
+            now += data.draw(st.integers(1, 6))
+            price = data.draw(st.floats(10.0, 20.0))
+            offer = make_offer(values={"price": price}, round=round_, sent_at=now - 1)
+            agent_step(agent, [offer], now)
+            assert_fresh(agent)
+
+    def target_rule_buyer(self, rules):
+        agent = self.buyer()
+        agent.plans = PlanLibrary(rules)
+        agent.agenda_db.add(make_entry(t0=0))
+        agent.goals.open("s-1", 0.6)
+        return agent
+
+    def test_offer_meets_target_rule_acquires(self):
+        rules = (PlanRule(PlanCondition.OFFER_MEETS_TARGET, PlanKind.ACCEPT),
+                 *PlanLibrary.default().rules)
+        # At now=2 the planned counter is 11 (utility 0.9): the default rules
+        # counter an offer of 13 (0.7), the target rule takes it (0.7 >= 0.6).
+        _, outbox = agent_step(
+            self.target_rule_buyer(PlanLibrary.default().rules),
+            [make_offer(values={"price": 13.0}, sent_at=1)], now=2,
+        )
+        assert [m.kind for m in outbox] == [MessageKind.OFFER]
+        agent = self.target_rule_buyer(rules)
+        _, outbox = agent_step(
+            agent, [make_offer(values={"price": 13.0}, sent_at=1)], now=2
+        )
+        assert [m.kind for m in outbox] == [MessageKind.ACQUIRE]
+        assert outbox[0].package.values["price"] == 13.0
+        assert agent.goals.get("s-1").status is GoalStatus.ACHIEVED
+        # An offer of 15 (0.5) misses the goal and is countered.
+        agent = self.target_rule_buyer(rules)
+        _, outbox = agent_step(
+            agent, [make_offer(values={"price": 15.0}, sent_at=1)], now=2
+        )
+        assert [m.kind for m in outbox] == [MessageKind.OFFER]
+        assert agent.goals.get("s-1").status is GoalStatus.ACTIVE
 
     def test_resource_pressure_forces_buy_side_stance(self):
         from agorasim.agent import _effective_params

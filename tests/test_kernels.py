@@ -48,6 +48,22 @@ class TestKernelEdgeCases:
         assert crossing == pytest.approx(10.0 * 0.4 / 0.9)
         assert kernels.piecewise_level(points, crossing) == pytest.approx(0.5)
 
+    def test_level_at_a_step_is_the_first_breakpoints_also_at_the_end(self):
+        step = ((0.0, 1.0), (5.0, 1.0), (5.0, 0.3))
+        assert kernels.piecewise_level(step, 5.0) == 1.0
+        assert kernels.piecewise_level(step + ((10.0, 0.3),), 5.0) == 1.0
+        assert kernels.piecewise_level(step, 5.5) == 0.3
+
+    def test_zero_width_dip_is_no_crossing(self):
+        dip = ((0.0, 1.0), (5.0, 1.0), (5.0, 0.0), (5.0, 1.0), (10.0, 1.0))
+        assert max(kernels.piecewise_level(dip, t / 4) for t in range(60)) == 1.0
+        assert kernels.threshold_crossing(dip, 0.5, 100.0) == 100.0
+
+    def test_step_down_at_last_tick_crosses_at_the_step(self):
+        step = ((0.0, 1.0), (5.0, 1.0), (5.0, 0.3))
+        assert kernels.threshold_crossing(step, 0.5, 100.0) == 5.0
+        assert kernels.threshold_crossing(step, 0.5, 3.0) == 3.0
+
     def test_nan_for_flat_denominator(self):
         assert math.isnan(kernels.concession_ratio(5.0, 5.0, 4.0))
 
@@ -81,9 +97,13 @@ class TestThresholdCrossingProperty:
     def test_first_crossing_within_window(self, points, threshold, t_max):
         result = kernels.threshold_crossing(points, threshold, t_max)
         assert 0.0 <= result <= t_max
-        for x, y in points:
+        ticks = [x for x, _ in points]
+        for i, (x, y) in enumerate(points):
+            # Between the first and the last breakpoint at one tick lies a
+            # zero-width dip, which is no level.
+            inner = 0 < i < len(points) - 1 and ticks[i - 1] == x == ticks[i + 1]
             # The crossing inside a segment may round past its end.
-            if 0.0 < x < result and not math.isclose(x, result):
+            if 0.0 < x < result and not math.isclose(x, result) and not inner:
                 assert y > threshold
         if result < t_max:
             # At a step down the level drops just after the step's tick; a

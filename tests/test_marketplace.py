@@ -673,19 +673,35 @@ class TestIncrementalWatchdog:
             self.send(market, session, "b1", MessageKind.TERMINATE, 5)
 
         folded = []
-        real = marketplace.session_ratios
+        real = marketplace.offer_trails
 
-        def counting(session, agent):
-            folded.append((session.session, agent))
-            return real(session, agent)
+        def counting(session):
+            folded.append(session.session)
+            return real(session)
 
         def forbidden(*args):
             raise AssertionError("the watchdog rescanned closed transcripts")
 
-        monkeypatch.setattr(marketplace, "session_ratios", counting)
+        monkeypatch.setattr(marketplace, "offer_trails", counting)
+        monkeypatch.setattr(marketplace, "session_ratios", forbidden)
         monkeypatch.setattr(marketplace, "compute_behavior_norm", forbidden)
+        monkeypatch.setattr(marketplace.SessionState, "offer_count", forbidden)
         self.send(market, sessions[2], "s1", MessageKind.TERMINATE, 5)
-        assert folded == [(sessions[2].session, "b1"), (sessions[2].session, "s1")]
+        assert folded == [sessions[2].session]
+
+    def test_offer_trails_match_the_references(self):
+        market = self.market()
+        session = self.commence(market, 0)
+        for tick in range(1, 7):
+            for sender in session.participants():
+                values = {"price": 20.0 - tick * tick, "memory": 1.0 + tick % 3}
+                self.send(market, session, sender, MessageKind.OFFER, tick, values)
+        count, trails = marketplace.offer_trails(session)
+        assert count == session.offer_count() == 12
+        for agent in session.participants():
+            assert marketplace.trail_ratios(trails[agent]) == (
+                marketplace.session_ratios(session, agent)
+            )
 
 
 class TestIncrementalMatchmaking:

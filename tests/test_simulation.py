@@ -286,6 +286,32 @@ class TestRunSimulation:
         }
         assert commenced == resolved
 
+    def test_offer_path_kernel_calls_are_bounded(self, monkeypatch):
+        # Each side computes its hybrid deadline once per session and scores
+        # a package only to set a goal, decide a response or pick the best
+        # agreement: nothing is recomputed per offer that an offer cannot
+        # change.
+        from agorasim import kernels
+
+        calls = {"threshold_crossing": 0, "weighted_utility": 0}
+        for name in calls:
+            real = getattr(kernels, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(kernels, name, counted)
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "concurrent.yaml"
+        lines, _ = run_simulation(load_scenario(path.read_text(encoding="utf-8")))
+        kinds = [json.loads(line)["kind"] for line in lines]
+        commence, offer, acquire = (
+            kinds.count(kind) for kind in ("commence", "offer", "acquire")
+        )
+        assert commence > 0 and offer > 0 and acquire > 0
+        assert calls["threshold_crossing"] <= 2 * commence
+        assert calls["weighted_utility"] <= commence + 2 * offer + 3 * acquire
+
 
 def _posted_at(document: str, tick: int) -> str:
     """The bilateral scenario with both postings at `tick` and t_end moved

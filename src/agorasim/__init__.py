@@ -44,14 +44,12 @@ from .tactics import (
 )
 from .agent import (
     AgentState,
-    Beliefset,
-    GoalRepository,
     PlanLibrary,
+    SessionEntry,
     agent_step,
-    poll_resources,
+    mean_lambda,
     proxy_filter,
     resolve_concurrent_agreements,
-    update_beliefs,
 )
 from .marketplace import (
     AdvertisementRepository,

@@ -1,9 +1,17 @@
-"""The cloud-agent runtime: belief/goal/plan stores and the per-tick step.
+"""The cloud-agent runtime: per-session records, plans and the per-tick step.
 
 An agent is a single logical actor. Its state is mutated only inside
 agent_step, which consumes an ordered inbox and returns an ordered outbox;
 distinct agents can therefore step concurrently while exchanging immutable
 messages.
+
+Each live negotiation is one `SessionEntry` in the agent's `AgendaDB`. The
+entry holds the session's metadata (opponent, product, role, restricted
+agenda, deadlines, round counters), the agent's belief about the opponent
+(its last `BELIEF_WINDOW` packages, the newest being the standing offer) and
+the agent's desire for the session (the target utility fixed at COMMENCE).
+An entry leaves the DB when its session is acquired or terminated, so the
+agent keeps nothing for a closed session.
 """
 
 from __future__ import annotations
@@ -79,12 +87,15 @@ _PASSED = FilterVerdict(ok=True)
 
 
 # ---------------------------------------------------------------------------
-# Agenda DB (active-session metadata)
+# Agenda DB (one record per live session)
 # ---------------------------------------------------------------------------
+
+BELIEF_WINDOW = 3
+
 
 @dataclass
 class SessionEntry:
-    """Metadata for one active negotiation, agent-side."""
+    """One live negotiation, agent-side: metadata, belief and desire."""
 
     session: SessionId
     opponent: AgentId
@@ -95,17 +106,32 @@ class SessionEntry:
     t0: int
     t_max_eff: float
     initiator: bool
+    # The desire: utility of the agent's own opening package.
+    target_utility: float
     opened: bool = False
     next_round: int = 0
     last_seen_round: int = -1
     offers_received: int = 0
     # The resource projection t_max_eff was computed from; None until then.
     t_max_eff_of: Optional[ResourceProjection] = None
+    # The belief: the opponent's last BELIEF_WINDOW packages, oldest first.
+    recent: tuple[OfferPackage, ...] = ()
+    # Sorted once at COMMENCE; mean_lambda sums the per-issue ratios in this
+    # order, so the mean's bits do not depend on the agenda's order.
+    issue_ids: tuple[IssueId, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.issue_ids = tuple(sorted(spec.issue_id for spec in self.agenda.issues))
 
     @property
     def deadline(self) -> float:
         """Absolute tick past which this negotiation is dead."""
         return self.t0 + self.t_max_eff
+
+    @property
+    def standing(self) -> Optional[OfferPackage]:
+        """The opponent's latest accepted offer, if any."""
+        return self.recent[-1] if self.recent else None
 
 
 class AgendaDB:
@@ -127,6 +153,10 @@ class AgendaDB:
 
     def active(self) -> list[SessionId]:
         return sorted(self._entries)
+
+    def entries(self) -> list[SessionEntry]:
+        """A snapshot of the live entries in insertion order."""
+        return list(self._entries.values())
 
     def for_product(self, product: ProductId) -> list[SessionId]:
         return sorted(
@@ -154,7 +184,10 @@ def proxy_filter(
     if msg.kind is not MessageKind.TERMINATE:
         if msg.sent_at - entry.t0 > entry.t_max_eff:
             return FilterVerdict.rejected(RejectReason.DEADLINE_EXCEEDED)
-    if msg.package is not None:
+    if msg.package is None:
+        if msg.kind is MessageKind.OFFER:
+            return FilterVerdict.rejected(RejectReason.OUT_OF_SPACE)
+    else:
         values = msg.package.values
         issues = entry.agenda.issues
         for spec in issues:
@@ -174,111 +207,20 @@ def proxy_filter(
 # Beliefs
 # ---------------------------------------------------------------------------
 
-BELIEF_WINDOW = 3
+def mean_lambda(entry: SessionEntry) -> Optional[float]:
+    """Mean concession ratio across issues; None until BELIEF_WINDOW offers.
 
-
-@dataclass
-class IssueBelief:
-    """Sliding window of the opponent's offers on one issue."""
-
-    history: tuple[float, ...] = ()
-    lam: Optional[float] = None
-
-
-@dataclass
-class SessionBelief:
-    issues: dict[IssueId, IssueBelief] = field(default_factory=dict)
-    last_package: Optional[OfferPackage] = None
-
-
-class Beliefset:
-    """Per-session knowledge of the opponent, refreshed every round."""
-
-    def __init__(self) -> None:
-        self._sessions: dict[SessionId, SessionBelief] = {}
-
-    def session(self, session: SessionId) -> Optional[SessionBelief]:
-        return self._sessions.get(session)
-
-    def ensure(self, session: SessionId) -> SessionBelief:
-        return self._sessions.setdefault(session, SessionBelief())
-
-    def mean_lambda(self, session: SessionId) -> Optional[float]:
-        """Mean concession ratio across issues; None until 3 offers exist.
-
-        Issues whose ratio is undefined (flat previous step) count as 1,
-        the linear fixed point.
-        """
-        sb = self._sessions.get(session)
-        if sb is None or not sb.issues:
-            return None
-        ratios = []
-        for issue_id in sorted(sb.issues):
-            ib = sb.issues[issue_id]
-            if len(ib.history) < BELIEF_WINDOW:
-                return None
-            ratios.append(1.0 if ib.lam is None else ib.lam)
-        return sum(ratios) / len(ratios)
-
-
-def update_beliefs(beliefs: Beliefset, msg: NegotiationMessage) -> Beliefset:
-    """Fold an accepted opponent offer into the belief store.
-
-    Keeps the last three values per issue and recomputes the concession
-    ratio once three exist.
+    The ratio is a three-point one, so BELIEF_WINDOW is 3. Issues whose ratio
+    is undefined (flat previous step) count as 1, the linear fixed point.
     """
-    if msg.package is None:
-        return beliefs
-    sb = beliefs.ensure(msg.session)
-    for issue_id in sorted(msg.package.values):
-        value = msg.package.values[issue_id]
-        ib = sb.issues.setdefault(issue_id, IssueBelief())
-        ib.history = (ib.history + (value,))[-BELIEF_WINDOW:]
-        if len(ib.history) == BELIEF_WINDOW:
-            ib.lam = concession_rate(*ib.history)
-    sb.last_package = msg.package
-    return beliefs
-
-
-# ---------------------------------------------------------------------------
-# Goals
-# ---------------------------------------------------------------------------
-
-class GoalStatus(Enum):
-    ACTIVE = "active"
-    ACHIEVED = "achieved"
-    ABANDONED = "abandoned"
-
-
-@dataclass
-class Goal:
-    target_utility: float
-    status: GoalStatus = GoalStatus.ACTIVE
-
-
-class GoalRepository:
-    """Per-session utility goals; achieved/abandoned are terminal."""
-
-    def __init__(self) -> None:
-        self._goals: dict[SessionId, Goal] = {}
-
-    def open(self, session: SessionId, target_utility: float) -> Goal:
-        goal = Goal(target_utility=target_utility)
-        self._goals[session] = goal
-        return goal
-
-    def get(self, session: SessionId) -> Optional[Goal]:
-        return self._goals.get(session)
-
-    def settle(self, session: SessionId, status: GoalStatus) -> None:
-        goal = self._goals.get(session)
-        if goal is None:
-            return
-        if goal.status is not GoalStatus.ACTIVE and goal.status is not status:
-            raise ValueError(
-                f"goal for {session!r} already terminal ({goal.status.value})"
-            )
-        goal.status = status
+    if len(entry.recent) < BELIEF_WINDOW:
+        return None
+    oldest, previous, latest = (package.values for package in entry.recent)
+    ratios = []
+    for issue_id in entry.issue_ids:
+        lam = concession_rate(oldest[issue_id], previous[issue_id], latest[issue_id])
+        ratios.append(1.0 if lam is None else lam)
+    return sum(ratios) / len(ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -376,22 +318,15 @@ def select_plan(plans: PlanLibrary, ctx: PlanContext) -> PlanKind:
 # Agent state and step function
 # ---------------------------------------------------------------------------
 
-def poll_resources(projection: ResourceProjection, now: float) -> float:
-    """Projected resource level at a tick, clamped to the schedule domain."""
-    return projection.level_at(now)
-
-
 @dataclass
 class AgentState:
-    """Everything one agent owns: stores, tactic, schedule, live sessions."""
+    """Everything one agent owns: tactic, schedule, plans, live sessions."""
 
     agent_id: AgentId
     role: Perspective
     tactic: TacticParams
     resources: ResourceProjection = field(default_factory=ResourceProjection)
     declared_agendas: dict[ProductId, ValidatedAgenda] = field(default_factory=dict)
-    beliefs: Beliefset = field(default_factory=Beliefset)
-    goals: GoalRepository = field(default_factory=GoalRepository)
     plans: PlanLibrary = field(default_factory=PlanLibrary.default)
     agenda_db: AgendaDB = field(default_factory=AgendaDB)
     jitter: float = 0.0
@@ -440,11 +375,6 @@ def _emit(
     return msg
 
 
-def _close(state: AgentState, session: SessionId, status: GoalStatus) -> None:
-    state.goals.settle(session, status)
-    state.agenda_db.remove(session)
-
-
 def _effective_params(state: AgentState, aggressive: bool) -> TacticParams:
     # Resource pressure forces buy-side sessions into a conceding stance.
     if aggressive and state.role is Perspective.BUYER:
@@ -486,6 +416,7 @@ def _open_session(state: AgentState, msg: NegotiationMessage, now: int) -> None:
     resources = state.resources
     t_max_eff = effective_deadline(session_t_max, resources.shifted(now))
     role = Perspective.BUYER if info.buyer == state.agent_id else Perspective.SELLER
+    opening = generate_offer_package(agenda, 0.0, t_max_eff, state.tactic)
     entry = SessionEntry(
         session=msg.session,
         opponent=info.seller if role is Perspective.BUYER else info.buyer,
@@ -496,12 +427,10 @@ def _open_session(state: AgentState, msg: NegotiationMessage, now: int) -> None:
         t0=now,
         t_max_eff=t_max_eff,
         initiator=info.initiator == state.agent_id,
+        target_utility=aggregate_utility(agenda, opening, role),
         t_max_eff_of=resources,
     )
     state.agenda_db.add(entry)
-    opening = generate_offer_package(agenda, 0.0, t_max_eff, state.tactic)
-    target = aggregate_utility(agenda, opening, role)
-    state.goals.open(msg.session, target)
 
 
 def _plan_context(
@@ -509,20 +438,17 @@ def _plan_context(
 ) -> PlanContext:
     """The facts the plan library may test for one session.
 
-    `target_met` (the standing offer's utility against the goal) is computed
+    `target_met` (the standing offer's utility against the target) is computed
     only when a rule of the library tests it, and is False otherwise.
     """
-    goal = state.goals.get(entry.session)
-    sb = state.beliefs.session(entry.session)
-    standing = sb.last_package if sb is not None else None
+    standing = entry.standing
     target_met = False
-    if standing is not None and goal is not None and state.plans.tests_target:
+    if standing is not None and state.plans.tests_target:
         target_met = (
             aggregate_utility(entry.agenda, standing, entry.role)
-            >= goal.target_utility
+            >= entry.target_utility
         )
     return PlanContext(
-        goal_terminal=goal is not None and goal.status is not GoalStatus.ACTIVE,
         deadline_passed=now > entry.deadline,
         offer_standing=standing is not None,
         target_met=target_met,
@@ -539,18 +465,18 @@ def agent_step(
     ordered outbox; rejected messages are logged, never raised.
     """
     outbox: list[NegotiationMessage] = []
-    level = poll_resources(state.resources, now)
+    level = state.resources.level_at(now)
     aggressive = level <= state.resources.r_threshold
     acquire_products: set[ProductId] = set()
 
-    # Sweep sessions whose effective deadline has passed.
-    for sid in state.agenda_db.active():
-        entry = state.agenda_db.get(sid)
+    # Sweep sessions whose effective deadline has passed. The sweep draws no
+    # randomness and the outbox is sorted at the end, so stored order will do.
+    for entry in state.agenda_db.entries():
         if now > entry.deadline:
             outbox.append(
                 _emit(state, entry, now, MessageKind.TERMINATE, reason=TERMINATE_DEADLINE)
             )
-            _close(state, sid, GoalStatus.ABANDONED)
+            state.agenda_db.remove(entry.session)
 
     ordered = sorted(
         inbox, key=lambda m: (m.sent_at, m.session, m.sender, m.round)
@@ -570,21 +496,19 @@ def agent_step(
                 outbox.append(
                     _emit(state, entry, now, MessageKind.TERMINATE, reason=TERMINATE_DEADLINE)
                 )
-                _close(state, msg.session, GoalStatus.ABANDONED)
+                state.agenda_db.remove(msg.session)
             continue
         entry.last_seen_round = msg.round
-        if msg.kind is MessageKind.TERMINATE:
-            _close(state, msg.session, GoalStatus.ABANDONED)
-            continue
-        if msg.kind is MessageKind.ACQUIRE:
-            _close(state, msg.session, GoalStatus.ACHIEVED)
+        if msg.kind is not MessageKind.OFFER:
+            # The opponent acquired or terminated: the session is over.
+            state.agenda_db.remove(msg.session)
             continue
 
         # Offer: learn, adapt, recompute the hybrid deadline if the resource
         # projection was replaced, then plan.
-        update_beliefs(state.beliefs, msg)
+        entry.recent = (*entry.recent, msg.package)[-BELIEF_WINDOW:]
         entry.offers_received += 1
-        lam = state.beliefs.mean_lambda(msg.session)
+        lam = mean_lambda(entry)
         state.tactic = adapt_tactic(
             state.tactic, 1.0 if lam is None else lam, entry.offers_received
         )
@@ -599,7 +523,7 @@ def agent_step(
             outbox.append(
                 _emit(state, entry, now, MessageKind.TERMINATE, reason=TERMINATE_DEADLINE)
             )
-            _close(state, msg.session, GoalStatus.ABANDONED)
+            state.agenda_db.remove(msg.session)
         elif plan is PlanKind.ACCEPT:
             acquire_products.add(entry.product)
         elif plan in (PlanKind.MAKE_COUNTER, PlanKind.MAKE_OFFER):
@@ -614,7 +538,7 @@ def agent_step(
                 outbox.append(
                     _emit(state, entry, now, MessageKind.TERMINATE, reason=TERMINATE_DEADLINE)
                 )
-                _close(state, msg.session, GoalStatus.ABANDONED)
+                state.agenda_db.remove(msg.session)
             elif response.kind is ResponseKind.ACQUIRE:
                 acquire_products.add(entry.product)
             else:
@@ -623,13 +547,11 @@ def agent_step(
                     _emit(state, entry, now, MessageKind.OFFER, package=response.package)
                 )
 
-    # Opening offers for sessions this agent initiates.
+    # Opening offers for sessions this agent initiates, in session-id order
+    # because jitter draws from rng.
     for sid in state.agenda_db.active():
         entry = state.agenda_db.get(sid)
         if not entry.initiator or entry.opened:
-            continue
-        goal = state.goals.get(sid)
-        if goal is None or goal.status is not GoalStatus.ACTIVE:
             continue
         ctx = _plan_context(state, entry, now)
         if select_plan(state.plans, ctx) is not PlanKind.MAKE_OFFER:
@@ -647,15 +569,11 @@ def agent_step(
     for product in sorted(acquire_products):
         candidates = []
         for sid in state.agenda_db.for_product(product):
-            sb = state.beliefs.session(sid)
-            goal = state.goals.get(sid)
-            if sb is None or sb.last_package is None:
-                continue
-            if goal is None or goal.status is not GoalStatus.ACTIVE:
-                continue
             entry = state.agenda_db.get(sid)
+            if entry.standing is None:
+                continue
             candidates.append(
-                (sid, aggregate_utility(entry.agenda, sb.last_package, entry.role))
+                (sid, aggregate_utility(entry.agenda, entry.standing, entry.role))
             )
         if not candidates:
             continue
@@ -666,15 +584,16 @@ def agent_step(
             if not (m.kind is MessageKind.OFFER and m.session in affected)
         ]
         entry = state.agenda_db.get(chosen)
-        package = state.beliefs.session(chosen).last_package
-        outbox.append(_emit(state, entry, now, MessageKind.ACQUIRE, package=package))
-        _close(state, chosen, GoalStatus.ACHIEVED)
+        outbox.append(
+            _emit(state, entry, now, MessageKind.ACQUIRE, package=entry.standing)
+        )
+        state.agenda_db.remove(chosen)
         for sid in losers:
             loser = state.agenda_db.get(sid)
             outbox.append(
                 _emit(state, loser, now, MessageKind.TERMINATE, reason=TERMINATE_BETTER_DEAL)
             )
-            _close(state, sid, GoalStatus.ABANDONED)
+            state.agenda_db.remove(sid)
 
     outbox.sort(key=lambda m: (m.session, m.round, m.kind.value))
     return state, outbox

@@ -58,7 +58,7 @@ def _configure_logging(verbosity: int) -> None:
 def _load(path: str) -> Optional[str]:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
 
@@ -134,6 +134,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         except json.JSONDecodeError as exc:
             print(
                 f"error: {args.transcript}:{lineno}: not a transcript record: {exc.msg}",
+                file=sys.stderr,
+            )
+            return EXIT_FAILURE
+        if not isinstance(record, dict):
+            print(
+                f"error: {args.transcript}:{lineno}: not a transcript record",
                 file=sys.stderr,
             )
             return EXIT_FAILURE

@@ -332,6 +332,9 @@ def _check_posting(
             _as_str(v, f"{path}.issues[{i}]")
             for i, v in enumerate(_as_list(issues_node, f"{path}.issues"))
         )
+        if not issues:
+            # A session over no issues has no agenda to negotiate.
+            _fail(f"{path}.issues", "expected at least one issue")
         unknown = set(issues) - set(agenda.issue_ids())
         if unknown:
             _fail(f"{path}.issues", f"issues {sorted(unknown)} not in the declared agenda")

@@ -69,6 +69,7 @@ def make_entry(
     t0: int = 0,
     t_max_eff: float | None = None,
     initiator: bool = False,
+    target_utility: float = 0.9,
 ) -> SessionEntry:
     return SessionEntry(
         session=session,
@@ -80,6 +81,7 @@ def make_entry(
         t0=t0,
         t_max_eff=float(session_t_max) if t_max_eff is None else t_max_eff,
         initiator=initiator,
+        target_utility=target_utility,
     )
 
 

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agorasim.agent import (
+    BELIEF_WINDOW,
     AgendaDB,
     AgentState,
-    Beliefset,
     EmptyCandidatesError,
     FilterVerdict,
-    GoalRepository,
-    GoalStatus,
     PlanCondition,
     PlanContext,
     PlanKind,
@@ -20,11 +18,10 @@ from agorasim.agent import (
     PlanRule,
     RejectReason,
     agent_step,
-    poll_resources,
+    mean_lambda,
     proxy_filter,
     resolve_concurrent_agreements,
     select_plan,
-    update_beliefs,
 )
 from agorasim.core import (
     CommenceInfo,
@@ -39,6 +36,7 @@ from agorasim.tactics import (
     Stance,
     TacticParams,
     classify_concession,
+    concession_rate,
     effective_deadline,
 )
 from conftest import make_agenda, make_agent, make_entry, make_issue, make_offer
@@ -76,6 +74,14 @@ class TestProxyFilter:
         )
         assert verdict.reason is RejectReason.OUT_OF_SPACE
 
+    def test_out_of_space_offer_without_package(self):
+        msg = NegotiationMessage(
+            session="s-1", sender="seller-1", receiver="buyer-1",
+            round=0, sent_at=1, kind=MessageKind.OFFER,
+        )
+        verdict = proxy_filter(msg, make_entry(), now=2)
+        assert verdict.reason is RejectReason.OUT_OF_SPACE
+
     def test_stale_round(self):
         entry = make_entry()
         entry.last_seen_round = 3
@@ -104,66 +110,92 @@ class TestProxyFilter:
         assert verdict.reason is None
 
 
+def reference_mean_lambda(packages):
+    """The per-issue-history algorithm `mean_lambda` replaced, as an oracle.
+
+    Each issue keeps its last BELIEF_WINDOW values and the ratio of the last
+    full window; the mean runs over the issues in sorted order.
+    """
+    histories, lams = {}, {}
+    for values in packages:
+        for issue_id in sorted(values):
+            history = (histories.get(issue_id, ()) + (values[issue_id],))[-BELIEF_WINDOW:]
+            histories[issue_id] = history
+            if len(history) == BELIEF_WINDOW:
+                lams[issue_id] = concession_rate(*history)
+    if not histories:
+        return None
+    ratios = []
+    for issue_id in sorted(histories):
+        if len(histories[issue_id]) < BELIEF_WINDOW:
+            return None
+        ratios.append(1.0 if lams[issue_id] is None else lams[issue_id])
+    return sum(ratios) / len(ratios)
+
+
+WEIGHTS = {1: (1.0,), 2: (0.5, 0.5), 3: (0.5, 0.25, 0.25), 4: (0.25,) * 4}
+
+
 class TestBeliefs:
-    def offer_at(self, value, round, sent_at):
-        return make_offer(values={"price": value}, round=round, sent_at=sent_at)
+    def fed(self, *prices):
+        """A buyer's entry after one opponent offer per price, one per tick."""
+        agent = make_agent(tactic=TacticParams(k=0.0, beta=1.0))
+        agent.declared_agendas["vm"] = make_agenda()
+        entry = make_entry(t0=0, session_t_max=40, t_max_eff=40.0)
+        agent.agenda_db.add(entry)
+        for i, price in enumerate(prices):
+            agent_step(
+                agent, [make_offer(values={"price": price}, round=i, sent_at=i + 1)],
+                now=i + 1,
+            )
+        assert "s-1" in agent.agenda_db
+        return entry
 
     def test_first_offer_no_lambda(self):
-        beliefs = Beliefset()
-        update_beliefs(beliefs, self.offer_at(100.0, 0, 1))
-        sb = beliefs.session("s-1")
-        assert sb.issues["price"].history == (100.0,)
-        assert sb.issues["price"].lam is None
-        assert beliefs.mean_lambda("s-1") is None
+        entry = self.fed(19.0)
+        assert entry.recent == (OfferPackage(values={"price": 19.0}),)
+        assert entry.standing == OfferPackage(values={"price": 19.0})
+        assert mean_lambda(entry) is None
 
     def test_lambda_after_three_offers(self):
-        beliefs = Beliefset()
-        for i, value in enumerate((100.0, 90.0, 85.0)):
-            update_beliefs(beliefs, self.offer_at(value, i, i + 1))
-        sb = beliefs.session("s-1")
-        assert sb.issues["price"].history == (100.0, 90.0, 85.0)
-        assert sb.issues["price"].lam == pytest.approx(0.5)
-        assert beliefs.mean_lambda("s-1") == pytest.approx(0.5)
-        assert classify_concession(beliefs.mean_lambda("s-1")) is Stance.HEADSTRONG
+        entry = self.fed(19.0, 17.0, 16.0)
+        assert [p.values["price"] for p in entry.recent] == [19.0, 17.0, 16.0]
+        assert mean_lambda(entry) == pytest.approx(0.5)
+        assert classify_concession(mean_lambda(entry)) is Stance.HEADSTRONG
 
     def test_window_evicts_oldest(self):
-        beliefs = Beliefset()
-        for i, value in enumerate((100.0, 90.0, 85.0, 80.0)):
-            update_beliefs(beliefs, self.offer_at(value, i, i + 1))
-        sb = beliefs.session("s-1")
-        assert sb.issues["price"].history == (90.0, 85.0, 80.0)
-        assert len(sb.issues["price"].history) == 3
+        entry = self.fed(19.0, 18.0, 17.5, 17.0)
+        assert [p.values["price"] for p in entry.recent] == [18.0, 17.5, 17.0]
+        assert entry.standing.values["price"] == 17.0
 
     def test_flat_step_counts_as_linear(self):
-        beliefs = Beliefset()
-        for i, value in enumerate((100.0, 100.0, 90.0)):
-            update_beliefs(beliefs, self.offer_at(value, i, i + 1))
-        assert beliefs.mean_lambda("s-1") == 1.0
+        assert mean_lambda(self.fed(19.0, 19.0, 18.0)) == 1.0
 
     def test_conceder_estimate(self):
-        beliefs = Beliefset()
-        for i, value in enumerate((19.0, 18.0, 16.0)):
-            update_beliefs(beliefs, self.offer_at(value, i, i + 1))
-        assert classify_concession(beliefs.mean_lambda("s-1")) is Stance.CONCEDER
+        entry = self.fed(19.0, 18.0, 16.0)
+        assert classify_concession(mean_lambda(entry)) is Stance.CONCEDER
 
-
-class TestGoals:
-    def test_terminal_states_stick(self):
-        goals = GoalRepository()
-        goals.open("s-1", 0.8)
-        goals.settle("s-1", GoalStatus.ACHIEVED)
-        with pytest.raises(ValueError):
-            goals.settle("s-1", GoalStatus.ABANDONED)
-
-    def test_same_terminal_state_is_idempotent(self):
-        goals = GoalRepository()
-        goals.open("s-1", 0.8)
-        goals.settle("s-1", GoalStatus.ABANDONED)
-        goals.settle("s-1", GoalStatus.ABANDONED)
-        assert goals.get("s-1").status is GoalStatus.ABANDONED
-
-    def test_settle_unknown_session_is_noop(self):
-        GoalRepository().settle("nope", GoalStatus.ACHIEVED)
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mean_lambda_matches_per_issue_histories(self, data):
+        n_issues = data.draw(st.integers(1, 4))
+        ids = data.draw(st.permutations(("ram", "price", "cpu", "disk")))[:n_issues]
+        agenda = make_agenda(*(
+            make_issue(issue_id=issue_id, weight=weight)
+            for issue_id, weight in zip(ids, WEIGHTS[n_issues])
+        ))
+        # Few distinct values make flat steps (an undefined ratio) common.
+        value = st.sampled_from((10.0, 12.5, 15.0, 20.0)) | st.floats(10.0, 20.0)
+        packages = data.draw(st.lists(
+            st.fixed_dictionaries({issue_id: value for issue_id in ids}),
+            min_size=1, max_size=8,
+        ))
+        entry = make_entry(agenda=agenda)
+        for n in range(1, len(packages) + 1):
+            entry.recent = tuple(
+                OfferPackage(values=values) for values in packages[:n]
+            )[-BELIEF_WINDOW:]
+            assert mean_lambda(entry) == reference_mean_lambda(packages[:n])
 
 
 class TestPlans:
@@ -211,15 +243,15 @@ class TestPollResources:
     def test_constant(self):
         projection = ResourceProjection(points=((0, 0.8),))
         for t in (0, 3, 50):
-            assert poll_resources(projection, t) == 0.8
+            assert projection.level_at(t) == 0.8
 
     def test_linear_interpolation(self):
         projection = ResourceProjection(points=((0, 1.0), (10, 0.0)))
-        assert poll_resources(projection, 5) == pytest.approx(0.5)
+        assert projection.level_at(5) == pytest.approx(0.5)
 
     def test_clamps_past_domain(self):
         projection = ResourceProjection(points=((0, 1.0), (10, 0.4)))
-        assert poll_resources(projection, 25) == 0.4
+        assert projection.level_at(25) == 0.4
 
 
 def commence(session="s-1", product="vm", buyer="buyer-1", seller="seller-1",
@@ -271,7 +303,6 @@ class TestAgentStep:
         agent = self.buyer()
         entry = make_entry(role=Perspective.BUYER, initiator=True, t0=5)
         agent.agenda_db.add(entry)
-        agent.goals.open("s-1", 0.9)
         _, outbox = agent_step(agent, [], now=5)
         assert [m.kind for m in outbox] == [MessageKind.OFFER]
         assert outbox[0].package.values["price"] == pytest.approx(10.0)
@@ -310,14 +341,12 @@ class TestAgentStep:
     def test_non_initiator_waits(self):
         agent = self.buyer()
         agent.agenda_db.add(make_entry(initiator=False))
-        agent.goals.open("s-1", 0.9)
         _, outbox = agent_step(agent, [], now=0)
         assert outbox == []
 
     def test_acquires_offer_beating_planned_counter(self):
         agent = self.buyer()
         agent.agenda_db.add(make_entry(t0=0))
-        agent.goals.open("s-1", 0.9)
         # at now=10 the buyer's planned counter is 15 (utility 0.5); an offer
         # of 12 is worth 0.8 to the buyer, so it acquires
         _, outbox = agent_step(
@@ -326,12 +355,10 @@ class TestAgentStep:
         assert [m.kind for m in outbox] == [MessageKind.ACQUIRE]
         assert outbox[0].package.values["price"] == 12.0
         assert "s-1" not in agent.agenda_db
-        assert agent.goals.get("s-1").status is GoalStatus.ACHIEVED
 
     def test_counters_weak_offer(self):
         agent = self.buyer()
         agent.agenda_db.add(make_entry(t0=0))
-        agent.goals.open("s-1", 0.9)
         _, outbox = agent_step(
             agent, [make_offer(values={"price": 19.0}, sent_at=1)], now=2
         )
@@ -341,7 +368,6 @@ class TestAgentStep:
     def test_late_offer_terminates_and_removes_session(self):
         agent = self.buyer()
         agent.agenda_db.add(make_entry(t0=0, session_t_max=5, t_max_eff=5.0))
-        agent.goals.open("s-1", 0.9)
         _, outbox = agent_step(
             agent, [make_offer(values={"price": 15.0}, sent_at=6, round=2)], now=6
         )
@@ -351,41 +377,42 @@ class TestAgentStep:
     def test_deadline_sweep_without_messages(self):
         agent = self.buyer()
         agent.agenda_db.add(make_entry(t0=0, session_t_max=5, t_max_eff=5.0))
-        agent.goals.open("s-1", 0.9)
         _, outbox = agent_step(agent, [], now=6)
         assert [m.kind for m in outbox] == [MessageKind.TERMINATE]
         assert len(agent.agenda_db) == 0
 
     def test_no_expired_sessions_survive_step(self):
         agent = self.buyer()
-        for sid, deadline in (("s-1", 3), ("s-2", 30)):
+        # Stored out of session-id order: the outbox is sorted regardless.
+        for sid, deadline in (("s-3", 3), ("s-2", 30), ("s-1", 2)):
             agent.agenda_db.add(
                 make_entry(session=sid, t0=0, session_t_max=deadline,
                            t_max_eff=float(deadline))
             )
-            agent.goals.open(sid, 0.9)
-        agent_step(agent, [], now=10)
+        _, outbox = agent_step(agent, [], now=10)
         assert agent.agenda_db.active() == ["s-2"]
+        assert [(m.session, m.kind) for m in outbox] == [
+            ("s-1", MessageKind.TERMINATE), ("s-3", MessageKind.TERMINATE),
+        ]
 
     def test_belief_window_bounded_after_many_offers(self):
         agent = self.buyer()
-        agent.agenda_db.add(make_entry(t0=0, session_t_max=40, t_max_eff=40.0))
-        agent.goals.open("s-1", 0.99)
-        for i in range(6):
+        entry = make_entry(t0=0, session_t_max=40, t_max_eff=40.0)
+        agent.agenda_db.add(entry)
+        prices = [19.0 - 0.25 * i for i in range(6)]
+        for i, price in enumerate(prices):
             agent_step(
                 agent,
-                [make_offer(values={"price": 19.0 - 0.25 * i}, round=i, sent_at=i + 1)],
+                [make_offer(values={"price": price}, round=i, sent_at=i + 1)],
                 now=i + 1,
             )
-            if "s-1" not in agent.agenda_db:
-                break
-        sb = agent.beliefs.session("s-1")
-        assert all(len(ib.history) <= 3 for ib in sb.issues.values())
+        assert "s-1" in agent.agenda_db
+        assert entry.offers_received == 6
+        assert [p.values["price"] for p in entry.recent] == prices[-BELIEF_WINDOW:]
 
     def test_rejected_messages_produce_no_reply(self):
         agent = self.buyer()
         agent.agenda_db.add(make_entry())
-        agent.goals.open("s-1", 0.9)
         _, outbox = agent_step(
             agent, [make_offer(values={"price": 99.0}, sent_at=1)], now=2
         )
@@ -395,7 +422,6 @@ class TestAgentStep:
         agent = self.buyer()
         entry = make_entry(role=Perspective.BUYER, initiator=True)
         agent.agenda_db.add(entry)
-        agent.goals.open("s-1", 0.9)
         _, outbox = agent_step(agent, [], now=0)
         assert outbox
         echo = NegotiationMessage(
@@ -409,11 +435,9 @@ class TestAgentStep:
         def fresh():
             agent = self.buyer(beta=2.0)
             agent.agenda_db.add(make_entry(t0=0))
-            agent.goals.open("s-1", 0.9)
             agent.agenda_db.add(
                 make_entry(session="s-2", opponent="seller-2", t0=0)
             )
-            agent.goals.open("s-2", 0.9)
             return agent
 
         inbox = [
@@ -430,7 +454,6 @@ class TestAgentStep:
     def test_terminate_message_closes_session(self):
         agent = self.buyer()
         agent.agenda_db.add(make_entry())
-        agent.goals.open("s-1", 0.9)
         terminate = NegotiationMessage(
             session="s-1", sender="seller-1", receiver="buyer-1",
             round=0, sent_at=1, kind=MessageKind.TERMINATE, reason="deadline",
@@ -438,13 +461,10 @@ class TestAgentStep:
         _, outbox = agent_step(agent, [terminate], now=2)
         assert outbox == []
         assert "s-1" not in agent.agenda_db
-        assert agent.goals.get("s-1").status is GoalStatus.ABANDONED
 
     def test_incoming_acquire_achieves_goal(self):
         agent = self.buyer()
-        entry = make_entry()
-        agent.agenda_db.add(entry)
-        agent.goals.open("s-1", 0.9)
+        agent.agenda_db.add(make_entry())
         acquire = NegotiationMessage(
             session="s-1", sender="seller-1", receiver="buyer-1",
             round=0, sent_at=1, kind=MessageKind.ACQUIRE,
@@ -452,7 +472,7 @@ class TestAgentStep:
         )
         _, outbox = agent_step(agent, [acquire], now=2)
         assert outbox == []
-        assert agent.goals.get("s-1").status is GoalStatus.ACHIEVED
+        assert "s-1" not in agent.agenda_db
 
     def test_depleted_resources_collapse_the_deadline(self):
         # The hybrid deadline recomputes to the crossing time, so a session
@@ -461,7 +481,6 @@ class TestAgentStep:
         agent = self.buyer()
         agent.resources = depleted
         agent.agenda_db.add(make_entry(t0=0, t_max_eff=20.0))
-        agent.goals.open("s-1", 0.9)
         _, outbox = agent_step(
             agent, [make_offer(values={"price": 19.5}, sent_at=1)], now=2
         )
@@ -505,8 +524,7 @@ class TestAgentStep:
     def target_rule_buyer(self, rules):
         agent = self.buyer()
         agent.plans = PlanLibrary(rules)
-        agent.agenda_db.add(make_entry(t0=0))
-        agent.goals.open("s-1", 0.6)
+        agent.agenda_db.add(make_entry(t0=0, target_utility=0.6))
         return agent
 
     def test_offer_meets_target_rule_acquires(self):
@@ -525,14 +543,14 @@ class TestAgentStep:
         )
         assert [m.kind for m in outbox] == [MessageKind.ACQUIRE]
         assert outbox[0].package.values["price"] == 13.0
-        assert agent.goals.get("s-1").status is GoalStatus.ACHIEVED
+        assert "s-1" not in agent.agenda_db
         # An offer of 15 (0.5) misses the goal and is countered.
         agent = self.target_rule_buyer(rules)
         _, outbox = agent_step(
             agent, [make_offer(values={"price": 15.0}, sent_at=1)], now=2
         )
         assert [m.kind for m in outbox] == [MessageKind.OFFER]
-        assert agent.goals.get("s-1").status is GoalStatus.ACTIVE
+        assert "s-1" in agent.agenda_db
 
     def test_resource_pressure_forces_buy_side_stance(self):
         from agorasim.agent import _effective_params

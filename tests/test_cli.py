@@ -102,6 +102,13 @@ class TestHostileInput:
         "ad-after-end": BILATERAL_FILE.replace(
             "{agent: seller-1, product: vm}", "{agent: seller-1, product: vm, posted_at: 500}"
         ),
+        # Once validated as OK, then run into an EmptyAgendaError traceback.
+        "ad-without-issues": BILATERAL_FILE.replace(
+            "{agent: seller-1, product: vm}", "{agent: seller-1, product: vm, issues: []}"
+        ),
+        "rfq-without-issues": BILATERAL_FILE.replace(
+            "{agent: buyer-1, product: vm}", "{agent: buyer-1, product: vm, issues: []}"
+        ),
     }
 
     @pytest.mark.parametrize("loader", ["libyaml", "pure"])
@@ -123,6 +130,29 @@ class TestHostileInput:
         assert done.returncode == 1, done.stderr
         assert done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("doc, path", [
+        ("ad-without-issues", "$.advertisements[0].issues"),
+        ("rfq-without-issues", "$.rfqs[0].issues"),
+    ])
+    def test_empty_issue_list_names_the_posting(self, tmp_path, capsys, doc, path):
+        scenario = tmp_path / "hostile.yaml"
+        scenario.write_text(self.DOCUMENTS[doc], encoding="utf-8")
+        assert main(["validate", "--scenario", str(scenario)]) == 1
+        assert f"{path}: expected at least one issue" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["validate", "run", "report"])
+    def test_non_utf8_input(self, tmp_path, capsys, verb):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(BILATERAL_FILE.replace("bilateral", "caf\xe9").encode("latin-1"))
+        flag = "--transcript" if verb == "report" else "--scenario"
+        args = [verb, flag, str(path)]
+        if verb == "run":
+            args += ["--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "utf-8" in err
 
 
 class TestRun:
@@ -196,6 +226,13 @@ class TestReport:
         path.write_text("not json\n", encoding="utf-8")
         assert main(["report", "--transcript", str(path)]) == 1
         assert "not a transcript" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"x"', "3", "null"])
+    def test_rejects_non_object_line(self, tmp_path, capsys, line):
+        path = tmp_path / "transcript.jsonl"
+        path.write_text('{"kind": "offer", "session": "s-1", "tick": 1}\n' + line + "\n")
+        assert main(["report", "--transcript", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: not a transcript record\n"
 
     def test_missing_transcript_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -120,6 +120,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _is_record(record: object) -> bool:
+    """A transcript line the report can count: an object whose `kind` and
+    `session`, where present, are strings and whose `tick` is an integer."""
+    if not isinstance(record, dict):
+        return False
+    tick = record.get("tick", 0)
+    return (
+        isinstance(record.get("kind", ""), str)
+        and isinstance(record.get("session", ""), str)
+        and isinstance(tick, int)
+        and not isinstance(tick, bool)
+    )
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     text = _load(args.transcript)
     if text is None:
@@ -137,7 +151,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_FAILURE
-        if not isinstance(record, dict):
+        if not _is_record(record):
             print(
                 f"error: {args.transcript}:{lineno}: not a transcript record",
                 file=sys.stderr,

@@ -20,9 +20,6 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 import yaml
-from yaml.composer import Composer
-from yaml.constructor import ConstructorError, SafeConstructor
-from yaml.resolver import Resolver
 
 from .agent import AgentState, PlanKind, PlanCondition, PlanLibrary, PlanRule, agent_step
 from .core import (
@@ -47,6 +44,7 @@ from .tactics import (
     STANCE_BETA,
     aggregate_utility,
 )
+from . import yamlload
 
 
 class ScenarioParseError(ValueError):
@@ -117,7 +115,10 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Loader
+# Loader: `yaml.load` with the event builder of `yamlload` turns the text into
+# plain dicts, lists and scalars (SafeLoader's data, no node tree, nesting
+# capped at `yamlload.MAX_DEPTH`); the functions below validate that data
+# into the frozen model above, naming the path of the first violation.
 # ---------------------------------------------------------------------------
 
 _ROLES = {"buyer": Perspective.BUYER, "seller": Perspective.SELLER}
@@ -348,67 +349,25 @@ def _posting_tick(node: dict, path: str, t_end: int) -> int:
     return posted_at
 
 
-class _ScalarErrors:
-    """Loader mixin: a tagged scalar the safe constructor cannot convert
-    (`!!int x`, `!!bool x`, `!!timestamp 2001-13-45`) raises a
-    ConstructorError at its line, not a bare ValueError, KeyError or
-    AttributeError."""
-
-    def construct_object(self, node: yaml.Node, deep: bool = False) -> Any:
-        try:
-            return super().construct_object(node, deep=deep)
-        except (ValueError, KeyError, AttributeError):
-            raise ConstructorError(
-                None, None, f"cannot construct a {node.tag} value", node.start_mark
-            ) from None
-
-
-class _SafeLoader(_ScalarErrors, yaml.SafeLoader):
-    pass
-
-
-if hasattr(yaml, "CSafeLoader"):
-
-    class _LibyamlSafeLoader(_ScalarErrors, yaml.cyaml.CParser, SafeConstructor, Resolver):
-        """yaml.CSafeLoader with the node tree built by the Python composer.
-
-        libyaml scans and parses; its composer recurses in C and overflows
-        the C stack (a segfault) on a document nested some 30 000 levels
-        deep, where the Python composer raises RecursionError.
-        """
-
-        def __init__(self, stream: str) -> None:
-            yaml.cyaml.CParser.__init__(self, stream)
-            SafeConstructor.__init__(self)
-            Resolver.__init__(self)
-            Composer.__init__(self)
-
-        check_node = Composer.check_node
-        get_node = Composer.get_node
-        get_single_node = Composer.get_single_node
-        compose_document = Composer.compose_document
-        compose_node = Composer.compose_node
-        compose_scalar_node = Composer.compose_scalar_node
-        compose_sequence_node = Composer.compose_sequence_node
-        compose_mapping_node = Composer.compose_mapping_node
-
-
 def _yaml_loader() -> type:
-    """The libyaml-backed loader when PyYAML has libyaml, else the pure one."""
+    """The event builder on libyaml when PyYAML has libyaml, else on PyYAML's
+    pure-Python parser."""
     if hasattr(yaml, "CSafeLoader"):
-        return _LibyamlSafeLoader
-    return _SafeLoader
+        return yamlload.LibyamlLoader
+    return yamlload.PureLoader
 
 
 def load_scenario(document: str) -> Scenario:
     """Parse and fully validate a scenario document.
 
-    Parses with libyaml when PyYAML was built with it, else with the
-    pure-Python loader; both give the same scenario and the same error line
-    numbers, but the wording of a parse error's reason depends on the loader.
-    Raises ScenarioParseError for malformed YAML (with a line number), for
-    a tagged value that cannot be constructed (with its line) and for a
-    document nested too deeply to parse (without one), and
+    The document is parsed by `yaml.load` with an event builder (see
+    `yamlload`) that turns parser events straight into dicts, lists and
+    scalars: on libyaml when PyYAML was built with it, else on PyYAML's
+    pure-Python parser. Either way the data and the error line numbers are
+    those of `yaml.SafeLoader`; only the wording of a parse error's reason
+    depends on the parser. Raises ScenarioParseError, with the line, for
+    malformed YAML, for a tagged value that cannot be constructed and for a
+    collection nested more than `yamlload.MAX_DEPTH` levels deep; raises
     ScenarioValidationError (with a path) for schema violations.
     """
     try:
@@ -418,8 +377,6 @@ def load_scenario(document: str) -> Scenario:
         line = mark.line + 1 if mark is not None else None
         reason = getattr(exc, "problem", None) or str(exc)
         raise ScenarioParseError(line, reason) from None
-    except RecursionError:
-        raise ScenarioParseError(None, "document is nested too deeply") from None
     if root is None:
         raise ScenarioValidationError("$", "empty document")
     root = _as_map(root, "$")

@@ -86,10 +86,11 @@ class TestValidate:
 
 
 class TestHostileInput:
-    """Documents that once crashed the CLI: the pure-Python loader raised
-    RecursionError on deep nesting, libyaml's composer overflowed the C
-    stack, and a bad tagged scalar raised a bare ValueError. Each runs in a
-    child process so that a crash fails the test instead of the suite."""
+    """Documents that once crashed the CLI or passed validation and then
+    failed the run. Deep nesting must stop at the loader's depth cap with a
+    line number, whichever parser reads it, and a bad tagged scalar must be
+    an error at its line. Each runs in a child process so that a crash
+    fails the test instead of the suite."""
 
     DOCUMENTS = {
         "deep-flow": "[" * 5000 + "]" * 5000,
@@ -229,6 +230,20 @@ class TestReport:
 
     @pytest.mark.parametrize("line", ["[1, 2]", '"x"', "3", "null"])
     def test_rejects_non_object_line(self, tmp_path, capsys, line):
+        path = tmp_path / "transcript.jsonl"
+        path.write_text('{"kind": "offer", "session": "s-1", "tick": 1}\n' + line + "\n")
+        assert main(["report", "--transcript", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: not a transcript record\n"
+
+    @pytest.mark.parametrize("line", [
+        '{"kind": [1], "session": "s-1", "tick": 1}',
+        '{"kind": "offer", "session": ["s"], "tick": 1}',
+        '{"kind": "offer", "session": 7, "tick": 1}',
+        '{"kind": 3, "session": "s-1", "tick": 1}',
+        '{"kind": "offer", "session": "s-1", "tick": [1]}',
+        '{"kind": "offer", "session": "s-1", "tick": true}',
+    ])
+    def test_rejects_record_with_mistyped_field(self, tmp_path, capsys, line):
         path = tmp_path / "transcript.jsonl"
         path.write_text('{"kind": "offer", "session": "s-1", "tick": 1}\n' + line + "\n")
         assert main(["report", "--transcript", str(path)]) == 1

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from agorasim import simulation
+from agorasim import simulation, yamlload
 from agorasim.simulation import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -168,7 +168,7 @@ def yaml_loader(request, monkeypatch):
         monkeypatch.delattr(yaml, "CSafeLoader")
     elif not hasattr(yaml, "CSafeLoader"):
         pytest.skip("PyYAML was built without libyaml")
-    assert (simulation._yaml_loader() is simulation._SafeLoader) == (request.param == "pure")
+    assert (simulation._yaml_loader() is yamlload.PureLoader) == (request.param == "pure")
     return request.param
 
 
@@ -183,7 +183,38 @@ class TestLoaders:
     def test_deep_nesting_is_a_parse_error(self, yaml_loader):
         with pytest.raises(ScenarioParseError) as err:
             load_scenario("[" * 5000 + "]" * 5000)
-        assert err.value.line is None
+        assert err.value.line == 1
+
+    @staticmethod
+    def nested(depth: int) -> str:
+        """MINIMAL with an unknown key whose value reaches `depth` levels,
+        counting the root mapping, with one opening bracket per line."""
+        brackets = depth - 1
+        return MINIMAL + "junk:\n" + " [\n" * brackets + " " + "]" * brackets + "\n"
+
+    def test_nesting_at_the_depth_cap_loads(self, yaml_loader):
+        assert load_scenario(self.nested(yamlload.MAX_DEPTH)) == load_scenario(MINIMAL)
+
+    def test_nesting_past_the_depth_cap_names_its_line(self, yaml_loader):
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(self.nested(yamlload.MAX_DEPTH + 1))
+        assert err.value.reason == "document is nested too deeply"
+        # The bracket that opens level MAX_DEPTH + 1, after MINIMAL and `junk:`.
+        assert err.value.line == MINIMAL.count("\n") + 1 + yamlload.MAX_DEPTH
+
+    def test_one_yaml_load_per_scenario(self, yaml_loader, monkeypatch):
+        # The benchmark times the parse by wrapping the module attribute
+        # `yaml.load`; a parse that bypassed it would read as zero.
+        calls = []
+        real_load = yaml.load
+
+        def counting_load(*args, **kwargs):
+            calls.append(kwargs.get("Loader"))
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(yaml, "load", counting_load)
+        load_scenario(MINIMAL)
+        assert calls == [simulation._yaml_loader()]
 
     @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
     def test_shipped_scenarios_load_equal(self, path, monkeypatch):

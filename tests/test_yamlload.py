@@ -1,0 +1,178 @@
+"""The event-built loader against PyYAML's own SafeLoader, on both parsers."""
+
+import pytest
+import yaml
+from hypothesis import assume, given, settings, strategies as st
+from yaml.composer import ComposerError
+from yaml.constructor import ConstructorError
+
+from agorasim import yamlload
+
+LOADERS = [yamlload.PureLoader]
+if hasattr(yamlload, "LibyamlLoader"):
+    LOADERS.append(yamlload.LibyamlLoader)
+
+
+def _with_scalar_errors(base: type) -> type:
+    class Reference(base):
+        """PyYAML's loader, except that a scalar it cannot construct
+        (`!!int x`) is a ConstructorError at the scalar's line instead of a
+        bare ValueError or KeyError, as in the event-built loader."""
+
+        def construct_object(self, node, deep=False):
+            try:
+                return super().construct_object(node, deep=deep)
+            except (ValueError, LookupError, AttributeError):
+                raise ConstructorError(None, None, "cannot construct", node.start_mark) from None
+
+    return Reference
+
+
+# Each loader is compared with PyYAML's composer and constructor on the same
+# parser, so that only the building differs.
+REFERENCE = {yamlload.PureLoader: _with_scalar_errors(yaml.SafeLoader)}
+if hasattr(yamlload, "LibyamlLoader"):
+    REFERENCE[yamlload.LibyamlLoader] = _with_scalar_errors(yaml.CSafeLoader)
+
+
+def outcome(document: str, loader: type) -> tuple:
+    """The data's repr (NaN and recursive values compare by it), or the
+    error class and line."""
+    try:
+        return "ok", repr(yaml.load(document, Loader=loader))
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        return type(exc).__name__, mark.line + 1 if mark is not None else None
+
+
+SCALARS = [
+    "12", "-3", "0x1F", "017", "0b101", "1_000", "1:30", "1.5", "1.0e+3", ".inf", "-.inf",
+    ".nan", "._", "0x_", "true", "no", "on", "null", "~", "''", "abc", "'12'", '"x y"', "=",
+    "2001-01-01", "2001-13-45", "! 12", "!!str 12", "!!int 12", "!!int x", "!!int ''",
+    "!!float 3", "!!bool maybe", "!!null x", "!!binary aGk=", "!foo bar", "!!seq x", "!!set x",
+]
+# Collection tags: mostly none; every tag SafeConstructor knows, and one it does not.
+TAGS = [None] * 8 + ["!", "!!seq", "!!map", "!!set", "!!omap", "!!pairs", "!!str", "!foo"]
+
+scalars = st.sampled_from(SCALARS).map(lambda text: ("scalar", text))
+# An alias names the k-th most recent anchor; k = 8 names no anchor at all.
+aliases = st.integers(0, 8).map(lambda k: ("alias", k))
+
+
+def anchored(nodes):
+    # One anchor in twenty reuses the previous name: a duplicate anchor.
+    anchors = st.tuples(st.just("anchor"), st.integers(0, 19).map(lambda i: i == 0), nodes)
+    return st.one_of(nodes, anchors)
+
+
+def collections(children):
+    sequences = st.tuples(st.just("seq"), st.sampled_from(TAGS), st.lists(children, max_size=4))
+    pair = st.tuples(st.one_of(scalars, scalars, aliases, children), children)
+    merge = st.tuples(st.just(("scalar", "<<")), st.one_of(aliases, children))
+    mappings = st.tuples(
+        st.just("map"), st.sampled_from(TAGS), st.lists(st.one_of(pair, pair, merge), max_size=4)
+    )
+    return anchored(st.one_of(sequences, mappings))
+
+
+trees = st.recursive(st.one_of(anchored(scalars), aliases), collections, max_leaves=12)
+
+
+def render(tree) -> str:
+    """Flow YAML, one collection item per line, so that lines differ."""
+    anchors: list[str] = []
+
+    def node(tree, indent: int) -> str:
+        kind = tree[0]
+        if kind == "anchor":
+            _, duplicate, inner = tree
+            name = anchors[-1] if duplicate and anchors else f"a{len(anchors)}"
+            anchors.append(name)
+            return f"&{name} {node(inner, indent)}"
+        if kind == "scalar":
+            return tree[1]
+        if kind == "alias":
+            if tree[1] == 8:
+                return "*nowhere "
+            return f"*{anchors[-1 - tree[1] % len(anchors)]} " if anchors else "abc"
+        tag = f"{tree[1]} " if tree[1] else ""
+        pad = "\n" + " " * (indent + 1)
+        if kind == "seq":
+            items = [node(child, indent + 1) for child in tree[2]]
+            return tag + "[" + ",".join(pad + item for item in items) + "]"
+        pairs = [f"? {node(k, indent + 1)} : {node(v, indent + 1)}" for k, v in tree[2]]
+        return tag + "{" + ",".join(pad + pair for pair in pairs) + "}"
+
+    return node(tree, 0) + "\n"
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+@settings(max_examples=150, deadline=None)
+@given(tree=trees, second_document=st.booleans())
+def test_matches_safe_loader(loader, tree, second_document):
+    document = render(tree) + ("---\nx\n" if second_document else "")
+    try:
+        expected = outcome(document, REFERENCE[loader])
+    except RecursionError:
+        # SafeLoader merges some self-merging mappings without end.
+        assume(False)
+    got = outcome(document, loader)
+    if got != expected:
+        assume(not refuses_recursive_merge(document, loader))
+    assert got == expected
+
+
+def refuses_recursive_merge(document: str, loader: type) -> bool:
+    """A merge of a mapping or list that encloses it is refused: what
+    SafeLoader makes of one depends on the order it mutates its nodes in."""
+    try:
+        yaml.load(document, Loader=loader)
+    except ConstructorError as exc:
+        return exc.problem == "found a recursive merge"
+    return False
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+class TestExamples:
+    @pytest.mark.parametrize("document, expected", [
+        # Explicit keys win wherever the `<<` stands.
+        ("b: &b {x: 1, y: 2}\nd: {x: 9, <<: *b}\n", {"x": 9, "y": 2}),
+        ("b: &b {x: 1, y: 2}\nd: {<<: *b, x: 9}\n", {"x": 9, "y": 2}),
+        # In a merged list the earlier mappings win.
+        ("b: {}\nd: {<<: [{x: 1}, {x: 2, y: 3}]}\n", {"x": 1, "y": 3}),
+        # A later `<<` wins over an earlier one.
+        ("b: {}\nd: {<<: {x: 1}, <<: {x: 2}}\n", {"x": 2}),
+    ])
+    def test_merge_precedence(self, loader, document, expected):
+        data = yaml.load(document, Loader=loader)
+        assert data["d"] == expected
+        assert list(data["d"]) == list(yaml.load(document, Loader=yaml.SafeLoader)["d"])
+
+    def test_recursive_alias(self, loader):
+        data = yaml.load("a: &a [1, *a]\nm: &m {k: *m}\n", Loader=loader)
+        assert data["a"][1] is data["a"]
+        assert data["m"]["k"] is data["m"]
+
+    @pytest.mark.parametrize("document, line", [
+        ("a: &x 1\nb: &x 2\n", 2),
+        ("a: 1\nb: *nope\n", 2),
+        ("a: 1\n---\nb: 2\n", 2),
+    ])
+    def test_composer_errors_at_their_line(self, loader, document, line):
+        with pytest.raises(ComposerError) as exc:
+            yaml.load(document, Loader=loader)
+        assert exc.value.problem_mark.line + 1 == line
+
+    def test_first_error_in_safe_loader_order(self, loader):
+        # SafeLoader constructs one nesting level at a time, so the shallower
+        # bad scalar on line 3 fails before the deeper one on line 1.
+        document = "a: [!!int x]\nb: 1\nc: !!int y\n"
+        with pytest.raises(ConstructorError) as exc:
+            yaml.load(document, Loader=loader)
+        assert exc.value.problem_mark.line + 1 == 3
+
+    def test_empty_int_is_an_error_at_its_line(self, loader):
+        # SafeLoader itself raises IndexError here.
+        with pytest.raises(ConstructorError) as exc:
+            yaml.load("a: 1\nb: !!int ''\n", Loader=loader)
+        assert exc.value.problem_mark.line + 1 == 2

@@ -115,10 +115,12 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Loader: `yaml.load` with the event builder of `yamlload` turns the text into
-# plain dicts, lists and scalars (SafeLoader's data, no node tree, nesting
-# capped at `yamlload.MAX_DEPTH`); the functions below validate that data
-# into the frozen model above, naming the path of the first violation.
+# Loader: `yaml.load` with a `yamlload` loader turns the text into plain
+# dicts, lists and scalars, SafeLoader's data, nesting capped at
+# `yamlload.MAX_DEPTH`. Untagged, unanchored documents are built straight
+# from parser events; any other goes to PyYAML's own loader. The functions
+# below validate that data into the frozen model above, naming the path of
+# the first violation.
 # ---------------------------------------------------------------------------
 
 _ROLES = {"buyer": Perspective.BUYER, "seller": Perspective.SELLER}
@@ -350,8 +352,8 @@ def _posting_tick(node: dict, path: str, t_end: int) -> int:
 
 
 def _yaml_loader() -> type:
-    """The event builder on libyaml when PyYAML has libyaml, else on PyYAML's
-    pure-Python parser."""
+    """The `yamlload` loader on libyaml when PyYAML has libyaml, else on
+    PyYAML's pure-Python parser."""
     if hasattr(yaml, "CSafeLoader"):
         return yamlload.LibyamlLoader
     return yamlload.PureLoader
@@ -360,14 +362,17 @@ def _yaml_loader() -> type:
 def load_scenario(document: str) -> Scenario:
     """Parse and fully validate a scenario document.
 
-    The document is parsed by `yaml.load` with an event builder (see
-    `yamlload`) that turns parser events straight into dicts, lists and
-    scalars: on libyaml when PyYAML was built with it, else on PyYAML's
-    pure-Python parser. Either way the data and the error line numbers are
-    those of `yaml.SafeLoader`; only the wording of a parse error's reason
-    depends on the parser. Raises ScenarioParseError, with the line, for
-    malformed YAML, for a tagged value that cannot be constructed and for a
-    collection nested more than `yamlload.MAX_DEPTH` levels deep; raises
+    The document is parsed by one `yaml.load` call with a `yamlload`
+    loader, on libyaml when PyYAML was built with it, else on PyYAML's
+    pure-Python parser. An untagged, unanchored document is built straight
+    from parser events; a document with a tag, an anchor, an alias, a `<<`
+    merge or an `=` key is handed to PyYAML's own loader on the same parser.
+    Either way the data and the error line numbers are those of
+    `yaml.SafeLoader`; only the wording of a parse error's reason depends on
+    the parser. Raises ScenarioParseError, with the line, for malformed YAML,
+    for a tagged value that cannot be constructed and for a collection
+    nested more than `yamlload.MAX_DEPTH` levels deep (under the pure parser
+    a tagged document may hit that error a little short of the cap); raises
     ScenarioValidationError (with a path) for schema violations.
     """
     try:

@@ -94,6 +94,12 @@ class TestHostileInput:
 
     DOCUMENTS = {
         "deep-flow": "[" * 5000 + "]" * 5000,
+        # Never closed, and far longer than the pure scanner's look-ahead.
+        "deep-flow-huge": "[" * 200_000,
+        # Within the depth cap, but past PyYAML's recursive pure composer,
+        # which reads any tagged document; libyaml loads it, and it then
+        # fails validation.
+        "deep-tagged": "!!seq " + "[" * 499 + "]" * 499,
         "deep-block": "- " * 50000 + "x\n",
         "bad-tagged-int": "name: x\nt_end: !!int many\n",
         # Once validated as OK, then run without ever posting the ad.

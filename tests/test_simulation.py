@@ -14,6 +14,7 @@ from agorasim.simulation import (
     load_scenario,
     run_simulation,
 )
+from test_golden import _marketgen
 
 SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))
 
@@ -204,7 +205,8 @@ class TestLoaders:
 
     def test_one_yaml_load_per_scenario(self, yaml_loader, monkeypatch):
         # The benchmark times the parse by wrapping the module attribute
-        # `yaml.load`; a parse that bypassed it would read as zero.
+        # `yaml.load`; a parse that bypassed it would read as zero, and one
+        # that called it again would count twice.
         calls = []
         real_load = yaml.load
 
@@ -213,8 +215,36 @@ class TestLoaders:
             return real_load(*args, **kwargs)
 
         monkeypatch.setattr(yaml, "load", counting_load)
-        load_scenario(MINIMAL)
-        assert calls == [simulation._yaml_loader()]
+        for document in (MINIMAL, MINIMAL.replace("vm}", "!!str vm}")):  # event loop, library
+            calls.clear()
+            load_scenario(document)
+            assert calls == [simulation._yaml_loader()]
+
+    def test_merged_agendas_load_as_written_out(self, yaml_loader):
+        agenda = (
+            "      - product: vm\n        t_max: 10\n        issues:\n"
+            "          - {id: price, weight: 1.0, min: 10, max: 20}\n"
+        )
+        buyer, seller, rest = MINIMAL.split(agenda)
+        # The seller's agenda is the buyer's, merged in, with one key restated.
+        shared = (
+            buyer + agenda.replace("- product", "- &agenda\n        product")
+            + seller + "      - <<: *agenda\n        t_max: 10\n" + rest
+        )
+        assert load_scenario(shared) == load_scenario(MINIMAL)
+
+    @pytest.mark.parametrize("source", [*SCENARIOS, *sorted(_marketgen().WORKLOADS)],
+                             ids=lambda s: getattr(s, "name", s))
+    def test_own_documents_never_reach_the_library_loader(self, yaml_loader, monkeypatch, source):
+        class Forbidden:
+            def __init__(self, *args):
+                raise AssertionError("the document went to the library loader")
+
+        monkeypatch.setattr(simulation._yaml_loader(), "library", Forbidden)
+        if isinstance(source, Path):
+            load_scenario(source.read_text(encoding="utf-8"))
+        else:
+            load_scenario(_marketgen().generate(source, 0))
 
     @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
     def test_shipped_scenarios_load_equal(self, path, monkeypatch):

@@ -20,9 +20,11 @@ import logging
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    DELIVERY_ORDER,
     AgentId,
     IssueId,
     MessageKind,
@@ -274,7 +276,11 @@ class PlanLibrary:
     """Ordered trigger -> plan rules; first match wins.
 
     `tests_target` records whether any rule tests OFFER_MEETS_TARGET; only
-    then does a plan context pay for the standing offer's utility.
+    then does agent_step pay for the standing offer's utility.
+
+    `choose` memoises the first match for each combination of the facts
+    agent_step computes. The memo fills on first use of a combination, so a
+    library that is never consulted costs nothing.
     """
 
     def __init__(self, rules: Sequence[PlanRule]) -> None:
@@ -286,32 +292,59 @@ class PlanLibrary:
         self.tests_target = any(
             rule.when is PlanCondition.OFFER_MEETS_TARGET for rule in self.rules
         )
+        self._memo: dict[tuple[bool, bool, bool, bool], PlanKind] = {}
 
     @classmethod
     def default(cls) -> "PlanLibrary":
         return cls(DEFAULT_PLAN_RULES)
 
+    def choose(
+        self,
+        deadline_passed: bool,
+        offer_standing: bool,
+        target_met: bool,
+        opening_pending: bool,
+    ) -> PlanKind:
+        """select_plan for a context with these facts and no terminal goal."""
+        key = (deadline_passed, offer_standing, target_met, opening_pending)
+        plan = self._memo.get(key)
+        if plan is None:
+            plan = self._memo[key] = _first_match(self.rules, False, *key)
+        return plan
 
-def _condition_holds(cond: PlanCondition, ctx: PlanContext) -> bool:
-    if cond is PlanCondition.GOAL_TERMINAL:
-        return ctx.goal_terminal
-    if cond is PlanCondition.DEADLINE_PASSED:
-        return ctx.deadline_passed
-    if cond is PlanCondition.OFFER_MEETS_TARGET:
-        return ctx.target_met
-    if cond is PlanCondition.OFFER_STANDING:
-        return ctx.offer_standing
-    if cond is PlanCondition.OPENING_PENDING:
-        return ctx.opening_pending
-    return True
+
+def _first_match(
+    rules: Sequence[PlanRule],
+    goal_terminal: bool,
+    deadline_passed: bool,
+    offer_standing: bool,
+    target_met: bool,
+    opening_pending: bool,
+) -> PlanKind:
+    holds = {
+        PlanCondition.GOAL_TERMINAL: goal_terminal,
+        PlanCondition.DEADLINE_PASSED: deadline_passed,
+        PlanCondition.OFFER_MEETS_TARGET: target_met,
+        PlanCondition.OFFER_STANDING: offer_standing,
+        PlanCondition.OPENING_PENDING: opening_pending,
+        PlanCondition.ALWAYS: True,
+    }
+    for rule in rules:
+        if holds[rule.when]:
+            return rule.do
+    return PlanKind.IDLE
 
 
 def select_plan(plans: PlanLibrary, ctx: PlanContext) -> PlanKind:
     """First rule whose trigger matches; deterministic for a fixed context."""
-    for rule in plans.rules:
-        if _condition_holds(rule.when, ctx):
-            return rule.do
-    return PlanKind.IDLE
+    return _first_match(
+        plans.rules,
+        ctx.goal_terminal,
+        ctx.deadline_passed,
+        ctx.offer_standing,
+        ctx.target_met,
+        ctx.opening_pending,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +384,9 @@ def resolve_concurrent_agreements(
     product = agenda_db.get(chosen).product
     losers = [sid for sid in agenda_db.for_product(product) if sid != chosen]
     return chosen, losers
+
+
+_SESSION = attrgetter("session")
 
 
 def _emit(
@@ -433,26 +469,25 @@ def _open_session(state: AgentState, msg: NegotiationMessage, now: int) -> None:
     state.agenda_db.add(entry)
 
 
-def _plan_context(
-    state: AgentState, entry: SessionEntry, now: int
-) -> PlanContext:
-    """The facts the plan library may test for one session.
+def _plan(state: AgentState, entry: SessionEntry, now: int) -> PlanKind:
+    """The plan for one session, from the facts the plan library may test.
 
     `target_met` (the standing offer's utility against the target) is computed
     only when a rule of the library tests it, and is False otherwise.
     """
+    plans = state.plans
     standing = entry.standing
     target_met = False
-    if standing is not None and state.plans.tests_target:
+    if standing is not None and plans.tests_target:
         target_met = (
             aggregate_utility(entry.agenda, standing, entry.role)
             >= entry.target_utility
         )
-    return PlanContext(
-        deadline_passed=now > entry.deadline,
-        offer_standing=standing is not None,
-        target_met=target_met,
-        opening_pending=entry.initiator and not entry.opened,
+    return plans.choose(
+        now > entry.deadline,
+        standing is not None,
+        target_met,
+        entry.initiator and not entry.opened,
     )
 
 
@@ -478,10 +513,7 @@ def agent_step(
             )
             state.agenda_db.remove(entry.session)
 
-    ordered = sorted(
-        inbox, key=lambda m: (m.sent_at, m.session, m.sender, m.round)
-    )
-    for msg in ordered:
+    for msg in sorted(inbox, key=DELIVERY_ORDER):
         if msg.kind is MessageKind.COMMENCE:
             _open_session(state, msg, now)
             continue
@@ -517,8 +549,7 @@ def agent_step(
                 entry.session_t_max, state.resources.shifted(entry.t0)
             )
             entry.t_max_eff_of = state.resources
-        ctx = _plan_context(state, entry, now)
-        plan = select_plan(state.plans, ctx)
+        plan = _plan(state, entry, now)
         if plan is PlanKind.TERMINATE:
             outbox.append(
                 _emit(state, entry, now, MessageKind.TERMINATE, reason=TERMINATE_DEADLINE)
@@ -549,12 +580,12 @@ def agent_step(
 
     # Opening offers for sessions this agent initiates, in session-id order
     # because jitter draws from rng.
-    for sid in state.agenda_db.active():
-        entry = state.agenda_db.get(sid)
-        if not entry.initiator or entry.opened:
-            continue
-        ctx = _plan_context(state, entry, now)
-        if select_plan(state.plans, ctx) is not PlanKind.MAKE_OFFER:
+    pending = sorted(
+        (e for e in state.agenda_db.entries() if e.initiator and not e.opened),
+        key=_SESSION,
+    )
+    for entry in pending:
+        if _plan(state, entry, now) is not PlanKind.MAKE_OFFER:
             continue
         params = _effective_params(state, aggressive)
         package = generate_offer_package(
@@ -595,5 +626,6 @@ def agent_step(
             )
             state.agenda_db.remove(sid)
 
-    outbox.sort(key=lambda m: (m.session, m.round, m.kind.value))
+    if len(outbox) > 1:
+        outbox.sort(key=lambda m: (m.session, m.round, m.kind.value))
     return state, outbox

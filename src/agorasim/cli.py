@@ -151,6 +151,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_FAILURE
+        except (ValueError, RecursionError):
+            # Valid JSON that Python will not build: nested too deeply, or
+            # an integer past the interpreter's digit limit.
+            record = None
         if not _is_record(record):
             print(
                 f"error: {args.transcript}:{lineno}: not a transcript record",

@@ -7,8 +7,10 @@ than in constructors so tests can build deliberately broken agendas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
 from . import kernels
@@ -149,11 +151,18 @@ class NegotiationMessage:
     commence: Optional[CommenceInfo] = None
 
 
+#: Sort key of the delivery order: send tick, session, sender, round. The
+#: marketplace queues, the tick loop routes and an agent reads its inbox in
+#: this order.
+DELIVERY_ORDER = attrgetter("sent_at", "session", "sender", "round")
+
+
 def validate_agenda(agenda: Agenda) -> ValidatedAgenda:
     """Check every agenda invariant; returns the agenda unchanged when valid.
 
-    Raises EmptyAgendaError, BadRangeError (min >= max, bad weight, duplicate
-    issue id), WeightSumViolation (|sum W - 1| > 1e-9) or BadDeadlineError.
+    Raises EmptyAgendaError, BadRangeError (min >= max, max - min beyond
+    float range, bad weight, duplicate issue id), WeightSumViolation
+    (|sum W - 1| > 1e-9) or BadDeadlineError.
     """
     if not agenda.issues:
         raise EmptyAgendaError("agenda has no issues")
@@ -166,6 +175,12 @@ def validate_agenda(agenda: Agenda) -> ValidatedAgenda:
         if not spec.min_value < spec.max_value:
             raise BadRangeError(
                 f"issue {spec.issue_id!r}: min {spec.min_value} >= max {spec.max_value}"
+            )
+        if not math.isfinite(spec.max_value - spec.min_value):
+            # Offers and scores scale by the width; an infinite one makes NaN.
+            raise BadRangeError(
+                f"issue {spec.issue_id!r}: width of [{spec.min_value}, {spec.max_value}] "
+                "is beyond float range"
             )
         if not 0.0 < spec.weight <= 1.0:
             raise BadRangeError(

@@ -23,9 +23,11 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from math import isfinite
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (
+    DELIVERY_ORDER,
     AgentId,
     CommenceInfo,
     IssueId,
@@ -418,22 +420,68 @@ class SessionState:
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 
 
-def transcript_line(msg: NegotiationMessage) -> str:
-    """One message as a stable-field-order JSON line."""
-    values = None
-    if msg.package is not None:
-        values = {k: msg.package.values[k] for k in sorted(msg.package.values)}
-    record = {
-        "tick": msg.sent_at,
-        "session": msg.session,
-        "sender": msg.sender,
-        "receiver": msg.receiver,
-        "round": msg.round,
-        "kind": msg.kind.value,
-        "values": values,
-        "reason": msg.reason,
-    }
-    return _COMPACT_JSON.encode(record)
+def _json(value: object, encoded: dict[str, str]) -> str:
+    """One value as _COMPACT_JSON writes it; a string is encoded once per
+    `encoded` dict."""
+    kind = type(value)
+    if kind is str:
+        text = encoded.get(value)
+        if text is None:
+            text = encoded[value] = _COMPACT_JSON.encode(value)
+        return text
+    if kind is float and isfinite(value):
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    return _COMPACT_JSON.encode(value)
+
+
+def _package_json(offered: Mapping[IssueId, float], encoded: dict[str, str]) -> str:
+    """A package's values as a JSON object, issues in sorted order."""
+    keys = sorted(offered)
+    parts = []
+    for key in keys:
+        if type(key) is not str:
+            return _COMPACT_JSON.encode({key: offered[key] for key in keys})
+        value = offered[key]
+        if type(value) is float and isfinite(value):
+            text = float.__repr__(value)
+        else:
+            text = _json(value, encoded)
+        parts.append(f"{encoded.get(key) or _json(key, encoded)}:{text}")
+    return "{" + ",".join(parts) + "}"
+
+
+def transcript_line(
+    msg: NegotiationMessage, encoded: Optional[dict[str, str]] = None
+) -> str:
+    """One message as a stable-field-order JSON line.
+
+    The line is the compact JSON of the record {tick, session, sender,
+    receiver, round, kind, values, reason}, `values` holding the package's
+    issues in sorted order (or null), written out by one format string.
+    Strings go through _COMPACT_JSON once each and are kept in `encoded`,
+    which callers rendering many lines pass to every call. Finite floats and
+    ints are written by float.__repr__ and int.__repr__, as json writes them.
+    Any other value (NaN, an infinity, a bool) and a package with a key that
+    is not a string go to _COMPACT_JSON, so the line always equals
+    _COMPACT_JSON.encode of the record.
+    """
+    if encoded is None:
+        encoded = {}
+    package = msg.package
+    values = "null" if package is None else _package_json(package.values, encoded)
+    tick, round_, kind, reason = msg.sent_at, msg.round, msg.kind.value, msg.reason
+    return (
+        f'{{"tick":{int.__repr__(tick) if type(tick) is int else _json(tick, encoded)},'
+        f'"session":{encoded.get(msg.session) or _json(msg.session, encoded)},'
+        f'"sender":{encoded.get(msg.sender) or _json(msg.sender, encoded)},'
+        f'"receiver":{encoded.get(msg.receiver) or _json(msg.receiver, encoded)},'
+        f'"round":{int.__repr__(round_) if type(round_) is int else _json(round_, encoded)},'
+        f'"kind":{encoded.get(kind) or _json(kind, encoded)},'
+        f'"values":{values},'
+        f'"reason":{"null" if reason is None else _json(reason, encoded)}}}'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +676,9 @@ class DeliveryResult:
     violations: tuple[str, ...] = ()
 
 
+_DELIVERED = DeliveryResult(DeliveryStatus.DELIVERED, ())
+
+
 class Marketplace:
     """Owns discovery, sessions, message routing, and the trust archive."""
 
@@ -639,6 +690,8 @@ class Marketplace:
         self._matched: set[tuple[str, str]] = set()
         self._agreed: set[tuple[AgentId, ProductId]] = set()
         self._session_seq = 0
+        # Sessions commenced and not yet closed: len(open_sessions()).
+        self.open_count = 0
         self._pending: dict[int, list[NegotiationMessage]] = {}
         self._log: list[NegotiationMessage] = []
         # Watchdog state: per agent, (session seq, ratios) of its closed
@@ -704,6 +757,7 @@ class Marketplace:
             seq=self._session_seq,
         )
         self.sessions[session.session] = session
+        self.open_count += 1
         info = CommenceInfo(
             product=match.product,
             issue_ids=match.issue_ids,
@@ -735,7 +789,7 @@ class Marketplace:
     def due_messages(self, now: int) -> dict[AgentId, list[NegotiationMessage]]:
         """Pop messages due for delivery this tick, per receiver, in order."""
         due = self._pending.pop(now, [])
-        due.sort(key=lambda m: (m.sent_at, m.session, m.sender, m.round))
+        due.sort(key=DELIVERY_ORDER)
         inboxes: dict[AgentId, list[NegotiationMessage]] = {}
         for msg in due:
             inboxes.setdefault(msg.receiver, []).append(msg)
@@ -747,32 +801,34 @@ class Marketplace:
         Acquire and Terminate close the session (exactly once); messages for
         unknown or closed sessions, messages from anyone but the session's
         buyer and seller, and an acquire of anything but the other side's
-        last offer are counted against the sender and dropped.
+        last offer are counted against the sender and dropped. A delivery
+        without compliance violations returns one shared result.
         """
         session = self.sessions.get(msg.session)
         if session is None:
             return self._reject(msg.sender, DeliveryStatus.UNKNOWN_SESSION)
-        if msg.sender not in session.participants():
-            return self._reject(msg.sender, DeliveryStatus.NOT_PARTICIPANT)
+        sender = msg.sender
+        if sender != session.buyer and sender != session.seller:
+            return self._reject(sender, DeliveryStatus.NOT_PARTICIPANT)
         if not session.is_open:
             # A message crossing the close in the same tick is a benign race;
             # only sends after the sender could have learned of the closure
             # count against compliance.
             closed_at = session.closed_at if session.closed_at is not None else -1
             if msg.sent_at > closed_at:
-                return self._reject(msg.sender, DeliveryStatus.SESSION_CLOSED)
+                return self._reject(sender, DeliveryStatus.SESSION_CLOSED)
             return DeliveryResult(DeliveryStatus.SESSION_CLOSED, ())
         if msg.kind is MessageKind.ACQUIRE:
-            other = session.seller if msg.sender == session.buyer else session.buyer
+            other = session.seller if sender == session.buyer else session.buyer
             offered = session.last_offer(other)
             if offered is None or msg.package != offered:
-                return self._reject(msg.sender, DeliveryStatus.NOT_LAST_OFFER)
+                return self._reject(sender, DeliveryStatus.NOT_LAST_OFFER)
 
-        violations = list(self._compliance_violations(session, msg))
-        stats = self.trust.record(msg.sender).stats
+        violations = self._compliance_violations(session, msg)
+        stats = self.trust.record(sender).stats
         stats.messages_sent += 1
         stats.violations += len(violations)
-        self._dirty.add(msg.sender)
+        self._dirty.add(sender)
 
         session.transcript.append(msg)
         self._log.append(msg)
@@ -789,7 +845,9 @@ class Marketplace:
             session.closed_at = msg.sent_at
             session.close_reason = msg.reason
             self._on_close(session)
-        return DeliveryResult(DeliveryStatus.DELIVERED, tuple(violations))
+        if violations:
+            return DeliveryResult(DeliveryStatus.DELIVERED, tuple(violations))
+        return _DELIVERED
 
     def _reject(self, sender: AgentId, status: DeliveryStatus) -> DeliveryResult:
         """Drop a message, counting one violation against its sender."""
@@ -828,6 +886,7 @@ class Marketplace:
 
     def _on_close(self, session: SessionState) -> None:
         """Fold one closed session into the watchdog state, then refresh."""
+        self.open_count -= 1
         agreed = session.outcome is SessionOutcome.AGREED
         rounds, trails = offer_trails(session)
         if agreed:
@@ -900,4 +959,5 @@ class Marketplace:
         return any(self._pending.values())
 
     def transcript_lines(self) -> list[str]:
-        return [transcript_line(msg) for msg in self._log]
+        encoded: dict[str, str] = {}
+        return [transcript_line(msg, encoded) for msg in self._log]

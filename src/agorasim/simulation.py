@@ -2,12 +2,14 @@
 
 One tick runs: post ads/RFQs due, matchmake the products whose matches may
 have changed, deliver due messages, step in id order the agents that have
-mail or a live session, route outboxes in canonical order. Stepping any
-other agent would do nothing, so the run is the same as stepping every
-agent. A stretch of ticks with no mail, live agent, open session or stale
-product is skipped up to the next posting, for the same reason. Two runs
-with the same scenario and seed produce byte-identical transcripts and
-reports.
+mail or a live session, and route their outboxes. Delivery, each agent's
+inbox and routing all follow one order, `core.DELIVERY_ORDER` (send tick,
+session, sender, round). Stepping any other agent would do nothing, so the
+run is the same as stepping every agent. The tick is idle when no session
+is open (the marketplace keeps the count), no agent is live and no mail is
+pending; a stretch of idle ticks with no stale product is skipped up to
+the next posting, for the same reason. Two runs with the same scenario and
+seed produce byte-identical transcripts and reports.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import yaml
 
 from .agent import AgentState, PlanKind, PlanCondition, PlanLibrary, PlanRule, agent_step
 from .core import (
+    DELIVERY_ORDER,
     Agenda,
     AgendaError,
     AgentId,
@@ -122,6 +125,11 @@ class Scenario:
 # below validate that data into the frozen model above, naming the path of
 # the first violation.
 # ---------------------------------------------------------------------------
+
+#: Largest t_end. Ticks are compared with float deadlines (t0 + t_max_eff)
+#: and scaled as floats by the tactic kernels; past 2**53 a tick is no
+#: longer an exact float, and past float range it cannot be converted.
+MAX_T_END = 2**53
 
 _ROLES = {"buyer": Perspective.BUYER, "seller": Perspective.SELLER}
 _DIRECTIONS = {"ascending": Direction.ASCENDING, "descending": Direction.DESCENDING}
@@ -393,6 +401,8 @@ def load_scenario(document: str) -> Scenario:
     t_end = _as_int(_get(root, "t_end", "$", required=True), "$.t_end")
     if t_end <= 0:
         _fail("$.t_end", "t_end must be positive")
+    if t_end > MAX_T_END:
+        _fail("$.t_end", f"t_end must be at most 2**53 = {MAX_T_END}")
 
     options_node = _get(root, "options", "$")
     options = ScenarioOptions()
@@ -643,13 +653,13 @@ def run_simulation_with_market(
             _, outbox = agent_step(states[agent_id], inboxes.get(agent_id, []), now)
             outgoing.extend(outbox)
         live = {a for a in busy if len(states[a].agenda_db)}
-        outgoing.sort(key=lambda m: (m.sent_at, m.session, m.sender, m.round))
+        outgoing.sort(key=DELIVERY_ORDER)
         for msg in outgoing:
             market.route_message(msg)
         idle = (
-            not market.has_pending_messages()
-            and not market.open_sessions()
+            not market.open_count
             and not live
+            and not market.has_pending_messages()
         )
         if idle and now >= last_post and not market.prospective_matches():
             break

@@ -1,5 +1,6 @@
 """Agent runtime: proxy filtering, beliefs, plans, stepping, resolution."""
 
+import itertools
 import random
 
 import pytest
@@ -229,6 +230,24 @@ class TestPlans:
             )
         )
         assert select_plan(plans, PlanContext(target_met=True)) is PlanKind.ACCEPT
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rules=st.lists(
+            st.builds(
+                PlanRule, st.sampled_from(PlanCondition), st.sampled_from(PlanKind)
+            ),
+            max_size=6,
+        ),
+        last=st.sampled_from(PlanKind),
+    )
+    def test_memoised_choice_equals_select_plan(self, rules, last):
+        plans = PlanLibrary([*rules, PlanRule(PlanCondition.ALWAYS, last)])
+        for _ in range(2):  # fills the memo, then reads it
+            # (deadline passed, offer standing, target met, opening pending)
+            for facts in itertools.product((False, True), repeat=4):
+                ctx = PlanContext(False, *facts)  # no terminal goal
+                assert plans.choose(*facts) is select_plan(plans, ctx)
 
     def test_library_must_not_be_empty(self):
         with pytest.raises(ValueError):

@@ -116,6 +116,15 @@ class TestHostileInput:
         "rfq-without-issues": BILATERAL_FILE.replace(
             "{agent: buyer-1, product: vm}", "{agent: buyer-1, product: vm, issues: []}"
         ),
+        # Once validated as OK, then run into NaN offers: max - min is inf.
+        "overflowing-range": BILATERAL_FILE.replace(
+            "min: 10, max: 20}", "min: -1.0e+308, max: 1.0e+308}"
+        ),
+        # Once validated as OK, then run into an OverflowError converting a
+        # tick to float.
+        "ticks-past-float": BILATERAL_FILE.replace(
+            "t_end: 64", f"t_end: {10**309}"
+        ).replace("t_max: 20", f"t_max: {10**309}"),
     }
 
     @pytest.mark.parametrize("loader", ["libyaml", "pure"])
@@ -147,6 +156,16 @@ class TestHostileInput:
         scenario.write_text(self.DOCUMENTS[doc], encoding="utf-8")
         assert main(["validate", "--scenario", str(scenario)]) == 1
         assert f"{path}: expected at least one issue" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ("overflowing-range", "$.agents[0].agendas[0]: issue 'price': width of"),
+        ("ticks-past-float", "$.t_end: t_end must be at most 2**53"),
+    ])
+    def test_out_of_float_range_names_the_path(self, tmp_path, capsys, doc, message):
+        scenario = tmp_path / "hostile.yaml"
+        scenario.write_text(self.DOCUMENTS[doc], encoding="utf-8")
+        assert main(["validate", "--scenario", str(scenario)]) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["validate", "run", "report"])
     def test_non_utf8_input(self, tmp_path, capsys, verb):
@@ -250,6 +269,18 @@ class TestReport:
         '{"kind": "offer", "session": "s-1", "tick": true}',
     ])
     def test_rejects_record_with_mistyped_field(self, tmp_path, capsys, line):
+        path = tmp_path / "transcript.jsonl"
+        path.write_text('{"kind": "offer", "session": "s-1", "tick": 1}\n' + line + "\n")
+        assert main(["report", "--transcript", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: not a transcript record\n"
+
+    @pytest.mark.parametrize("line", [
+        # Valid JSON, nested past the decoder's recursion limit.
+        "[" * 100_000 + "]" * 100_000,
+        # Valid JSON, an integer past Python's 4300-digit conversion limit.
+        '{"kind": "offer", "session": "s-1", "tick": ' + "7" * 5000 + "}",
+    ], ids=["deep", "long-int"])
+    def test_rejects_json_python_will_not_build(self, tmp_path, capsys, line):
         path = tmp_path / "transcript.jsonl"
         path.write_text('{"kind": "offer", "session": "s-1", "tick": 1}\n' + line + "\n")
         assert main(["report", "--transcript", str(path)]) == 1

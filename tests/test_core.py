@@ -56,6 +56,12 @@ class TestValidateAgenda:
         with pytest.raises(BadRangeError):
             validate_agenda(agenda)
 
+    def test_width_beyond_float_range_rejected(self):
+        # min < max holds, but max - min is inf and offers would be NaN.
+        agenda = Agenda(issues=(make_issue(lo=-1.0e308, hi=1.0e308),), t_max=20)
+        with pytest.raises(BadRangeError, match="beyond float range"):
+            validate_agenda(agenda)
+
     def test_equal_range_rejected(self):
         agenda = Agenda(issues=(make_issue(lo=10.0, hi=10.0),), t_max=20)
         with pytest.raises(BadRangeError):

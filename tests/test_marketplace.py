@@ -28,6 +28,7 @@ from agorasim.marketplace import (
     compute_reputation,
     match_alliances,
     ranges_overlap,
+    transcript_line,
 )
 from agorasim.simulation import load_scenario, run_simulation_with_market
 from agorasim.tactics import Stance, classify_concession
@@ -54,6 +55,64 @@ def default_repo():
         ("buyer-1", Perspective.BUYER, "vm", {"price": (10, 20)}),
         ("seller-1", Perspective.SELLER, "vm", {"price": (10, 20)}),
     )
+
+
+def reference_transcript_line(msg: NegotiationMessage) -> str:
+    """The record built as a dict and encoded whole: what transcript_line
+    writes out field by field."""
+    values = None
+    if msg.package is not None:
+        values = {k: msg.package.values[k] for k in sorted(msg.package.values)}
+    record = {
+        "tick": msg.sent_at,
+        "session": msg.session,
+        "sender": msg.sender,
+        "receiver": msg.receiver,
+        "round": msg.round,
+        "kind": msg.kind.value,
+        "values": values,
+        "reason": msg.reason,
+    }
+    return marketplace._COMPACT_JSON.encode(record)
+
+
+# Non-ASCII, quotes, backslashes and control characters.
+json_text = st.text(st.sampled_from('ab-é€😀"\\/\x00\x1f\n\t\u2028'), max_size=6)
+json_numbers = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308]),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+)
+packages = st.one_of(
+    st.none(),
+    st.dictionaries(json_text, json_numbers, max_size=4),
+    st.dictionaries(st.integers(-3, 3), json_numbers, max_size=3),
+).map(lambda values: None if values is None else OfferPackage(values=values))
+
+
+messages = st.builds(
+    NegotiationMessage,
+    session=json_text,
+    sender=json_text,
+    receiver=json_text,
+    round=st.one_of(st.integers(-5, 10**12), st.booleans()),
+    sent_at=st.one_of(st.integers(0, 10**20), st.booleans()),
+    kind=st.sampled_from(MessageKind),
+    package=packages,
+    reason=st.one_of(st.none(), json_text),
+)
+
+
+class TestTranscriptLine:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(messages, min_size=1, max_size=3))
+    def test_equals_the_encoded_record(self, msgs):
+        expected = [reference_transcript_line(msg) for msg in msgs]
+        assert [transcript_line(msg) for msg in msgs] == expected
+        # As transcript_lines renders: one string cache for every line.
+        encoded: dict[str, str] = {}
+        assert [transcript_line(msg, encoded) for msg in msgs] == expected
 
 
 class TestRepository:
@@ -862,3 +921,4 @@ class TestIncrementalMatchmaking:
                     (m.buyer, m.seller, m.product, m.issue_ids) for m in commencing
                 ]
                 matched.update((m.rfq_id, m.ad_id) for m in expected)
+                assert market.open_count == len(market.open_sessions())

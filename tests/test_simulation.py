@@ -138,6 +138,12 @@ class TestLoadScenario:
         doc = MINIMAL.replace("{agent: s, product: vm}", "{agent: s, product: vm, posted_at: 30}")
         assert load_scenario(doc).advertisements[0].posted_at == 30
 
+    def test_t_end_at_the_float_limit_loads(self):
+        assert load_scenario(MINIMAL.replace("t_end: 30", f"t_end: {2**53}")).t_end == 2**53
+        with pytest.raises(ScenarioValidationError) as exc:
+            load_scenario(MINIMAL.replace("t_end: 30", f"t_end: {2**53 + 1}"))
+        assert exc.value.path == "$.t_end"
+
     def test_reserved_agent_prefix(self):
         doc = MINIMAL.replace("id: b", 'id: "@b"')
         with pytest.raises(ScenarioValidationError):
@@ -372,6 +378,44 @@ class TestRunSimulation:
         assert commence > 0 and offer > 0 and acquire > 0
         assert calls["threshold_crossing"] <= 2 * commence
         assert calls["weighted_utility"] <= commence + 2 * offer + 3 * acquire
+
+    def test_no_plan_context_on_the_step_path(self, monkeypatch):
+        # agent_step reads its plan from the library's memo; a PlanContext is
+        # only for callers of select_plan.
+        from agorasim.agent import PlanContext
+
+        built = []
+        real = PlanContext.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlanContext, "__init__", counted)
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "concurrent.yaml"
+        lines, _ = run_simulation(load_scenario(path.read_text(encoding="utf-8")))
+        assert any(json.loads(line)["kind"] == "offer" for line in lines)
+        assert built == []
+
+    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+    def test_open_count_equals_open_sessions(self, path, monkeypatch):
+        # run_matchmaking starts every tick, so it sees the count the last
+        # tick left.
+        seen = []
+        original = simulation.Marketplace.run_matchmaking
+
+        def checking(market, now):
+            seen.append((market.open_count, len(market.open_sessions())))
+            return original(market, now)
+
+        monkeypatch.setattr(simulation.Marketplace, "run_matchmaking", checking)
+        _, _, market = simulation.run_simulation_with_market(
+            load_scenario(path.read_text(encoding="utf-8"))
+        )
+        seen.append((market.open_count, len(market.open_sessions())))
+        assert len(seen) > 2
+        assert all(count == expected for count, expected in seen)
+        assert any(count for count, _ in seen)
 
 
 def _posted_at(document: str, tick: int) -> str:

@@ -153,9 +153,6 @@ class AgendaDB:
     def remove(self, session: SessionId) -> None:
         self._entries.pop(session, None)
 
-    def active(self) -> list[SessionId]:
-        return sorted(self._entries)
-
     def entries(self) -> list[SessionEntry]:
         """A snapshot of the live entries in insertion order."""
         return list(self._entries.values())
@@ -253,23 +250,11 @@ class PlanRule:
 
 
 DEFAULT_PLAN_RULES: tuple[PlanRule, ...] = (
-    PlanRule(PlanCondition.GOAL_TERMINAL, PlanKind.IDLE),
     PlanRule(PlanCondition.DEADLINE_PASSED, PlanKind.TERMINATE),
     PlanRule(PlanCondition.OFFER_STANDING, PlanKind.MAKE_COUNTER),
     PlanRule(PlanCondition.OPENING_PENDING, PlanKind.MAKE_OFFER),
     PlanRule(PlanCondition.ALWAYS, PlanKind.IDLE),
 )
-
-
-@dataclass(frozen=True)
-class PlanContext:
-    """Facts a plan trigger may test, assembled by agent_step."""
-
-    goal_terminal: bool = False
-    deadline_passed: bool = False
-    offer_standing: bool = False
-    target_met: bool = False
-    opening_pending: bool = False
 
 
 class PlanLibrary:
@@ -305,24 +290,25 @@ class PlanLibrary:
         target_met: bool,
         opening_pending: bool,
     ) -> PlanKind:
-        """select_plan for a context with these facts and no terminal goal."""
+        """The plan of the first rule whose trigger holds for these facts;
+        deterministic for fixed facts."""
         key = (deadline_passed, offer_standing, target_met, opening_pending)
         plan = self._memo.get(key)
         if plan is None:
-            plan = self._memo[key] = _first_match(self.rules, False, *key)
+            plan = self._memo[key] = _first_match(self.rules, *key)
         return plan
 
 
 def _first_match(
     rules: Sequence[PlanRule],
-    goal_terminal: bool,
     deadline_passed: bool,
     offer_standing: bool,
     target_met: bool,
     opening_pending: bool,
 ) -> PlanKind:
+    # GOAL_TERMINAL never holds: an agent keeps no entry for a closed session.
     holds = {
-        PlanCondition.GOAL_TERMINAL: goal_terminal,
+        PlanCondition.GOAL_TERMINAL: False,
         PlanCondition.DEADLINE_PASSED: deadline_passed,
         PlanCondition.OFFER_MEETS_TARGET: target_met,
         PlanCondition.OFFER_STANDING: offer_standing,
@@ -333,18 +319,6 @@ def _first_match(
         if holds[rule.when]:
             return rule.do
     return PlanKind.IDLE
-
-
-def select_plan(plans: PlanLibrary, ctx: PlanContext) -> PlanKind:
-    """First rule whose trigger matches; deterministic for a fixed context."""
-    return _first_match(
-        plans.rules,
-        ctx.goal_terminal,
-        ctx.deadline_passed,
-        ctx.offer_standing,
-        ctx.target_met,
-        ctx.opening_pending,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +467,11 @@ def _plan(state: AgentState, entry: SessionEntry, now: int) -> PlanKind:
 
 def agent_step(
     state: AgentState, inbox: Iterable[NegotiationMessage], now: int
-) -> tuple[AgentState, list[NegotiationMessage]]:
+) -> list[NegotiationMessage]:
     """One deliberation tick: filter, learn, adapt, plan, respond.
 
-    Deterministic in (state, inbox, now). Returns the mutated state and the
-    ordered outbox; rejected messages are logged, never raised.
+    Deterministic in (state, inbox, now). Mutates the state in place and
+    returns the ordered outbox; rejected messages are logged, never raised.
     """
     outbox: list[NegotiationMessage] = []
     level = state.resources.level_at(now)
@@ -628,4 +602,4 @@ def agent_step(
 
     if len(outbox) > 1:
         outbox.sort(key=lambda m: (m.session, m.round, m.kind.value))
-    return state, outbox
+    return outbox

@@ -19,7 +19,6 @@ from .simulation import (
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_USAGE = 2
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -39,9 +39,6 @@ class Perspective(Enum):
     BUYER = "buyer"
     SELLER = "seller"
 
-    def opposite(self) -> "Perspective":
-        return Perspective.SELLER if self is Perspective.BUYER else Perspective.BUYER
-
 
 class AgendaError(ValueError):
     """Base class for agenda invariant violations."""

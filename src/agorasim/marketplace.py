@@ -57,14 +57,6 @@ class AlreadyAgreedError(RuntimeError):
     """A party already holds an agreement for this product."""
 
 
-class UnknownSessionError(KeyError):
-    pass
-
-
-class SessionClosedError(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Advertisement repository
 # ---------------------------------------------------------------------------
@@ -667,6 +659,7 @@ class DeliveryStatus(Enum):
     UNKNOWN_SESSION = "unknown-session"
     NOT_PARTICIPANT = "not-participant"
     NOT_LAST_OFFER = "not-last-offer"
+    NOT_FROM_MARKET = "not-from-market"
     SESSION_CLOSED = "session-closed"
 
 
@@ -690,7 +683,7 @@ class Marketplace:
         self._matched: set[tuple[str, str]] = set()
         self._agreed: set[tuple[AgentId, ProductId]] = set()
         self._session_seq = 0
-        # Sessions commenced and not yet closed: len(open_sessions()).
+        # Sessions commenced and not yet closed.
         self.open_count = 0
         self._pending: dict[int, list[NegotiationMessage]] = {}
         self._log: list[NegotiationMessage] = []
@@ -800,7 +793,8 @@ class Marketplace:
 
         Acquire and Terminate close the session (exactly once); messages for
         unknown or closed sessions, messages from anyone but the session's
-        buyer and seller, and an acquire of anything but the other side's
+        buyer and seller, a commence (only the marketplace sends one, and it
+        does not route it) and an acquire of anything but the other side's
         last offer are counted against the sender and dropped. A delivery
         without compliance violations returns one shared result.
         """
@@ -810,6 +804,8 @@ class Marketplace:
         sender = msg.sender
         if sender != session.buyer and sender != session.seller:
             return self._reject(sender, DeliveryStatus.NOT_PARTICIPANT)
+        if msg.kind is MessageKind.COMMENCE:
+            return self._reject(sender, DeliveryStatus.NOT_FROM_MARKET)
         if not session.is_open:
             # A message crossing the close in the same tick is a benign race;
             # only sends after the sender could have learned of the closure
@@ -951,9 +947,6 @@ class Marketplace:
             if (m.buyer, m.product) not in self._agreed
             and (m.seller, m.product) not in self._agreed
         ]
-
-    def open_sessions(self) -> list[SessionId]:
-        return sorted(s for s, st in self.sessions.items() if st.is_open)
 
     def has_pending_messages(self) -> bool:
         return any(self._pending.values())

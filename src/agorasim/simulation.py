@@ -7,9 +7,11 @@ inbox and routing all follow one order, `core.DELIVERY_ORDER` (send tick,
 session, sender, round). Stepping any other agent would do nothing, so the
 run is the same as stepping every agent. The tick is idle when no session
 is open (the marketplace keeps the count), no agent is live and no mail is
-pending; a stretch of idle ticks with no stale product is skipped up to
-the next posting, for the same reason. Two runs with the same scenario and
-seed produce byte-identical transcripts and reports.
+pending. Then no product is stale either: matchmaking emptied the stale set
+this tick, and only a close refills it, after queueing its closing message.
+An idle tick at or after the last posting ends the run; an earlier one
+skips to the next posting. Two runs with the same scenario and seed
+produce byte-identical transcripts and reports.
 """
 
 from __future__ import annotations
@@ -650,26 +652,19 @@ def run_simulation_with_market(
         outgoing = []
         busy = sorted(live.union(a for a in inboxes if a in states))
         for agent_id in busy:
-            _, outbox = agent_step(states[agent_id], inboxes.get(agent_id, []), now)
+            outbox = agent_step(states[agent_id], inboxes.get(agent_id, []), now)
             outgoing.extend(outbox)
         live = {a for a in busy if len(states[a].agenda_db)}
         outgoing.sort(key=DELIVERY_ORDER)
         for msg in outgoing:
             market.route_message(msg)
-        idle = (
-            not market.open_count
-            and not live
-            and not market.has_pending_messages()
-        )
-        if idle and now >= last_post and not market.prospective_matches():
-            break
-        if idle and not market.repo.stale_products():
-            # Nothing can happen before the next posting: jump to it.
-            later = bisect.bisect_right(post_ticks, now)
-            target = post_ticks[later] if later < len(post_ticks) else scenario.t_end
-            now = max(now + 1, min(target, scenario.t_end))
-        else:
+        if market.open_count or live or market.has_pending_messages():
             now += 1
+        elif now >= last_post:
+            break
+        else:
+            # Nothing can happen before the next posting: jump to it.
+            now = post_ticks[bisect.bisect_right(post_ticks, now)]
 
     report = _build_report(scenario, seed, ticks, market)
     return market.transcript_lines(), report, market

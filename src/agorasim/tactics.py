@@ -63,10 +63,6 @@ class TacticParams:
     beta: float = 1.0
     stance: Stance = Stance.LINEAR
 
-    @classmethod
-    def from_stance(cls, stance: Stance, k: float = 0.0) -> "TacticParams":
-        return cls(k=k, beta=STANCE_BETA[stance], stance=stance)
-
 
 @dataclass(frozen=True)
 class ResourceProjection:

@@ -13,7 +13,6 @@ from agorasim.agent import (
     EmptyCandidatesError,
     FilterVerdict,
     PlanCondition,
-    PlanContext,
     PlanKind,
     PlanLibrary,
     PlanRule,
@@ -22,7 +21,6 @@ from agorasim.agent import (
     mean_lambda,
     proxy_filter,
     resolve_concurrent_agreements,
-    select_plan,
 )
 from agorasim.core import (
     CommenceInfo,
@@ -200,27 +198,18 @@ class TestBeliefs:
 
 
 class TestPlans:
+    # choose(deadline passed, offer standing, target met, opening pending)
     def test_default_library_order(self):
         plans = PlanLibrary.default()
-        assert select_plan(plans, PlanContext(goal_terminal=True)) is PlanKind.IDLE
-        assert (
-            select_plan(plans, PlanContext(deadline_passed=True))
-            is PlanKind.TERMINATE
-        )
-        assert (
-            select_plan(plans, PlanContext(offer_standing=True))
-            is PlanKind.MAKE_COUNTER
-        )
-        assert (
-            select_plan(plans, PlanContext(opening_pending=True))
-            is PlanKind.MAKE_OFFER
-        )
-        assert select_plan(plans, PlanContext()) is PlanKind.IDLE
+        assert plans.choose(True, False, False, False) is PlanKind.TERMINATE
+        assert plans.choose(False, True, False, False) is PlanKind.MAKE_COUNTER
+        assert plans.choose(False, False, False, True) is PlanKind.MAKE_OFFER
+        assert plans.choose(False, False, False, False) is PlanKind.IDLE
 
     def test_first_match_wins(self):
         plans = PlanLibrary.default()
-        ctx = PlanContext(goal_terminal=True, deadline_passed=True)
-        assert select_plan(plans, ctx) is PlanKind.IDLE
+        assert plans.choose(True, True, True, True) is PlanKind.TERMINATE
+        assert plans.choose(False, True, False, True) is PlanKind.MAKE_COUNTER
 
     def test_custom_accept_rule(self):
         plans = PlanLibrary(
@@ -229,7 +218,8 @@ class TestPlans:
                 PlanRule(PlanCondition.ALWAYS, PlanKind.IDLE),
             )
         )
-        assert select_plan(plans, PlanContext(target_met=True)) is PlanKind.ACCEPT
+        assert plans.choose(False, True, True, False) is PlanKind.ACCEPT
+        assert plans.choose(False, True, False, False) is PlanKind.IDLE
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -241,13 +231,24 @@ class TestPlans:
         ),
         last=st.sampled_from(PlanKind),
     )
-    def test_memoised_choice_equals_select_plan(self, rules, last):
+    def test_memoised_choice_equals_first_match(self, rules, last):
         plans = PlanLibrary([*rules, PlanRule(PlanCondition.ALWAYS, last)])
+
+        def first_match(facts):
+            deadline_passed, offer_standing, target_met, opening_pending = facts
+            holds = {
+                PlanCondition.GOAL_TERMINAL: False,
+                PlanCondition.DEADLINE_PASSED: deadline_passed,
+                PlanCondition.OFFER_MEETS_TARGET: target_met,
+                PlanCondition.OFFER_STANDING: offer_standing,
+                PlanCondition.OPENING_PENDING: opening_pending,
+                PlanCondition.ALWAYS: True,
+            }
+            return next(rule.do for rule in plans.rules if holds[rule.when])
+
         for _ in range(2):  # fills the memo, then reads it
-            # (deadline passed, offer standing, target met, opening pending)
             for facts in itertools.product((False, True), repeat=4):
-                ctx = PlanContext(False, *facts)  # no terminal goal
-                assert plans.choose(*facts) is select_plan(plans, ctx)
+                assert plans.choose(*facts) is first_match(facts)
 
     def test_library_must_not_be_empty(self):
         with pytest.raises(ValueError):
@@ -310,7 +311,7 @@ class TestAgentStep:
         agent.declared_agendas["vm"] = make_agenda(
             make_issue(direction=Direction.DESCENDING)
         )
-        _, outbox = agent_step(agent, [commence(sent_at=0)], now=1)
+        outbox = agent_step(agent, [commence(sent_at=0)], now=1)
         assert len(outbox) == 1
         offer = outbox[0]
         assert offer.kind is MessageKind.OFFER
@@ -322,7 +323,7 @@ class TestAgentStep:
         agent = self.buyer()
         entry = make_entry(role=Perspective.BUYER, initiator=True, t0=5)
         agent.agenda_db.add(entry)
-        _, outbox = agent_step(agent, [], now=5)
+        outbox = agent_step(agent, [], now=5)
         assert [m.kind for m in outbox] == [MessageKind.OFFER]
         assert outbox[0].package.values["price"] == pytest.approx(10.0)
 
@@ -351,7 +352,7 @@ class TestAgentStep:
             )], now=0)
         assert len(agent.agenda_db) == 0
         rng_state, tactic = agent.rng.getstate(), agent.tactic
-        _, outbox = agent_step(agent, [], now=now)
+        outbox = agent_step(agent, [], now=now)
         assert outbox == []
         assert agent.rng.getstate() == rng_state
         assert agent.tactic == tactic
@@ -360,7 +361,7 @@ class TestAgentStep:
     def test_non_initiator_waits(self):
         agent = self.buyer()
         agent.agenda_db.add(make_entry(initiator=False))
-        _, outbox = agent_step(agent, [], now=0)
+        outbox = agent_step(agent, [], now=0)
         assert outbox == []
 
     def test_acquires_offer_beating_planned_counter(self):
@@ -368,7 +369,7 @@ class TestAgentStep:
         agent.agenda_db.add(make_entry(t0=0))
         # at now=10 the buyer's planned counter is 15 (utility 0.5); an offer
         # of 12 is worth 0.8 to the buyer, so it acquires
-        _, outbox = agent_step(
+        outbox = agent_step(
             agent, [make_offer(values={"price": 12.0}, sent_at=9)], now=10
         )
         assert [m.kind for m in outbox] == [MessageKind.ACQUIRE]
@@ -378,7 +379,7 @@ class TestAgentStep:
     def test_counters_weak_offer(self):
         agent = self.buyer()
         agent.agenda_db.add(make_entry(t0=0))
-        _, outbox = agent_step(
+        outbox = agent_step(
             agent, [make_offer(values={"price": 19.0}, sent_at=1)], now=2
         )
         assert [m.kind for m in outbox] == [MessageKind.OFFER]
@@ -387,7 +388,7 @@ class TestAgentStep:
     def test_late_offer_terminates_and_removes_session(self):
         agent = self.buyer()
         agent.agenda_db.add(make_entry(t0=0, session_t_max=5, t_max_eff=5.0))
-        _, outbox = agent_step(
+        outbox = agent_step(
             agent, [make_offer(values={"price": 15.0}, sent_at=6, round=2)], now=6
         )
         assert [m.kind for m in outbox] == [MessageKind.TERMINATE]
@@ -396,7 +397,7 @@ class TestAgentStep:
     def test_deadline_sweep_without_messages(self):
         agent = self.buyer()
         agent.agenda_db.add(make_entry(t0=0, session_t_max=5, t_max_eff=5.0))
-        _, outbox = agent_step(agent, [], now=6)
+        outbox = agent_step(agent, [], now=6)
         assert [m.kind for m in outbox] == [MessageKind.TERMINATE]
         assert len(agent.agenda_db) == 0
 
@@ -408,8 +409,8 @@ class TestAgentStep:
                 make_entry(session=sid, t0=0, session_t_max=deadline,
                            t_max_eff=float(deadline))
             )
-        _, outbox = agent_step(agent, [], now=10)
-        assert agent.agenda_db.active() == ["s-2"]
+        outbox = agent_step(agent, [], now=10)
+        assert [e.session for e in agent.agenda_db.entries()] == ["s-2"]
         assert [(m.session, m.kind) for m in outbox] == [
             ("s-1", MessageKind.TERMINATE), ("s-3", MessageKind.TERMINATE),
         ]
@@ -432,7 +433,7 @@ class TestAgentStep:
     def test_rejected_messages_produce_no_reply(self):
         agent = self.buyer()
         agent.agenda_db.add(make_entry())
-        _, outbox = agent_step(
+        outbox = agent_step(
             agent, [make_offer(values={"price": 99.0}, sent_at=1)], now=2
         )
         assert outbox == []
@@ -441,7 +442,7 @@ class TestAgentStep:
         agent = self.buyer()
         entry = make_entry(role=Perspective.BUYER, initiator=True)
         agent.agenda_db.add(entry)
-        _, outbox = agent_step(agent, [], now=0)
+        outbox = agent_step(agent, [], now=0)
         assert outbox
         echo = NegotiationMessage(
             session="s-1", sender="buyer-1", receiver="buyer-1",
@@ -464,8 +465,8 @@ class TestAgentStep:
             make_offer(session="s-2", sender="seller-2",
                        values={"price": 13.0}, sent_at=3),
         ]
-        _, out_a = agent_step(fresh(), list(inbox), now=4)
-        _, out_b = agent_step(fresh(), list(inbox), now=4)
+        out_a = agent_step(fresh(), list(inbox), now=4)
+        out_b = agent_step(fresh(), list(inbox), now=4)
         assert [transcript_line(m) for m in out_a] == [
             transcript_line(m) for m in out_b
         ]
@@ -477,7 +478,7 @@ class TestAgentStep:
             session="s-1", sender="seller-1", receiver="buyer-1",
             round=0, sent_at=1, kind=MessageKind.TERMINATE, reason="deadline",
         )
-        _, outbox = agent_step(agent, [terminate], now=2)
+        outbox = agent_step(agent, [terminate], now=2)
         assert outbox == []
         assert "s-1" not in agent.agenda_db
 
@@ -489,7 +490,7 @@ class TestAgentStep:
             round=0, sent_at=1, kind=MessageKind.ACQUIRE,
             package=OfferPackage(values={"price": 15.0}),
         )
-        _, outbox = agent_step(agent, [acquire], now=2)
+        outbox = agent_step(agent, [acquire], now=2)
         assert outbox == []
         assert "s-1" not in agent.agenda_db
 
@@ -500,7 +501,7 @@ class TestAgentStep:
         agent = self.buyer()
         agent.resources = depleted
         agent.agenda_db.add(make_entry(t0=0, t_max_eff=20.0))
-        _, outbox = agent_step(
+        outbox = agent_step(
             agent, [make_offer(values={"price": 19.5}, sent_at=1)], now=2
         )
         assert [m.kind for m in outbox] == [MessageKind.TERMINATE]
@@ -520,8 +521,7 @@ class TestAgentStep:
             )
 
         def assert_fresh(agent):
-            for sid in agent.agenda_db.active():
-                entry = agent.agenda_db.get(sid)
+            for entry in agent.agenda_db.entries():
                 assert entry.t_max_eff == effective_deadline(
                     entry.session_t_max, agent.resources.shifted(entry.t0)
                 )
@@ -551,13 +551,13 @@ class TestAgentStep:
                  *PlanLibrary.default().rules)
         # At now=2 the planned counter is 11 (utility 0.9): the default rules
         # counter an offer of 13 (0.7), the target rule takes it (0.7 >= 0.6).
-        _, outbox = agent_step(
+        outbox = agent_step(
             self.target_rule_buyer(PlanLibrary.default().rules),
             [make_offer(values={"price": 13.0}, sent_at=1)], now=2,
         )
         assert [m.kind for m in outbox] == [MessageKind.OFFER]
         agent = self.target_rule_buyer(rules)
-        _, outbox = agent_step(
+        outbox = agent_step(
             agent, [make_offer(values={"price": 13.0}, sent_at=1)], now=2
         )
         assert [m.kind for m in outbox] == [MessageKind.ACQUIRE]
@@ -565,7 +565,7 @@ class TestAgentStep:
         assert "s-1" not in agent.agenda_db
         # An offer of 15 (0.5) misses the goal and is countered.
         agent = self.target_rule_buyer(rules)
-        _, outbox = agent_step(
+        outbox = agent_step(
             agent, [make_offer(values={"price": 15.0}, sent_at=1)], now=2
         )
         assert [m.kind for m in outbox] == [MessageKind.OFFER]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from agorasim import marketplace
 from agorasim.core import (
+    CommenceInfo,
     MessageKind,
     NegotiationMessage,
     OfferPackage,
@@ -388,7 +389,9 @@ class TestSessions:
         s1 = market.commence_negotiation(m1, now=0)
         s2 = market.commence_negotiation(m2, now=0)
         assert s1.session != s2.session
-        assert market.open_sessions() == [s1.session, s2.session]
+        assert [sid for sid, rec in market.sessions.items() if rec.is_open] == [
+            s1.session, s2.session,
+        ]
 
     def test_route_appends_and_delivers_next_tick(self):
         market = self.fresh_market()
@@ -423,6 +426,30 @@ class TestSessions:
         assert market.transcript_lines() == commenced
         assert market.due_messages(2) == {}
         stats = market.trust.record("outsider").stats
+        assert (stats.violations, stats.messages_sent) == (1, 0)
+
+    def test_commence_from_participant_dropped(self):
+        # Only the marketplace opens a session; a forged COMMENCE must not
+        # reach the other side, which would open an entry from its info.
+        market = self.fresh_market()
+        session = market.commence_negotiation(self.match(), now=0)
+        commenced = market.transcript_lines()
+        forged = CommenceInfo(
+            product="vm", issue_ids=("price",), t_max=10**6,
+            buyer="buyer-1", seller="seller-1", initiator="buyer-1",
+        )
+        result = market.route_message(
+            NegotiationMessage(
+                session=session.session, sender="seller-1", receiver="buyer-1",
+                round=0, sent_at=1, kind=MessageKind.COMMENCE, commence=forged,
+            )
+        )
+        assert result.status is DeliveryStatus.NOT_FROM_MARKET
+        assert result.violations == ("not-from-market",)
+        assert session.is_open
+        assert market.transcript_lines() == commenced
+        assert market.due_messages(2) == {}
+        stats = market.trust.record("seller-1").stats
         assert (stats.violations, stats.messages_sent) == (1, 0)
 
     def assert_forged_acquire_dropped(self, market, session, price):
@@ -867,7 +894,9 @@ class TestIncrementalMatchmaking:
             for tick in range(data.draw(st.integers(1, 16))):
                 for event in data.draw(st.lists(events, max_size=3)):
                     agent, product = data.draw(agents), data.draw(products)
-                    open_now = market.open_sessions()
+                    open_now = sorted(
+                        sid for sid, rec in market.sessions.items() if rec.is_open
+                    )
                     if event == "ad":
                         repo.submit_advertisement(
                             agent, product, posted_at=tick,
@@ -921,4 +950,6 @@ class TestIncrementalMatchmaking:
                     (m.buyer, m.seller, m.product, m.issue_ids) for m in commencing
                 ]
                 matched.update((m.rfq_id, m.ad_id) for m in expected)
-                assert market.open_count == len(market.open_sessions())
+                assert market.open_count == sum(
+                    rec.is_open for rec in market.sessions.values()
+                )

@@ -379,24 +379,6 @@ class TestRunSimulation:
         assert calls["threshold_crossing"] <= 2 * commence
         assert calls["weighted_utility"] <= commence + 2 * offer + 3 * acquire
 
-    def test_no_plan_context_on_the_step_path(self, monkeypatch):
-        # agent_step reads its plan from the library's memo; a PlanContext is
-        # only for callers of select_plan.
-        from agorasim.agent import PlanContext
-
-        built = []
-        real = PlanContext.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(1)
-            real(self, *args, **kwargs)
-
-        monkeypatch.setattr(PlanContext, "__init__", counted)
-        path = Path(__file__).resolve().parents[1] / "scenarios" / "concurrent.yaml"
-        lines, _ = run_simulation(load_scenario(path.read_text(encoding="utf-8")))
-        assert any(json.loads(line)["kind"] == "offer" for line in lines)
-        assert built == []
-
     @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
     def test_open_count_equals_open_sessions(self, path, monkeypatch):
         # run_matchmaking starts every tick, so it sees the count the last
@@ -404,15 +386,18 @@ class TestRunSimulation:
         seen = []
         original = simulation.Marketplace.run_matchmaking
 
+        def open_now(market):
+            return sum(session.is_open for session in market.sessions.values())
+
         def checking(market, now):
-            seen.append((market.open_count, len(market.open_sessions())))
+            seen.append((market.open_count, open_now(market)))
             return original(market, now)
 
         monkeypatch.setattr(simulation.Marketplace, "run_matchmaking", checking)
         _, _, market = simulation.run_simulation_with_market(
             load_scenario(path.read_text(encoding="utf-8"))
         )
-        seen.append((market.open_count, len(market.open_sessions())))
+        seen.append((market.open_count, open_now(market)))
         assert len(seen) > 2
         assert all(count == expected for count, expected in seen)
         assert any(count for count, _ in seen)
@@ -462,6 +447,30 @@ class TestEmptyTicks:
         run_simulation(load_scenario(_posted_at(self.BILATERAL, 10**8)))
         assert due[0] == 0 and due[1] == 10**8
         assert len(due) < 30
+
+    @pytest.mark.parametrize("source", [*SCENARIOS, *sorted(_marketgen().WORKLOADS)],
+                             ids=lambda s: getattr(s, "name", s))
+    def test_idle_ticks_leave_no_stale_product(self, monkeypatch, source):
+        # The tick loop ends or skips on an idle tick without matchmaking, so
+        # no product may be stale then. The loop asks for pending mail only
+        # once no session is open and no agent is live.
+        idle = []
+        original = simulation.Marketplace.has_pending_messages
+
+        def checking(market):
+            pending = original(market)
+            if not pending:
+                assert not market.repo.stale_products()
+                idle.append(market)
+            return pending
+
+        monkeypatch.setattr(simulation.Marketplace, "has_pending_messages", checking)
+        if isinstance(source, Path):
+            text = source.read_text(encoding="utf-8")
+        else:
+            text = _marketgen().generate(source, 0)
+        run_simulation(load_scenario(text))
+        assert idle
 
 
 class TestEmitReport:

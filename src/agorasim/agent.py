@@ -17,6 +17,7 @@ agent keeps nothing for a closed session.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -361,6 +362,7 @@ def resolve_concurrent_agreements(
 
 
 _SESSION = attrgetter("session")
+_SESSION_ROUND = attrgetter("session", "round")
 
 
 def _emit(
@@ -371,15 +373,16 @@ def _emit(
     package: Optional[OfferPackage] = None,
     reason: Optional[str] = None,
 ) -> NegotiationMessage:
+    # Positional: a NamedTuple builds from positions about twice as fast.
     msg = NegotiationMessage(
-        session=entry.session,
-        sender=state.agent_id,
-        receiver=entry.opponent,
-        round=entry.next_round,
-        sent_at=now,
-        kind=kind,
-        package=package,
-        reason=reason,
+        entry.session,  # session
+        state.agent_id,  # sender
+        entry.opponent,  # receiver
+        entry.next_round,  # round
+        now,  # sent_at
+        kind,
+        package,
+        reason,
     )
     entry.next_round += 1
     return msg
@@ -601,5 +604,28 @@ def agent_step(
             state.agenda_db.remove(sid)
 
     if len(outbox) > 1:
-        outbox.sort(key=lambda m: (m.session, m.round, m.kind.value))
+        # Each _emit takes the entry's next round, so no two messages here
+        # share a (session, round) pair.
+        outbox.sort(key=_SESSION_ROUND)
     return outbox
+
+
+def wake_threshold(state: AgentState) -> Optional[float]:
+    """The tick past which agent_step has work for this agent without mail.
+
+    None when the agent holds no entry. An unopened initiator entry makes it
+    -inf (the opening is pending at every tick); otherwise it is the earliest
+    entry deadline, past which the sweep terminates that entry. At or before
+    it, a step with an empty inbox sweeps nothing, opens nothing, resolves
+    nothing and draws no random number: it returns [] and changes nothing.
+    """
+    if not state.agenda_db:
+        return None
+    threshold = math.inf
+    for entry in state.agenda_db.entries():
+        if entry.initiator and not entry.opened:
+            return -math.inf
+        # A NaN deadline never passes, so `<` rightly skips it.
+        if entry.deadline < threshold:
+            threshold = entry.deadline
+    return threshold

@@ -139,7 +139,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return EXIT_FAILURE
     sessions: dict[str, dict] = {}
     kinds: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Records end at "\n" only: str.splitlines would also break inside a
+    # string that holds U+0085, U+2028 or U+2029, which run writes raw.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

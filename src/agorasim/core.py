@@ -3,15 +3,22 @@
 All types are immutable values; agents and the marketplace exchange them
 without copying or locking. Invariants are enforced by validate_agenda rather
 than in constructors so tests can build deliberately broken agendas.
+
+The records built once per message, `OfferPackage` and `NegotiationMessage`
+(and `tactics.Response`), are `typing.NamedTuple`s: one is built by a single
+tuple construction, where a frozen dataclass sets each field in turn. Their
+fields are read by name as before and cannot be assigned. Being tuples, they
+also compare equal to a plain tuple of the same fields and can be unpacked,
+and a modified copy is made with `_replace`, not `dataclasses.replace`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import kernels
 
@@ -101,8 +108,7 @@ class Agenda:
 ValidatedAgenda = Agenda
 
 
-@dataclass(frozen=True)
-class OfferPackage:
+class OfferPackage(NamedTuple):
     """One round's offered value per issue."""
 
     values: Mapping[IssueId, float]
@@ -133,8 +139,7 @@ class CommenceInfo:
     initiator: AgentId
 
 
-@dataclass(frozen=True)
-class NegotiationMessage:
+class NegotiationMessage(NamedTuple):
     """Protocol envelope; `round` is a per-sender sequence within a session."""
 
     session: SessionId
@@ -216,8 +221,8 @@ def issue_score(spec: IssueSpec, offered: float, perspective: Perspective) -> fl
 
 def restrict_agenda(agenda: ValidatedAgenda, issue_ids: Iterable[IssueId]) -> ValidatedAgenda:
     """Restrict an agenda to a shared issue subset, renormalizing weights."""
-    wanted = list(issue_ids)
-    kept = [spec for spec in agenda.issues if spec.issue_id in set(wanted)]
+    wanted = set(issue_ids)
+    kept = [spec for spec in agenda.issues if spec.issue_id in wanted]
     if not kept:
         raise EmptyAgendaError("restriction removed every issue")
     total = sum(spec.weight for spec in kept)

@@ -33,6 +33,7 @@ from .core import (
     IssueId,
     MARKETPLACE_ID,
     MessageKind,
+    MissingIssueError,
     NegotiationMessage,
     OfferPackage,
     Perspective,
@@ -388,6 +389,11 @@ class SessionState:
     close_reason: Optional[str] = None
     # Creation order within the marketplace; orders the watchdog's sums.
     seq: int = 0
+    # Per participant, (issue, min, max) for each session issue its declared
+    # agenda has, in issue_ids order, as declared at COMMENCE.
+    bounds: dict[AgentId, tuple[tuple[IssueId, float, float], ...]] = field(
+        default_factory=dict
+    )
 
     @property
     def is_open(self) -> bool:
@@ -405,6 +411,20 @@ class SessionState:
             if msg.kind is MessageKind.OFFER and msg.sender == sender:
                 return msg.package
         return None
+
+
+def _declared_bounds(
+    agenda: ValidatedAgenda, issue_ids: Sequence[IssueId]
+) -> tuple[tuple[IssueId, float, float], ...]:
+    """(issue, min, max) of each of the issues that the agenda declares."""
+    bounds = []
+    for issue_id in issue_ids:
+        try:
+            spec = agenda.issue(issue_id)
+        except MissingIssueError:
+            continue
+        bounds.append((issue_id, spec.min_value, spec.max_value))
+    return tuple(bounds)
 
 
 # One shared encoder: json.dumps with non-default arguments builds a new one
@@ -461,14 +481,16 @@ def transcript_line(
     """
     if encoded is None:
         encoded = {}
-    package = msg.package
+    # One unpack reads every field; a NamedTuple field read by name is a
+    # descriptor call each.
+    session, sender, receiver, round_, tick, kind, package, reason, _ = msg
     values = "null" if package is None else _package_json(package.values, encoded)
-    tick, round_, kind, reason = msg.sent_at, msg.round, msg.kind.value, msg.reason
+    kind = kind.value
     return (
         f'{{"tick":{int.__repr__(tick) if type(tick) is int else _json(tick, encoded)},'
-        f'"session":{encoded.get(msg.session) or _json(msg.session, encoded)},'
-        f'"sender":{encoded.get(msg.sender) or _json(msg.sender, encoded)},'
-        f'"receiver":{encoded.get(msg.receiver) or _json(msg.receiver, encoded)},'
+        f'"session":{encoded.get(session) or _json(session, encoded)},'
+        f'"sender":{encoded.get(sender) or _json(sender, encoded)},'
+        f'"receiver":{encoded.get(receiver) or _json(receiver, encoded)},'
         f'"round":{int.__repr__(round_) if type(round_) is int else _json(round_, encoded)},'
         f'"kind":{encoded.get(kind) or _json(kind, encoded)},'
         f'"values":{values},'
@@ -748,6 +770,10 @@ class Marketplace:
             commence_at=now,
             t_max=t_max,
             seq=self._session_seq,
+            bounds={
+                match.buyer: _declared_bounds(buyer_agenda, match.issue_ids),
+                match.seller: _declared_bounds(seller_agenda, match.issue_ids),
+            },
         )
         self.sessions[session.session] = session
         self.open_count += 1
@@ -856,7 +882,8 @@ class Marketplace:
     ) -> list[str]:
         """Sender-side compliance: a terminate past the deadline is the
         protocol-required teardown, and offers are held to the sender's own
-        declared ranges (the receiver's space is the receiver's filter)."""
+        declared ranges as captured at COMMENCE (the receiver's space is the
+        receiver's filter)."""
         found = []
         if (
             msg.kind is not MessageKind.TERMINATE
@@ -864,18 +891,11 @@ class Marketplace:
         ):
             found.append("past-deadline")
         if msg.kind is MessageKind.OFFER and msg.package is not None:
-            sender_agenda = self.repo.declared_agenda(msg.sender, session.product)
-            if sender_agenda is not None:
-                for issue_id in session.issue_ids:
-                    try:
-                        spec = sender_agenda.issue(issue_id)
-                    except KeyError:
-                        continue
-                    offered = msg.package.values.get(issue_id)
-                    if offered is None or not (
-                        spec.min_value <= offered <= spec.max_value
-                    ):
-                        found.append(f"out-of-space:{issue_id}")
+            values = msg.package.values
+            for issue_id, lo, hi in session.bounds.get(msg.sender, ()):
+                offered = values.get(issue_id)
+                if offered is None or not lo <= offered <= hi:
+                    found.append(f"out-of-space:{issue_id}")
         return found
 
     # -- watchdog ----------------------------------------------------------

@@ -2,16 +2,18 @@
 
 One tick runs: post ads/RFQs due, matchmake the products whose matches may
 have changed, deliver due messages, step in id order the agents that have
-mail or a live session, and route their outboxes. Delivery, each agent's
-inbox and routing all follow one order, `core.DELIVERY_ORDER` (send tick,
-session, sender, round). Stepping any other agent would do nothing, so the
-run is the same as stepping every agent. The tick is idle when no session
-is open (the marketplace keeps the count), no agent is live and no mail is
-pending. Then no product is stale either: matchmaking emptied the stale set
-this tick, and only a close refills it, after queueing its closing message.
-An idle tick at or after the last posting ends the run; an earlier one
-skips to the next posting. Two runs with the same scenario and seed
-produce byte-identical transcripts and reports.
+mail or are past their wake threshold (`agent.wake_threshold`: an opening
+is pending or an entry's deadline has passed), and route their outboxes.
+Delivery, each agent's inbox and routing all follow one order,
+`core.DELIVERY_ORDER` (send tick, session, sender, round). Stepping any
+other agent would do nothing, so the run is the same as stepping every
+agent. The tick is idle when no session is open (the marketplace keeps the
+count), no agent holds a live entry and no mail is pending. Then no product
+is stale either: matchmaking emptied the stale set this tick, and only a
+close refills it, after queueing its closing message. An idle tick at or
+after the last posting ends the run; an earlier one skips to the next
+posting. Two runs with the same scenario and seed produce byte-identical
+transcripts and reports.
 """
 
 from __future__ import annotations
@@ -25,7 +27,15 @@ from typing import Any, Optional
 
 import yaml
 
-from .agent import AgentState, PlanKind, PlanCondition, PlanLibrary, PlanRule, agent_step
+from .agent import (
+    AgentState,
+    PlanCondition,
+    PlanKind,
+    PlanLibrary,
+    PlanRule,
+    agent_step,
+    wake_threshold,
+)
 from .core import (
     DELIVERY_ORDER,
     Agenda,
@@ -627,10 +637,15 @@ def run_simulation_with_market(
     post_ticks = sorted({*ads_by_tick, *rfqs_by_tick})
     last_post = max([0, *post_ticks])
 
-    # Agents with a live session after their last step. An agent outside it
-    # with no mail has nothing to do: agent_step would return no messages
-    # and change nothing, so it is not called.
-    live: set[AgentId] = set()
+    # Wake rule: per agent holding a live entry, agent.wake_threshold after
+    # its last step. An agent steps at a tick when it has mail or the tick
+    # is past its threshold: it holds an unopened initiator entry, or its
+    # earliest entry deadline has passed. Any other step would find no
+    # expired entry, an empty inbox, no opening to send and no agreement to
+    # resolve: it would send nothing, change nothing and draw no random
+    # number, so it is not called. Entries change only in a step, so the
+    # thresholds stay true until the agent steps again.
+    wake: dict[AgentId, float] = {}
     ticks = 0
     now = 0
     while now <= scenario.t_end:
@@ -650,15 +665,20 @@ def run_simulation_with_market(
         market.run_matchmaking(now)
         inboxes = market.due_messages(now)
         outgoing = []
-        busy = sorted(live.union(a for a in inboxes if a in states))
-        for agent_id in busy:
-            outbox = agent_step(states[agent_id], inboxes.get(agent_id, []), now)
-            outgoing.extend(outbox)
-        live = {a for a in busy if len(states[a].agenda_db)}
+        busy = {a for a in inboxes if a in states}
+        busy.update(a for a, threshold in wake.items() if now > threshold)
+        for agent_id in sorted(busy):
+            state = states[agent_id]
+            outgoing.extend(agent_step(state, inboxes.get(agent_id, []), now))
+            threshold = wake_threshold(state)
+            if threshold is None:
+                wake.pop(agent_id, None)
+            else:
+                wake[agent_id] = threshold
         outgoing.sort(key=DELIVERY_ORDER)
         for msg in outgoing:
             market.route_message(msg)
-        if market.open_count or live or market.has_pending_messages():
+        if market.open_count or wake or market.has_pending_messages():
             now += 1
         elif now >= last_post:
             break

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import kernels
 from .core import (
@@ -91,8 +91,7 @@ class ResponseKind(Enum):
     COUNTER = "counter"
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     """Outcome of evaluating an incoming offer: accept it, quit, or counter."""
 
     kind: ResponseKind
@@ -107,8 +106,12 @@ def aggregate_utility(
     Raises MissingIssueError when the package does not cover the agenda and
     OutOfRangeError when any value falls outside its issue's range.
     """
+    values = package.values
     for spec in agenda.issues:
-        check_in_range(spec, package.value(spec.issue_id))
+        offered = values.get(spec.issue_id)
+        if offered is None or not spec.min_value <= offered <= spec.max_value:
+            # Raise what the checks raise: MissingIssueError or OutOfRangeError.
+            check_in_range(spec, package.value(spec.issue_id))
     return kernels.weighted_utility(
         agenda.issues, package.values, perspective is Perspective.BUYER
     )
@@ -159,7 +162,7 @@ def generate_offer_package(
         values[spec.issue_id] = kernels.offer_value(
             spec.min_value, spec.max_value, f, spec.direction is Direction.ASCENDING
         )
-    return OfferPackage(values=values)
+    return OfferPackage(values)
 
 
 def concession_rate(o_minus2: float, o_minus1: float, o_now: float) -> Optional[float]:
@@ -228,11 +231,11 @@ def decide_response(
     otherwise send the counter.
     """
     if incoming.sent_at > t_max_eff:
-        return Response(kind=ResponseKind.TERMINATE)
+        return Response(ResponseKind.TERMINATE)
     if incoming.package is None:
         raise MissingIssueError("incoming message carries no offer package")
     mine = aggregate_utility(agenda, planned_counter, perspective)
     theirs = aggregate_utility(agenda, incoming.package, perspective)
     if mine <= theirs:
-        return Response(kind=ResponseKind.ACQUIRE, package=incoming.package)
-    return Response(kind=ResponseKind.COUNTER, package=planned_counter)
+        return Response(ResponseKind.ACQUIRE, incoming.package)
+    return Response(ResponseKind.COUNTER, planned_counter)

@@ -1,5 +1,6 @@
 """Agent runtime: proxy filtering, beliefs, plans, stepping, resolution."""
 
+import copy
 import itertools
 import random
 
@@ -21,6 +22,7 @@ from agorasim.agent import (
     mean_lambda,
     proxy_filter,
     resolve_concurrent_agreements,
+    wake_threshold,
 )
 from agorasim.core import (
     CommenceInfo,
@@ -357,6 +359,59 @@ class TestAgentStep:
         assert agent.rng.getstate() == rng_state
         assert agent.tactic == tactic
         assert len(agent.agenda_db) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sessions=st.lists(
+            st.tuples(
+                st.integers(0, 50),            # t0
+                st.floats(0.0, 60.0),          # t_max_eff
+                st.booleans(),                 # initiator
+                st.booleans(),                 # opened
+                st.lists(st.floats(10.0, 20.0), max_size=3),  # offers received
+            ),
+            max_size=4,
+        ),
+        now=st.integers(0, 120),
+        role=st.sampled_from(list(Perspective)),
+        jitter=st.floats(0.0, 1.0),
+    )
+    def test_step_without_work_is_a_no_op(self, sessions, now, role, jitter):
+        # The simulation steps an agent without mail only at a tick past its
+        # wake threshold. At or before it, a step with no mail, no expired
+        # entry and no pending opening must send nothing and change nothing.
+        agent = make_agent(role=role, jitter=jitter, rng=random.Random(now))
+        for i, (t0, t_max_eff, initiator, opened, offers) in enumerate(sessions):
+            entry = make_entry(
+                session=f"s-{i}", role=role, t0=t0, t_max_eff=t_max_eff,
+                initiator=initiator,
+            )
+            entry.opened = opened
+            entry.recent = tuple(OfferPackage({"price": v}) for v in offers)
+            agent.agenda_db.add(entry)
+        threshold = wake_threshold(agent)
+        assert (threshold is None) == (not sessions)
+        if threshold is not None and now > threshold:
+            return
+        before = copy.deepcopy(agent.agenda_db.entries())
+        rng_state, tactic = agent.rng.getstate(), agent.tactic
+        assert agent_step(agent, [], now=now) == []
+        assert agent.agenda_db.entries() == before
+        assert agent.tactic == tactic
+        assert agent.rng.getstate() == rng_state
+
+    def test_wake_threshold_names_the_work(self):
+        agent = self.buyer()
+        assert wake_threshold(agent) is None
+        agent.agenda_db.add(make_entry(session="s-1", t0=3, t_max_eff=10.5))
+        agent.agenda_db.add(make_entry(session="s-2", t0=0, t_max_eff=12.0))
+        assert wake_threshold(agent) == 12.0
+        # At tick 12 nothing has expired; at 13 s-2 has.
+        assert agent_step(agent, [], now=12) == []
+        assert [m.session for m in agent_step(agent, [], now=13)] == ["s-2"]
+        assert wake_threshold(agent) == 13.5
+        agent.agenda_db.add(make_entry(session="s-3", initiator=True, t0=20))
+        assert wake_threshold(agent) == float("-inf")
 
     def test_non_initiator_waits(self):
         agent = self.buyer()

@@ -247,6 +247,27 @@ class TestReport:
         assert "sessions: 1" in out
         assert "agreed" in out
 
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"],
+                             ids=["NEL", "LS", "PS"])
+    def test_reads_what_run_wrote_with_unicode_line_breaks(self, tmp_path, capsys, char):
+        # The transcript writes non-ASCII characters raw, and these three are
+        # line breaks to str.splitlines but not to the transcript format.
+        name = "buyer" + char + "1"
+        escaped = "buyer\\u%04x1" % ord(char)
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            BILATERAL_FILE.replace("buyer-1", f'"{escaped}"'), encoding="utf-8"
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario), "--out", str(out_dir)]) == 0
+        transcript = out_dir / "transcript.jsonl"
+        assert name in transcript.read_text(encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--transcript", str(transcript)]) == 0
+        out = capsys.readouterr().out
+        assert "sessions: 1" in out
+        assert "agreed" in out
+
     def test_rejects_non_transcript_file(self, tmp_path, capsys):
         path = tmp_path / "junk.txt"
         path.write_text("not json\n", encoding="utf-8")

@@ -10,6 +10,9 @@ from agorasim.core import (
     BadRangeError,
     EmptyAgendaError,
     IssueSpec,
+    MessageKind,
+    NegotiationMessage,
+    OfferPackage,
     OutOfRangeError,
     Perspective,
     WeightSumViolation,
@@ -17,6 +20,7 @@ from agorasim.core import (
     restrict_agenda,
     validate_agenda,
 )
+from agorasim.tactics import Response, ResponseKind
 from conftest import make_agenda, make_issue
 
 
@@ -180,3 +184,39 @@ class TestRestrictAgenda:
     def test_empty_restriction_rejected(self):
         with pytest.raises(EmptyAgendaError):
             restrict_agenda(make_agenda(), ["nonexistent"])
+
+
+class TestRecords:
+    """The per-message records are NamedTuples: immutable, tuple-equal."""
+
+    RECORDS = {
+        "offer-package": OfferPackage({"price": 15.0}),
+        "message": NegotiationMessage(
+            session="s-1", sender="seller-1", receiver="buyer-1", round=0,
+            sent_at=1, kind=MessageKind.OFFER, package=OfferPackage({"price": 15.0}),
+        ),
+        "response": Response(kind=ResponseKind.COUNTER, package=OfferPackage({"price": 15.0})),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_fields_cannot_be_assigned(self, name):
+        record = self.RECORDS[name]
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    def test_copies_are_made_with_replace(self):
+        msg = self.RECORDS["message"]
+        later = msg._replace(round=1, sent_at=3)
+        assert (later.round, later.sent_at) == (1, 3)
+        assert later._replace(round=0, sent_at=1) == msg
+        assert (msg.round, msg.sent_at) == (0, 1)
+
+    def test_equal_to_the_tuple_of_their_fields(self):
+        package = OfferPackage({"price": 15.0})
+        assert package == ({"price": 15.0},)
+        (values,) = package
+        assert values == {"price": 15.0}
+        assert Response(ResponseKind.TERMINATE) == (ResponseKind.TERMINATE, None)

@@ -482,6 +482,32 @@ class TestSessions:
         market.due_messages(2)
         self.assert_forged_acquire_dropped(market, session, 14.0)
 
+    @pytest.mark.parametrize("values", [
+        {"price": 14.0},
+        {"price": 15.000000000000002},
+        {"price": 15.0, "cpu": 2.0},
+        {},
+    ], ids=["other-value", "next-float", "extra-issue", "no-issue"])
+    def test_acquire_of_a_differing_package_dropped(self, values):
+        market = self.fresh_market()
+        session = market.commence_negotiation(self.match(), now=0)
+        market.route_message(self.offer(session.session, value=15.0, sent_at=1))
+        market.due_messages(2)
+        acquire = NegotiationMessage(
+            session=session.session, sender="buyer-1", receiver="seller-1",
+            round=0, sent_at=2, kind=MessageKind.ACQUIRE,
+            package=OfferPackage(values=values),
+        )
+        result = market.route_message(acquire)
+        assert result.status is DeliveryStatus.NOT_LAST_OFFER
+        assert session.is_open
+        # The same values in a package of their own are the last offer.
+        accepted = market.route_message(
+            acquire._replace(package=OfferPackage(values={"price": 15.0}))
+        )
+        assert accepted.status is DeliveryStatus.DELIVERED
+        assert session.outcome is SessionOutcome.AGREED
+
     def test_closed_session_rejects_offers(self):
         market = self.fresh_market()
         session = market.commence_negotiation(self.match(), now=0)
@@ -550,6 +576,69 @@ class TestSessions:
             self.offer(session.session, value=99.0, sent_at=2, round=1)
         )
         assert market.trust.record("seller-1").stats.violations == 2
+
+
+ISSUES = ("cpu", "price", "ram")
+
+
+def scanned_violations(market, session, msg):
+    """Compliance violations as routing found them by scanning the sender's
+    declared agenda with Agenda.issue() for every offer; the reference for
+    the bounds captured at COMMENCE."""
+    found = []
+    if (
+        msg.kind is not MessageKind.TERMINATE
+        and msg.sent_at - session.commence_at > session.t_max
+    ):
+        found.append("past-deadline")
+    if msg.kind is MessageKind.OFFER and msg.package is not None:
+        agenda = market.repo.declared_agenda(msg.sender, session.product)
+        if agenda is not None:
+            for issue_id in session.issue_ids:
+                try:
+                    spec = agenda.issue(issue_id)
+                except KeyError:
+                    continue
+                offered = msg.package.values.get(issue_id)
+                if offered is None or not spec.min_value <= offered <= spec.max_value:
+                    found.append(f"out-of-space:{issue_id}")
+    return tuple(found)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seller_issues=st.sets(st.sampled_from(ISSUES), min_size=1),
+    session_issues=st.lists(st.sampled_from(ISSUES), min_size=1, max_size=3, unique=True),
+    sender=st.sampled_from(["buyer-1", "seller-1"]),
+    values=st.none() | st.dictionaries(
+        st.sampled_from(ISSUES),
+        st.sampled_from([10.0, 12.0, 20.0, 25.0]) | st.floats(0.0, 40.0),
+    ),
+    sent_at=st.integers(0, 40),
+)
+def test_route_violations_match_declared_agenda_scan(
+    seller_issues, session_issues, sender, values, sent_at
+):
+    # The buyer declares every issue on [10, 20]; the seller declares some
+    # on [12, 25], so a session issue may be missing from its agenda.
+    market = Marketplace()
+    market.repo = repo_with(
+        ("buyer-1", Perspective.BUYER, "vm", {i: (10, 20) for i in ISSUES}),
+        ("seller-1", Perspective.SELLER, "vm", {i: (12, 25) for i in seller_issues}),
+    )
+    match = Match("rfq-1", "ad-1", "vm", "buyer-1", "seller-1", tuple(session_issues))
+    session = market.commence_negotiation(match, now=0)
+    msg = NegotiationMessage(
+        session=session.session, sender=sender,
+        receiver="seller-1" if sender == "buyer-1" else "buyer-1",
+        round=0, sent_at=sent_at, kind=MessageKind.OFFER,
+        package=None if values is None else OfferPackage(values=values),
+    )
+    expected = scanned_violations(market, session, msg)
+    result = market.route_message(msg)
+    assert result.status is DeliveryStatus.DELIVERED
+    assert result.violations == expected
+    assert market.trust.record(sender).stats.violations == len(expected)
 
 
 def assert_trust_matches_bruteforce(market):

@@ -1,12 +1,17 @@
 """Scenario loading, kernel runs, replay determinism, report rendering."""
 
+import bisect
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
 from agorasim import simulation, yamlload
+from agorasim.agent import DEFAULT_PLAN_RULES, PlanCondition, PlanKind, PlanRule
+from agorasim.core import DELIVERY_ORDER
+from agorasim.marketplace import Marketplace
 from agorasim.simulation import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -471,6 +476,138 @@ class TestEmptyTicks:
             text = _marketgen().generate(source, 0)
         run_simulation(load_scenario(text))
         assert idle
+
+
+def _polling_run(scenario):
+    """The tick loop as it was before wake thresholds: every agent that holds
+    a live entry steps on every tick. The reference the wake rule must
+    reproduce byte for byte."""
+    seed = scenario.seed
+    market = Marketplace(require_overlap=scenario.options.require_overlap)
+    states = simulation.build_agent_states(scenario, seed)
+    for spec in sorted(scenario.agents, key=lambda s: s.agent_id):
+        market.repo.register_agent(spec.agent_id, spec.role)
+        for product in sorted(spec.agendas):
+            market.repo.declare_agenda(spec.agent_id, product, spec.agendas[product])
+    ads_by_tick, rfqs_by_tick = {}, {}
+    for ad in scenario.advertisements:
+        ads_by_tick.setdefault(ad.posted_at, []).append(ad)
+    for rfq in scenario.rfqs:
+        rfqs_by_tick.setdefault(rfq.posted_at, []).append(rfq)
+    post_ticks = sorted({*ads_by_tick, *rfqs_by_tick})
+    last_post = max([0, *post_ticks])
+    live = set()
+    ticks = now = 0
+    while now <= scenario.t_end:
+        ticks = now
+        for ad in ads_by_tick.get(now, []):
+            market.repo.submit_advertisement(ad.agent, ad.product, issues=ad.issues, posted_at=now)
+        for rfq in rfqs_by_tick.get(now, []):
+            market.repo.submit_rfq(
+                rfq.agent, rfq.product, issues=rfq.issues,
+                min_reputation=rfq.min_reputation, posted_at=now,
+            )
+        market.run_matchmaking(now)
+        inboxes = market.due_messages(now)
+        outgoing = []
+        busy = sorted(live.union(a for a in inboxes if a in states))
+        for agent_id in busy:
+            outgoing.extend(simulation.agent_step(states[agent_id], inboxes.get(agent_id, []), now))
+        live = {a for a in busy if len(states[a].agenda_db)}
+        outgoing.sort(key=DELIVERY_ORDER)
+        for msg in outgoing:
+            market.route_message(msg)
+        if market.open_count or live or market.has_pending_messages():
+            now += 1
+        elif now >= last_post:
+            break
+        else:
+            now = post_ticks[bisect.bisect_right(post_ticks, now)]
+    report = simulation._build_report(scenario, seed, ticks, market)
+    return market.transcript_lines(), report, market
+
+
+def _with_rules(scenario, rules):
+    """The scenario with every agent on the given plan rules."""
+    return replace(
+        scenario, agents=tuple(replace(a, plan_rules=rules) for a in scenario.agents)
+    )
+
+
+_DEADLINE, _COUNTER, _OPENING, _IDLE = DEFAULT_PLAN_RULES
+#: Plan libraries that change when openings go out and when offers are taken.
+PLAN_VARIANTS = {
+    "default": None,
+    "opening-idle": (
+        _DEADLINE, _COUNTER, PlanRule(PlanCondition.OPENING_PENDING, PlanKind.IDLE), _IDLE,
+    ),
+    "standing-accept": (
+        _DEADLINE, PlanRule(PlanCondition.OFFER_STANDING, PlanKind.ACCEPT), _OPENING, _IDLE,
+    ),
+    "target-first": (
+        PlanRule(PlanCondition.OFFER_MEETS_TARGET, PlanKind.ACCEPT), *DEFAULT_PLAN_RULES,
+    ),
+}
+
+
+def _outputs(run):
+    lines, report, market = run
+    return lines, emit_report(report), market.trust.export_lines()
+
+
+def _tiny_workload(name, seed):
+    marketgen = _marketgen()
+    return load_scenario(marketgen.generate(name, seed, **marketgen.WORKLOADS[name].tiny))
+
+
+class TestWakeUps:
+    @pytest.mark.parametrize("variant", sorted(PLAN_VARIANTS))
+    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+    def test_shipped_scenarios_match_polling(self, path, variant):
+        scenario = load_scenario(path.read_text(encoding="utf-8"))
+        rules = PLAN_VARIANTS[variant]
+        if rules is not None:
+            scenario = _with_rules(scenario, rules)
+        expected = _outputs(_polling_run(scenario))
+        assert _outputs(simulation.run_simulation_with_market(scenario)) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("workload", sorted(_marketgen().WORKLOADS))
+    def test_workloads_match_polling(self, workload, seed):
+        scenario = _tiny_workload(workload, seed)
+        expected = _outputs(_polling_run(scenario))
+        assert _outputs(simulation.run_simulation_with_market(scenario)) == expected
+
+    @pytest.mark.parametrize("variant", sorted(set(PLAN_VARIANTS) - {"default"}))
+    @pytest.mark.parametrize("workload", sorted(_marketgen().WORKLOADS))
+    def test_workload_plan_variants_match_polling(self, workload, variant):
+        scenario = _with_rules(_tiny_workload(workload, 0), PLAN_VARIANTS[variant])
+        expected = _outputs(_polling_run(scenario))
+        assert _outputs(simulation.run_simulation_with_market(scenario)) == expected
+
+    @pytest.mark.parametrize("source", ["concurrent.yaml", "long-negotiation"])
+    def test_no_step_without_work(self, monkeypatch, source):
+        # A step with an empty inbox is only taken when an opening is pending
+        # or an entry's deadline has passed; anything else is polling.
+        steps = []
+        original = simulation.agent_step
+
+        def checking(state, inbox, now):
+            if not inbox:
+                assert any(
+                    (e.initiator and not e.opened) or now > e.deadline
+                    for e in state.agenda_db.entries()
+                ), f"{state.agent_id} stepped at tick {now} with nothing to do"
+            steps.append(now)
+            return original(state, inbox, now)
+
+        monkeypatch.setattr(simulation, "agent_step", checking)
+        if source.endswith(".yaml"):
+            text = (SCENARIOS[0].parent / source).read_text(encoding="utf-8")
+        else:
+            text = _marketgen().generate(source, 0)
+        run_simulation(load_scenario(text))
+        assert steps
 
 
 class TestEmitReport:

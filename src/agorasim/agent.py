@@ -236,7 +236,6 @@ class PlanKind(Enum):
 
 
 class PlanCondition(Enum):
-    GOAL_TERMINAL = "goal_terminal"
     DEADLINE_PASSED = "deadline_passed"
     OFFER_MEETS_TARGET = "offer_meets_target"
     OFFER_STANDING = "offer_standing"
@@ -307,9 +306,7 @@ def _first_match(
     target_met: bool,
     opening_pending: bool,
 ) -> PlanKind:
-    # GOAL_TERMINAL never holds: an agent keeps no entry for a closed session.
     holds = {
-        PlanCondition.GOAL_TERMINAL: False,
         PlanCondition.DEADLINE_PASSED: deadline_passed,
         PlanCondition.OFFER_MEETS_TARGET: target_met,
         PlanCondition.OFFER_STANDING: offer_standing,
@@ -613,17 +610,25 @@ def agent_step(
 def wake_threshold(state: AgentState) -> Optional[float]:
     """The tick past which agent_step has work for this agent without mail.
 
-    None when the agent holds no entry. An unopened initiator entry makes it
-    -inf (the opening is pending at every tick); otherwise it is the earliest
-    entry deadline, past which the sweep terminates that entry. At or before
-    it, a step with an empty inbox sweeps nothing, opens nothing, resolves
-    nothing and draws no random number: it returns [] and changes nothing.
+    None when the agent holds no entry. It is -inf when an unopened
+    initiator entry's plan before its deadline is MAKE_OFFER (the opening
+    goes out at the next step); otherwise it is the earliest entry deadline,
+    past which the sweep terminates that entry. That plan reads only facts
+    that change with mail, so an opening not due now is not due later
+    without mail. At or before the threshold, a step with an empty inbox
+    sweeps nothing, opens nothing, resolves nothing and draws no random
+    number: it returns [] and changes nothing.
     """
     if not state.agenda_db:
         return None
     threshold = math.inf
     for entry in state.agenda_db.entries():
-        if entry.initiator and not entry.opened:
+        if (
+            entry.initiator
+            and not entry.opened
+            # At the deadline tick itself the deadline has not yet passed.
+            and _plan(state, entry, entry.deadline) is PlanKind.MAKE_OFFER
+        ):
             return -math.inf
         # A NaN deadline never passes, so `<` rightly skips it.
         if entry.deadline < threshold:

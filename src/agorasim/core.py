@@ -92,7 +92,6 @@ class Agenda:
 
     issues: tuple[IssueSpec, ...]
     t_max: int
-    t_min: int = 0
 
     def issue_ids(self) -> tuple[IssueId, ...]:
         return tuple(spec.issue_id for spec in self.issues)
@@ -191,10 +190,8 @@ def validate_agenda(agenda: Agenda) -> ValidatedAgenda:
         total += spec.weight
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise WeightSumViolation(f"issue weights sum to {total!r}, expected 1")
-    if agenda.t_min < 0 or agenda.t_min > agenda.t_max:
-        raise BadDeadlineError(
-            f"deadline window [{agenda.t_min}, {agenda.t_max}] is invalid"
-        )
+    if agenda.t_max < 0:
+        raise BadDeadlineError(f"deadline t_max {agenda.t_max} is negative")
     return agenda
 
 
@@ -236,4 +233,4 @@ def restrict_agenda(agenda: ValidatedAgenda, issue_ids: Iterable[IssueId]) -> Va
         )
         for spec in kept
     )
-    return validate_agenda(Agenda(issues=rescaled, t_max=agenda.t_max, t_min=agenda.t_min))
+    return validate_agenda(Agenda(issues=rescaled, t_max=agenda.t_max))

@@ -31,6 +31,7 @@ from .core import (
     AgentId,
     CommenceInfo,
     IssueId,
+    IssueSpec,
     MARKETPLACE_ID,
     MessageKind,
     MissingIssueError,
@@ -63,19 +64,12 @@ class AlreadyAgreedError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IssueRange:
-    issue_id: IssueId
-    min_value: float
-    max_value: float
-
-
-@dataclass(frozen=True)
 class Advertisement:
     ad_id: str
     agent: AgentId
     product: ProductId
-    role: Perspective
-    issues: tuple[IssueRange, ...]
+    # The advertiser's declared specs of the advertised issues.
+    issues: tuple[IssueSpec, ...]
     posted_at: int
 
     def issue_ids(self) -> tuple[IssueId, ...]:
@@ -163,16 +157,14 @@ class AdvertisementRepository:
         ad_id: Optional[str] = None,
     ) -> str:
         """Store an ad derived from the agent's declared agenda; returns its id."""
-        role = self.agent_role(agent)
+        self.agent_role(agent)
         agenda = self.declared_agenda(agent, product)
         if agenda is None:
             raise UnknownAgentError(f"{agent!r} declared no agenda for {product!r}")
-        wanted = tuple(issues) if issues is not None else agenda.issue_ids()
-        ranges = tuple(
-            IssueRange(s.issue_id, s.min_value, s.max_value)
-            for s in agenda.issues
-            if s.issue_id in set(wanted)
-        )
+        specs = agenda.issues
+        if issues is not None:
+            wanted = set(issues)
+            specs = tuple(s for s in specs if s.issue_id in wanted)
         if ad_id is None:
             self._ad_seq += 1
             ad_id = f"ad-{self._ad_seq}"
@@ -182,8 +174,7 @@ class AdvertisementRepository:
             ad_id=ad_id,
             agent=agent,
             product=product,
-            role=role,
-            issues=ranges,
+            issues=specs,
             posted_at=posted_at,
         )
         self._ads[ad_id] = ad
@@ -728,21 +719,24 @@ class Marketplace:
         now if it did not then, so the result equals a pass over every RFQ.
         Reputations must change through recompute_trust for this to hold.
         """
-        stale = self.repo.take_stale()
-        if not stale:
-            return []
-        created = []
-        for match in match_alliances(
+        found, startable = self._matches(self.repo.take_stale())
+        self._matched.update((m.rfq_id, m.ad_id) for m in found)
+        return [self.commence_negotiation(m, now) for m in startable]
+
+    def _matches(self, products: set[ProductId]) -> tuple[list[Match], list[Match]]:
+        """The new matches of the products, and those of them whose parties
+        hold no agreement for the product yet."""
+        if not products:
+            return [], []
+        found = match_alliances(
             self.repo, self.trust, exclude=self._matched,
-            require_overlap=self.require_overlap, products=stale,
-        ):
-            self._matched.add((match.rfq_id, match.ad_id))
-            if (match.buyer, match.product) in self._agreed:
-                continue
-            if (match.seller, match.product) in self._agreed:
-                continue
-            created.append(self.commence_negotiation(match, now))
-        return created
+            require_overlap=self.require_overlap, products=products,
+        )
+        agreed = self._agreed
+        return found, [
+            m for m in found
+            if (m.buyer, m.product) not in agreed and (m.seller, m.product) not in agreed
+        ]
 
     def commence_negotiation(self, match: Match, now: int) -> SessionState:
         """Open a session for a match and introduce both parties.
@@ -955,18 +949,7 @@ class Marketplace:
     def prospective_matches(self) -> list[Match]:
         """Matches that would commence next tick; read-only probe of the
         stale products."""
-        stale = self.repo.stale_products()
-        if not stale:
-            return []
-        found = match_alliances(
-            self.repo, self.trust, exclude=self._matched,
-            require_overlap=self.require_overlap, products=stale,
-        )
-        return [
-            m for m in found
-            if (m.buyer, m.product) not in self._agreed
-            and (m.seller, m.product) not in self._agreed
-        ]
+        return self._matches(self.repo.stale_products())[1]
 
     def has_pending_messages(self) -> bool:
         return any(self._pending.values())

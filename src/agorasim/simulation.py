@@ -3,7 +3,7 @@
 One tick runs: post ads/RFQs due, matchmake the products whose matches may
 have changed, deliver due messages, step in id order the agents that have
 mail or are past their wake threshold (`agent.wake_threshold`: an opening
-is pending or an entry's deadline has passed), and route their outboxes.
+is due or an entry's deadline has passed), and route their outboxes.
 Delivery, each agent's inbox and routing all follow one order,
 `core.DELIVERY_ORDER` (send tick, session, sender, round). Stepping any
 other agent would do nothing, so the run is the same as stepping every
@@ -149,14 +149,34 @@ _STANCES = {s.value: s for s in Stance}
 _PLAN_CONDITIONS = {c.value: c for c in PlanCondition}
 _PLAN_KINDS = {k.value: k for k in PlanKind}
 
+#: The keys each scenario mapping accepts, the ones its parser reads.
+#: scenarios/README.md documents every key; a test keeps the two equal.
+KEYS: dict[str, frozenset[str]] = {
+    "root": frozenset({"name", "seed", "t_end", "options", "agents", "advertisements", "rfqs"}),
+    "options": frozenset({"require_overlap"}),
+    "agent": frozenset({"id", "role", "tactic", "resources", "jitter", "agendas", "plan_rules"}),
+    "tactic": frozenset({"stance", "k", "beta"}),
+    "resources": frozenset({"threshold", "schedule"}),
+    "agenda": frozenset({"product", "t_max", "issues"}),
+    "issue": frozenset({"id", "weight", "min", "max", "direction"}),
+    "plan_rule": frozenset({"when", "do"}),
+    "advertisement": frozenset({"agent", "product", "issues", "posted_at"}),
+    "rfq": frozenset({"agent", "product", "issues", "min_reputation", "posted_at"}),
+}
+
 
 def _fail(path: str, reason: str) -> Any:
     raise ScenarioValidationError(path, reason)
 
 
-def _as_map(node: Any, path: str) -> dict:
+def _as_map(node: Any, path: str, keys: frozenset[str]) -> dict:
+    """The node as a mapping whose every key is in `keys`; an unknown key
+    fails at its own path, so a misspelling cannot take a default."""
     if not isinstance(node, dict):
         _fail(path, f"expected a mapping, got {type(node).__name__}")
+    if not keys.issuperset(node):
+        key = next(k for k in node if k not in keys)
+        _fail(f"{path}.{key}", f"unknown key; expected one of {sorted(keys)}")
     return node
 
 
@@ -211,7 +231,7 @@ def _enum(value: Any, table: dict, path: str) -> Any:
 def _parse_tactic(node: Any, path: str) -> TacticParams:
     if node is None:
         return TacticParams()
-    node = _as_map(node, path)
+    node = _as_map(node, path, KEYS["tactic"])
     stance = _enum(_get(node, "stance", path, default="linear"), _STANCES, f"{path}.stance")
     k = _as_float(_get(node, "k", path, default=0.0), f"{path}.k")
     if not 0.0 <= k <= 1.0:
@@ -226,7 +246,7 @@ def _parse_tactic(node: Any, path: str) -> TacticParams:
 def _parse_resources(node: Any, path: str) -> ResourceProjection:
     if node is None:
         return ResourceProjection()
-    node = _as_map(node, path)
+    node = _as_map(node, path, KEYS["resources"])
     threshold = _as_float(_get(node, "threshold", path, default=0.1), f"{path}.threshold")
     if not 0.0 < threshold < 1.0:
         _fail(f"{path}.threshold", f"threshold must lie in (0, 1), got {threshold}")
@@ -254,10 +274,9 @@ def _parse_resources(node: Any, path: str) -> ResourceProjection:
 
 
 def _parse_agenda(node: Any, path: str, role: Perspective) -> tuple[ProductId, ValidatedAgenda]:
-    node = _as_map(node, path)
+    node = _as_map(node, path, KEYS["agenda"])
     product = _as_str(_get(node, "product", path, required=True), f"{path}.product")
     t_max = _as_int(_get(node, "t_max", path, required=True), f"{path}.t_max")
-    t_min = _as_int(_get(node, "t_min", path, default=0), f"{path}.t_min")
     default_direction = (
         Direction.ASCENDING if role is Perspective.BUYER else Direction.DESCENDING
     )
@@ -266,7 +285,7 @@ def _parse_agenda(node: Any, path: str, role: Perspective) -> tuple[ProductId, V
         _as_list(_get(node, "issues", path, required=True), f"{path}.issues")
     ):
         ipath = f"{path}.issues[{i}]"
-        issue_node = _as_map(issue_node, ipath)
+        issue_node = _as_map(issue_node, ipath, KEYS["issue"])
         direction_node = _get(issue_node, "direction", ipath)
         direction = (
             default_direction
@@ -283,7 +302,7 @@ def _parse_agenda(node: Any, path: str, role: Perspective) -> tuple[ProductId, V
             )
         )
     try:
-        agenda = validate_agenda(Agenda(issues=tuple(issues), t_max=t_max, t_min=t_min))
+        agenda = validate_agenda(Agenda(issues=tuple(issues), t_max=t_max))
     except AgendaError as exc:
         _fail(path, str(exc))
     return product, agenda
@@ -295,7 +314,7 @@ def _parse_plan_rules(node: Any, path: str) -> Optional[tuple[PlanRule, ...]]:
     rules = []
     for i, rule_node in enumerate(_as_list(node, path)):
         rpath = f"{path}[{i}]"
-        rule_node = _as_map(rule_node, rpath)
+        rule_node = _as_map(rule_node, rpath, KEYS["plan_rule"])
         when = _enum(_get(rule_node, "when", rpath, required=True), _PLAN_CONDITIONS, f"{rpath}.when")
         do = _enum(_get(rule_node, "do", rpath, required=True), _PLAN_KINDS, f"{rpath}.do")
         rules.append(PlanRule(when, do))
@@ -307,7 +326,7 @@ def _parse_plan_rules(node: Any, path: str) -> Optional[tuple[PlanRule, ...]]:
 
 
 def _parse_agent(node: Any, path: str) -> AgentSpec:
-    node = _as_map(node, path)
+    node = _as_map(node, path, KEYS["agent"])
     agent_id = _as_str(_get(node, "id", path, required=True), f"{path}.id")
     if agent_id.startswith("@"):
         _fail(f"{path}.id", "agent ids starting with '@' are reserved")
@@ -393,7 +412,8 @@ def load_scenario(document: str) -> Scenario:
     for a tagged value that cannot be constructed and for a collection
     nested more than `yamlload.MAX_DEPTH` levels deep (under the pure parser
     a tagged document may hit that error a little short of the cap); raises
-    ScenarioValidationError (with a path) for schema violations.
+    ScenarioValidationError (with a path) for schema violations, a key the
+    mapping does not accept among them.
     """
     try:
         root = yaml.load(document, Loader=_yaml_loader())
@@ -404,7 +424,7 @@ def load_scenario(document: str) -> Scenario:
         raise ScenarioParseError(line, reason) from None
     if root is None:
         raise ScenarioValidationError("$", "empty document")
-    root = _as_map(root, "$")
+    root = _as_map(root, "$", KEYS["root"])
 
     name = _as_str(_get(root, "name", "$", default="scenario"), "$.name")
     seed = _as_int(_get(root, "seed", "$", default=0), "$.seed")
@@ -419,7 +439,7 @@ def load_scenario(document: str) -> Scenario:
     options_node = _get(root, "options", "$")
     options = ScenarioOptions()
     if options_node is not None:
-        options_node = _as_map(options_node, "$.options")
+        options_node = _as_map(options_node, "$.options", KEYS["options"])
         options = ScenarioOptions(
             require_overlap=_as_bool(
                 _get(options_node, "require_overlap", "$.options", default=True),
@@ -448,7 +468,7 @@ def load_scenario(document: str) -> Scenario:
     ads = []
     for i, node in enumerate(_as_list(_get(root, "advertisements", "$", default=[]), "$.advertisements")):
         path = f"$.advertisements[{i}]"
-        node = _as_map(node, path)
+        node = _as_map(node, path, KEYS["advertisement"])
         agent, product, issues = _check_posting(node, path, agents)
         posted_at = _posting_tick(node, path, t_end)
         ads.append(AdSpec(agent=agent, product=product, issues=issues, posted_at=posted_at))
@@ -456,7 +476,7 @@ def load_scenario(document: str) -> Scenario:
     rfqs = []
     for i, node in enumerate(_as_list(_get(root, "rfqs", "$", default=[]), "$.rfqs")):
         path = f"$.rfqs[{i}]"
-        node = _as_map(node, path)
+        node = _as_map(node, path, KEYS["rfq"])
         agent, product, issues = _check_posting(node, path, agents)
         min_reputation = _as_float(
             _get(node, "min_reputation", path, default=0.0), f"{path}.min_reputation"
@@ -639,12 +659,12 @@ def run_simulation_with_market(
 
     # Wake rule: per agent holding a live entry, agent.wake_threshold after
     # its last step. An agent steps at a tick when it has mail or the tick
-    # is past its threshold: it holds an unopened initiator entry, or its
-    # earliest entry deadline has passed. Any other step would find no
-    # expired entry, an empty inbox, no opening to send and no agreement to
-    # resolve: it would send nothing, change nothing and draw no random
-    # number, so it is not called. Entries change only in a step, so the
-    # thresholds stay true until the agent steps again.
+    # is past its threshold: an opening is due, or its earliest entry
+    # deadline has passed. Any other step would find no expired entry, an
+    # empty inbox, no opening to send and no agreement to resolve: it would
+    # send nothing, change nothing and draw no random number, so it is not
+    # called. Entries change only in a step, so the thresholds stay true
+    # until the agent steps again.
     wake: dict[AgentId, float] = {}
     ticks = 0
     now = 0
@@ -757,37 +777,12 @@ def emit_report(report: SimulationReport) -> str:
         lines.extend("  " + line for line in _table(headers, rows))
     lines.append("")
     lines.append("--- record ---")
+    # Every field of the report records, read from their own __dict__s
+    # (dataclasses.asdict writes the same bytes but deep-copies each value).
     record = {
-        "scenario": report.scenario,
-        "seed": report.seed,
-        "ticks": report.ticks,
-        "sessions": [
-            {
-                "session": s.session,
-                "product": s.product,
-                "buyer": s.buyer,
-                "seller": s.seller,
-                "outcome": s.outcome,
-                "reason": s.reason,
-                "rounds": s.rounds,
-                "buyer_utility": s.buyer_utility,
-                "seller_utility": s.seller_utility,
-                "closed_at": s.closed_at,
-            }
-            for s in report.sessions
-        ],
-        "agents": [
-            {
-                "agent": a.agent,
-                "behavior_norm": a.behavior_norm,
-                "stance": a.stance,
-                "reputation": a.reputation,
-                "agreements": a.agreements,
-                "sessions_observed": a.sessions_observed,
-                "violations": a.violations,
-            }
-            for a in report.agents
-        ],
+        **vars(report),
+        "sessions": [vars(s) for s in report.sessions],
+        "agents": [vars(a) for a in report.agents],
     }
     lines.append(json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False))
     lines.append("")

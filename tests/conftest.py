@@ -34,10 +34,10 @@ def make_issue(
     )
 
 
-def make_agenda(*issues: IssueSpec, t_max: int = 20, t_min: int = 0) -> Agenda:
+def make_agenda(*issues: IssueSpec, t_max: int = 20) -> Agenda:
     if not issues:
         issues = (make_issue(),)
-    return validate_agenda(Agenda(issues=tuple(issues), t_max=t_max, t_min=t_min))
+    return validate_agenda(Agenda(issues=tuple(issues), t_max=t_max))
 
 
 def make_offer(

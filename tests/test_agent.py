@@ -239,7 +239,6 @@ class TestPlans:
         def first_match(facts):
             deadline_passed, offer_standing, target_met, opening_pending = facts
             holds = {
-                PlanCondition.GOAL_TERMINAL: False,
                 PlanCondition.DEADLINE_PASSED: deadline_passed,
                 PlanCondition.OFFER_MEETS_TARGET: target_met,
                 PlanCondition.OFFER_STANDING: offer_standing,
@@ -258,7 +257,7 @@ class TestPlans:
 
     def test_library_needs_catch_all(self):
         with pytest.raises(ValueError):
-            PlanLibrary((PlanRule(PlanCondition.GOAL_TERMINAL, PlanKind.IDLE),))
+            PlanLibrary((PlanRule(PlanCondition.DEADLINE_PASSED, PlanKind.IDLE),))
 
 
 class TestPollResources:

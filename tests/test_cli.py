@@ -70,6 +70,21 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "agendas" in err
 
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_misspelled_key_names_its_path(self, tmp_path, capsys, verb):
+        # Before keys were checked, the typo validated OK and the run used
+        # the default stance.
+        path = tmp_path / "typo.yaml"
+        path.write_text(
+            BILATERAL_SCENARIO.replace("{stance: conceder", "{stanse: conceder", 1),
+            encoding="utf-8",
+        )
+        out = ["--out", str(tmp_path / "out")] if verb == "run" else []
+        assert main([verb, "--scenario", str(path), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "$.agents[0].tactic.stanse: unknown key" in err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--scenario", str(tmp_path / "nope.yaml")]) == 1
         assert "error" in capsys.readouterr().err

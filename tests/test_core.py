@@ -72,12 +72,7 @@ class TestValidateAgenda:
             validate_agenda(agenda)
 
     def test_bad_deadline(self):
-        agenda = Agenda(issues=(make_issue(),), t_max=10, t_min=11)
-        with pytest.raises(BadDeadlineError):
-            validate_agenda(agenda)
-
-    def test_negative_t_min(self):
-        agenda = Agenda(issues=(make_issue(),), t_max=10, t_min=-1)
+        agenda = Agenda(issues=(make_issue(),), t_max=-1)
         with pytest.raises(BadDeadlineError):
             validate_agenda(agenda)
 
@@ -102,11 +97,11 @@ class TestValidateAgenda:
             make_issue("memory", weight=0.3),
             make_issue("disk", weight=0.2),
         )
-        validate_agenda(Agenda(issues=base, t_max=20, t_min=2))
+        validate_agenda(Agenda(issues=base, t_max=20))
         broken = [
             Agenda(issues=(), t_max=20),
             Agenda(issues=base[:2], t_max=20),  # weights no longer sum to 1
-            Agenda(issues=base, t_max=1, t_min=2),
+            Agenda(issues=base, t_max=-1),
             Agenda(
                 issues=(base[0], base[1], make_issue("disk", weight=0.2, lo=5, hi=5)),
                 t_max=20,

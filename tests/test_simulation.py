@@ -1,7 +1,9 @@
 """Scenario loading, kernel runs, replay determinism, report rendering."""
 
 import bisect
+import copy
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 import yaml
 
 from agorasim import simulation, yamlload
-from agorasim.agent import DEFAULT_PLAN_RULES, PlanCondition, PlanKind, PlanRule
+from agorasim.agent import DEFAULT_PLAN_RULES, PlanCondition, PlanKind, PlanRule, _plan
 from agorasim.core import DELIVERY_ORDER
 from agorasim.marketplace import Marketplace
 from agorasim.simulation import (
@@ -21,7 +23,8 @@ from agorasim.simulation import (
 )
 from test_golden import _marketgen
 
-SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))
+SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+SCENARIOS = sorted(SCENARIOS_DIR.glob("*.yaml"))
 
 MINIMAL = """
 name: minimal
@@ -46,6 +49,61 @@ advertisements:
 rfqs:
   - {agent: b, product: vm}
 """
+
+
+#: A scenario that uses every mapping the loader reads.
+FULL = {
+    "name": "full",
+    "seed": 3,
+    "t_end": 30,
+    "options": {"require_overlap": True},
+    "agents": [
+        {
+            "id": "b",
+            "role": "buyer",
+            "tactic": {"stance": "linear", "k": 0.0, "beta": 1.0},
+            "resources": {"threshold": 0.2, "schedule": [[0, 1.0]]},
+            "jitter": 0.0,
+            "plan_rules": [{"when": "always", "do": "idle"}],
+            "agendas": [{
+                "product": "vm",
+                "t_max": 10,
+                "issues": [{"id": "price", "weight": 1.0, "min": 10, "max": 20,
+                            "direction": "ascending"}],
+            }],
+        },
+        {
+            "id": "s",
+            "role": "seller",
+            "agendas": [{
+                "product": "vm",
+                "t_max": 10,
+                "issues": [{"id": "price", "weight": 1.0, "min": 10, "max": 20}],
+            }],
+        },
+    ],
+    "advertisements": [{"agent": "s", "product": "vm", "issues": ["price"], "posted_at": 0}],
+    "rfqs": [{"agent": "b", "product": "vm", "issues": ["price"], "min_reputation": 0.9,
+              "posted_at": 0}],
+}
+
+#: Per mapping: the route to one in FULL, a key, its misspelling and the
+#: path the loader must name.
+MISSPELLED = {
+    "root": ((), "t_end", "t_ned", "$.t_ned"),
+    "options": (("options",), "require_overlap", "require_overlab", "$.options.require_overlab"),
+    "agent": (("agents", 1), "role", "rol", "$.agents[1].rol"),
+    "tactic": (("agents", 0, "tactic"), "stance", "stanse", "$.agents[0].tactic.stanse"),
+    "resources": (("agents", 0, "resources"), "threshold", "treshold",
+                  "$.agents[0].resources.treshold"),
+    "agenda": (("agents", 0, "agendas", 0), "t_max", "tmax", "$.agents[0].agendas[0].tmax"),
+    "issue": (("agents", 1, "agendas", 0, "issues", 0), "weight", "wieght",
+              "$.agents[1].agendas[0].issues[0].wieght"),
+    "plan_rule": (("agents", 0, "plan_rules", 0), "do", "then",
+                  "$.agents[0].plan_rules[0].then"),
+    "advertisement": (("advertisements", 0), "posted_at", "posted", "$.advertisements[0].posted"),
+    "rfq": (("rfqs", 0), "min_reputation", "min_reputaton", "$.rfqs[0].min_reputaton"),
+}
 
 
 class TestLoadScenario:
@@ -154,6 +212,47 @@ class TestLoadScenario:
         with pytest.raises(ScenarioValidationError):
             load_scenario(doc)
 
+    @pytest.mark.parametrize("mapping", sorted(MISSPELLED))
+    def test_misspelled_key_fails_at_its_path(self, mapping):
+        route, key, typo, path = MISSPELLED[mapping]
+        doc = copy.deepcopy(FULL)
+        node = doc
+        for step in route:
+            node = node[step]
+        node[typo] = node.pop(key)
+        with pytest.raises(ScenarioValidationError) as exc:
+            load_scenario(yaml.safe_dump(doc, sort_keys=False))
+        assert exc.value.path == path
+        assert exc.value.reason.startswith("unknown key")
+
+    @pytest.mark.parametrize("old, new, path", [
+        # Agenda.t_min was validated and then read by nothing.
+        ("        t_max: 10\n", "        t_max: 10\n        t_min: 0\n",
+         "$.agents[0].agendas[0].t_min"),
+        # The goal_terminal condition never held.
+        ("    agendas:", "    plan_rules:\n      - {when: goal_terminal, do: idle}\n"
+         "      - {when: always, do: idle}\n    agendas:",
+         "$.agents[0].plan_rules[0].when"),
+    ], ids=["t_min", "goal_terminal"])
+    def test_removed_knobs_fail_at_their_path(self, old, new, path):
+        with pytest.raises(ScenarioValidationError) as exc:
+            load_scenario(MINIMAL.replace(old, new, 1))
+        assert exc.value.path == path
+
+    def test_readme_lists_the_accepted_keys(self):
+        # scenarios/README.md has one "## <mapping>" section per mapping,
+        # with one table row per key; the doc must not drift from the code.
+        documented: dict[str, set[str]] = {}
+        section = None
+        for line in (SCENARIOS_DIR / "README.md").read_text(encoding="utf-8").splitlines():
+            heading = re.match(r"## `(\w+)`", line)
+            if heading:
+                section = documented.setdefault(heading.group(1), set())
+            row = re.match(r"\| `(\w+)` \|", line)
+            if row and section is not None:
+                section.add(row.group(1))
+        assert documented == {name: set(keys) for name, keys in simulation.KEYS.items()}
+
 
 # Malformed documents and the line their ScenarioParseError names, which
 # must not depend on the loader.
@@ -205,7 +304,10 @@ class TestLoaders:
         return MINIMAL + "junk:\n" + " [\n" * brackets + " " + "]" * brackets + "\n"
 
     def test_nesting_at_the_depth_cap_loads(self, yaml_loader):
-        assert load_scenario(self.nested(yamlload.MAX_DEPTH)) == load_scenario(MINIMAL)
+        # The document parses: the error is the unknown key, not the depth.
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(self.nested(yamlload.MAX_DEPTH))
+        assert err.value.path == "$.junk"
 
     def test_nesting_past_the_depth_cap_names_its_line(self, yaml_loader):
         with pytest.raises(ScenarioParseError) as err:
@@ -585,28 +687,40 @@ class TestWakeUps:
         expected = _outputs(_polling_run(scenario))
         assert _outputs(simulation.run_simulation_with_market(scenario)) == expected
 
-    @pytest.mark.parametrize("source", ["concurrent.yaml", "long-negotiation"])
-    def test_no_step_without_work(self, monkeypatch, source):
-        # A step with an empty inbox is only taken when an opening is pending
-        # or an entry's deadline has passed; anything else is polling.
+    @pytest.mark.parametrize("source, variant", [
+        pytest.param(source, variant, id=f"{source}-{variant}".removesuffix("-default"))
+        for variant in ("default", "opening-idle")
+        for source in ("concurrent.yaml", "market-10x5.yaml", "long-negotiation")
+    ])
+    def test_no_step_without_work(self, monkeypatch, source, variant):
+        # A step with an empty inbox is only taken when the plan library
+        # would send a pending opening or an entry's deadline has passed,
+        # and then it sends something; anything else is polling.
         steps = []
         original = simulation.agent_step
 
         def checking(state, inbox, now):
             if not inbox:
                 assert any(
-                    (e.initiator and not e.opened) or now > e.deadline
+                    now > e.deadline
+                    or (e.initiator and not e.opened
+                        and _plan(state, e, now) is PlanKind.MAKE_OFFER)
                     for e in state.agenda_db.entries()
                 ), f"{state.agent_id} stepped at tick {now} with nothing to do"
+            outbox = original(state, inbox, now)
+            assert outbox or inbox, f"{state.agent_id} stepped at tick {now} for nothing"
             steps.append(now)
-            return original(state, inbox, now)
+            return outbox
 
         monkeypatch.setattr(simulation, "agent_step", checking)
         if source.endswith(".yaml"):
-            text = (SCENARIOS[0].parent / source).read_text(encoding="utf-8")
+            text = (SCENARIOS_DIR / source).read_text(encoding="utf-8")
         else:
             text = _marketgen().generate(source, 0)
-        run_simulation(load_scenario(text))
+        scenario = load_scenario(text)
+        if PLAN_VARIANTS[variant] is not None:
+            scenario = _with_rules(scenario, PLAN_VARIANTS[variant])
+        run_simulation(scenario)
         assert steps
 
 

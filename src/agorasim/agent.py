@@ -83,10 +83,11 @@ class FilterVerdict:
 
     @classmethod
     def rejected(cls, reason: RejectReason) -> "FilterVerdict":
-        return cls(ok=False, reason=reason)
+        return _REJECTED[reason]
 
 
 _PASSED = FilterVerdict(ok=True)
+_REJECTED = {reason: FilterVerdict(ok=False, reason=reason) for reason in RejectReason}
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +337,14 @@ class AgentState:
     agenda_db: AgendaDB = field(default_factory=AgendaDB)
     jitter: float = 0.0
     rng: random.Random = field(default_factory=lambda: random.Random(0))
+    # What earlier opens derived, reused by later ones: the schedule shifted
+    # to the tick of the last open, as (tick, resources, shifted), and each
+    # opening's (agenda, target utility) by (id of that restricted agenda,
+    # role, k). Each entry holds its agenda, so the id is not reused.
+    shifted: Optional[tuple[int, ResourceProjection, ResourceProjection]] = None
+    openings: dict[tuple[int, Perspective, float], tuple[ValidatedAgenda, float]] = field(
+        default_factory=dict
+    )
 
 
 def resolve_concurrent_agreements(
@@ -424,9 +433,22 @@ def _open_session(state: AgentState, msg: NegotiationMessage, now: int) -> None:
     agenda = restrict_agenda(declared, info.issue_ids)
     session_t_max = min(info.t_max, agenda.t_max)
     resources = state.resources
-    t_max_eff = effective_deadline(session_t_max, resources.shifted(now))
+    shifted = state.shifted
+    if shifted is None or shifted[0] != now or shifted[1] is not resources:
+        shifted = state.shifted = (now, resources, resources.shifted(now))
+    t_max_eff = effective_deadline(session_t_max, shifted[2])
     role = Perspective.BUYER if info.buyer == state.agent_id else Perspective.SELLER
-    opening = generate_offer_package(agenda, 0.0, t_max_eff, state.tactic)
+    # At t = 0 under a positive deadline every issue's concession fraction is
+    # exactly k, whatever its exponent, so the opening is derived once per
+    # restricted agenda, role and k. A zero deadline concedes in full and a
+    # NaN one fails the test: those derive afresh.
+    key = (id(agenda), role, state.tactic.k) if t_max_eff > 0.0 else None
+    opening = state.openings.get(key)
+    if opening is None:
+        package = generate_offer_package(agenda, 0.0, t_max_eff, state.tactic)
+        opening = (agenda, aggregate_utility(agenda, package, role))
+        if key is not None:
+            state.openings[key] = opening
     entry = SessionEntry(
         session=msg.session,
         opponent=info.seller if role is Perspective.BUYER else info.buyer,
@@ -437,7 +459,7 @@ def _open_session(state: AgentState, msg: NegotiationMessage, now: int) -> None:
         t0=now,
         t_max_eff=t_max_eff,
         initiator=info.initiator == state.agent_id,
-        target_utility=aggregate_utility(agenda, opening, role),
+        target_utility=opening[1],
         t_max_eff_of=resources,
     )
     state.agenda_db.add(entry)

@@ -2,7 +2,9 @@
 
 All types are immutable values; agents and the marketplace exchange them
 without copying or locking. Invariants are enforced by validate_agenda rather
-than in constructors so tests can build deliberately broken agendas.
+than in constructors so tests can build deliberately broken agendas. One
+exception: an `Agenda` caches its restrictions (see restrict_agenda), and the
+cache is excluded from equality, hash and repr.
 
 The records built once per message, `OfferPackage` and `NegotiationMessage`
 (and `tactics.Response`), are `typing.NamedTuple`s: one is built by a single
@@ -15,7 +17,7 @@ and a modified copy is made with `_replace`, not `dataclasses.replace`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -92,6 +94,10 @@ class Agenda:
 
     issues: tuple[IssueSpec, ...]
     t_max: int
+    # restrict_agenda's results by issue set; None until the first one.
+    _restricted: Optional[dict[frozenset[IssueId], Agenda]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def issue_ids(self) -> tuple[IssueId, ...]:
         return tuple(spec.issue_id for spec in self.issues)
@@ -217,20 +223,23 @@ def issue_score(spec: IssueSpec, offered: float, perspective: Perspective) -> fl
 
 
 def restrict_agenda(agenda: ValidatedAgenda, issue_ids: Iterable[IssueId]) -> ValidatedAgenda:
-    """Restrict an agenda to a shared issue subset, renormalizing weights."""
-    wanted = set(issue_ids)
+    """Restrict an agenda to a shared issue subset, renormalizing weights.
+
+    The validated result is kept on `agenda`, so a later call for the same
+    issue set, in any order or with repeats, returns the same object.
+    """
+    wanted = frozenset(issue_ids)
+    memo = agenda._restricted
+    if memo is None:
+        memo = {}
+        object.__setattr__(agenda, "_restricted", memo)
+    restricted = memo.get(wanted)
+    if restricted is not None:
+        return restricted
     kept = [spec for spec in agenda.issues if spec.issue_id in wanted]
     if not kept:
         raise EmptyAgendaError("restriction removed every issue")
     total = sum(spec.weight for spec in kept)
-    rescaled = tuple(
-        IssueSpec(
-            issue_id=spec.issue_id,
-            weight=spec.weight / total,
-            min_value=spec.min_value,
-            max_value=spec.max_value,
-            direction=spec.direction,
-        )
-        for spec in kept
-    )
-    return validate_agenda(Agenda(issues=rescaled, t_max=agenda.t_max))
+    rescaled = tuple(replace(spec, weight=spec.weight / total) for spec in kept)
+    memo[wanted] = restricted = validate_agenda(Agenda(issues=rescaled, t_max=agenda.t_max))
+    return restricted

@@ -780,14 +780,11 @@ class Marketplace:
             initiator=match.seller,
         )
         for i, receiver in enumerate((match.buyer, match.seller)):
+            # Positional, as agent._emit builds its messages: session, sender,
+            # receiver, round, sent_at, kind, package, reason, commence.
             msg = NegotiationMessage(
-                session=session.session,
-                sender=MARKETPLACE_ID,
-                receiver=receiver,
-                round=i,
-                sent_at=now,
-                kind=MessageKind.COMMENCE,
-                commence=info,
+                session.session, MARKETPLACE_ID, receiver, i, now,
+                MessageKind.COMMENCE, None, None, info,
             )
             session.transcript.append(msg)
             self._log.append(msg)

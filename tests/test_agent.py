@@ -26,19 +26,23 @@ from agorasim.agent import (
 )
 from agorasim.core import (
     CommenceInfo,
+    Direction,
     MessageKind,
     NegotiationMessage,
     OfferPackage,
     Perspective,
+    restrict_agenda,
 )
 from agorasim.marketplace import transcript_line
 from agorasim.tactics import (
     ResourceProjection,
     Stance,
     TacticParams,
+    aggregate_utility,
     classify_concession,
     concession_rate,
     effective_deadline,
+    generate_offer_package,
 )
 from conftest import make_agenda, make_agent, make_entry, make_issue, make_offer
 
@@ -48,6 +52,15 @@ class TestProxyFilter:
         verdict = proxy_filter(make_offer(), None, now=1)
         assert not verdict.ok
         assert verdict.reason is RejectReason.UNKNOWN_SESSION
+
+    def test_one_shared_verdict_per_reason(self):
+        for reason in RejectReason:
+            verdict = FilterVerdict.rejected(reason)
+            assert (verdict.ok, verdict.reason) == (False, reason)
+            assert FilterVerdict.rejected(reason) is verdict
+        assert proxy_filter(make_offer(session="s-9"), None, now=2) is FilterVerdict.rejected(
+            RejectReason.UNKNOWN_SESSION
+        )
 
     def test_deadline_exceeded(self):
         entry = make_entry(t_max_eff=20.0)
@@ -276,7 +289,8 @@ class TestPollResources:
 
 
 def commence(session="s-1", product="vm", buyer="buyer-1", seller="seller-1",
-             initiator="seller-1", t_max=20, sent_at=0, receiver="seller-1"):
+             initiator="seller-1", t_max=20, sent_at=0, receiver="seller-1",
+             issue_ids=("price",)):
     return NegotiationMessage(
         session=session,
         sender="@market",
@@ -286,7 +300,7 @@ def commence(session="s-1", product="vm", buyer="buyer-1", seller="seller-1",
         kind=MessageKind.COMMENCE,
         commence=CommenceInfo(
             product=product,
-            issue_ids=("price",),
+            issue_ids=issue_ids,
             t_max=t_max,
             buyer=buyer,
             seller=seller,
@@ -302,8 +316,6 @@ class TestAgentStep:
         return agent
 
     def test_commence_then_opening_offer_same_tick(self):
-        from agorasim.core import Direction
-
         agent = make_agent(
             agent_id="seller-1",
             role=Perspective.SELLER,
@@ -645,6 +657,93 @@ class TestAgentStep:
 
         buyer = make_agent(tactic=TacticParams(k=0.0, beta=12.0, stance=Stance.CONCEDER))
         assert _effective_params(buyer, aggressive=True).beta == 12.0
+
+
+class TestSessionOpen:
+    """Opening a session reuses what earlier opens derived: the restricted
+    agenda, the opening's target utility and the shifted resource projection.
+    Each entry must still hold exactly what a fresh derivation gives."""
+
+    def test_deadline_is_fresh_with_the_projection_shared_within_a_tick(self):
+        def projection(depleted_at):
+            return ResourceProjection(
+                points=((0, 1.0), (12, 0.7), (depleted_at, 0.0)), r_threshold=0.2
+            )
+
+        agent = make_agent(resources=projection(30))
+        agent.declared_agendas["vm"] = make_agenda(t_max=40)
+        # (tick, sessions with their t_max, a new schedule before the step)
+        steps = [
+            (3, [("s-1", 40), ("s-2", 9)], None),
+            (7, [("s-3", 40)], None),
+            (7, [("s-4", 40)], projection(50)),
+        ]
+        seen = {}
+        for now, sessions, resources in steps:
+            if resources is not None:
+                agent.resources = resources
+            inbox = [commence(sid, t_max=t_max, sent_at=now - 1, receiver="buyer-1")
+                     for sid, t_max in sessions]
+            agent_step(agent, inbox, now)
+            for sid, t_max in sessions:
+                entry = agent.agenda_db.get(sid)
+                expected = effective_deadline(
+                    min(t_max, entry.agenda.t_max), agent.resources.shifted(now)
+                )
+                assert entry.t_max_eff == expected
+                seen[sid] = entry.t_max_eff
+        # Another tick's shift or the replaced schedule would have given
+        # another deadline.
+        assert len({seen["s-1"], seen["s-3"], seen["s-4"]}) == 3
+
+    def opening_target(self, agent, entry):
+        package = generate_offer_package(entry.agenda, 0.0, entry.t_max_eff, agent.tactic)
+        return aggregate_utility(entry.agenda, package, entry.role)
+
+    def two_issue_agent(self):
+        agent = make_agent()
+        agent.declared_agendas["vm"] = make_agenda(
+            make_issue("price", weight=0.6),
+            make_issue("memory", weight=0.4, lo=1.0, hi=64.0, direction=Direction.DESCENDING),
+            t_max=4000,
+        )
+        return agent
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_opening_target_equals_a_fresh_derivation(self, data):
+        agent = self.two_issue_agent()
+        ks = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3))
+        for now in range(data.draw(st.integers(1, 10))):
+            agent.tactic = TacticParams(
+                k=data.draw(st.sampled_from(ks)), beta=data.draw(st.floats(0.05, 20.0))
+            )
+            # The agent is buyer-1: a buyer here, or the seller facing buyer-2.
+            buyer, seller = data.draw(
+                st.sampled_from([("buyer-1", "seller-1"), ("buyer-2", "buyer-1")])
+            )
+            ids = data.draw(st.sampled_from(
+                [("price",), ("memory",), ("price", "memory"), ("memory", "price")]
+            ))
+            t_max = data.draw(st.sampled_from([0, 1e-9, 5, 4000]))
+            sid = f"s-{now}"
+            agent_step(agent, [commence(sid, buyer=buyer, seller=seller, t_max=t_max,
+                                        sent_at=now, receiver="buyer-1", issue_ids=ids)], now)
+            entry = agent.agenda_db.get(sid)
+            assert entry.t_max_eff == t_max
+            assert entry.agenda is restrict_agenda(agent.declared_agendas["vm"], ids)
+            assert entry.target_utility == self.opening_target(agent, entry)
+
+    def test_zero_deadline_after_a_memoised_open_derives_afresh(self):
+        agent = self.two_issue_agent()
+        agent.tactic = TacticParams(k=0.25, beta=2.0)
+        agent_step(agent, [commence("s-1", t_max=5, receiver="buyer-1")], 0)
+        agent_step(agent, [commence("s-2", t_max=0, receiver="buyer-1")], 0)
+        memoised, zero = agent.agenda_db.get("s-1"), agent.agenda_db.get("s-2")
+        assert zero.agenda is memoised.agenda
+        assert zero.target_utility == self.opening_target(agent, zero)
+        assert zero.target_utility != memoised.target_utility
+        assert len(agent.openings) == 1
 
 
 class TestResolveConcurrentAgreements:

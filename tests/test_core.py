@@ -1,13 +1,16 @@
 """Core type validation and score normalization."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from agorasim.core import (
     Agenda,
     BadDeadlineError,
     BadRangeError,
+    Direction,
     EmptyAgendaError,
     IssueSpec,
     MessageKind,
@@ -179,6 +182,72 @@ class TestRestrictAgenda:
     def test_empty_restriction_rejected(self):
         with pytest.raises(EmptyAgendaError):
             restrict_agenda(make_agenda(), ["nonexistent"])
+
+    def test_invalid_restriction_rejected_on_every_call(self):
+        agenda = Agenda(issues=(make_issue("price", lo=20.0, hi=10.0),), t_max=20)
+        for _ in range(2):
+            with pytest.raises(BadRangeError):
+                restrict_agenda(agenda, ["price"])
+
+
+def _reference_restrict(agenda: Agenda, issue_ids) -> Agenda:
+    """restrict_agenda as it was before it kept its results."""
+    wanted = set(issue_ids)
+    kept = [spec for spec in agenda.issues if spec.issue_id in wanted]
+    if not kept:
+        raise EmptyAgendaError("restriction removed every issue")
+    total = sum(spec.weight for spec in kept)
+    rescaled = tuple(
+        IssueSpec(
+            issue_id=spec.issue_id,
+            weight=spec.weight / total,
+            min_value=spec.min_value,
+            max_value=spec.max_value,
+            direction=spec.direction,
+        )
+        for spec in kept
+    )
+    return validate_agenda(Agenda(issues=rescaled, t_max=agenda.t_max))
+
+
+ISSUE_POOL = ("price", "memory", "disk", "cpu", "bandwidth", "latency")
+
+
+@st.composite
+def agendas(draw):
+    ids = draw(st.lists(st.sampled_from(ISSUE_POOL), min_size=1, max_size=5, unique=True))
+    raw = [draw(st.floats(0.01, 1.0)) for _ in ids]
+    specs = []
+    for issue_id, w in zip(ids, raw):
+        lo = draw(st.floats(-1e6, 1e6))
+        width = draw(st.floats(1e-3, 1e6))
+        direction = draw(st.sampled_from(Direction))
+        specs.append(IssueSpec(issue_id, w / sum(raw), lo, lo + width, direction))
+    return validate_agenda(Agenda(issues=tuple(specs), t_max=draw(st.integers(0, 5000))))
+
+
+class TestRestrictionMemo:
+    @given(agendas(), st.data())
+    def test_memo_equals_a_fresh_restriction(self, agenda, data):
+        before = (hash(agenda), repr(agenda))
+        twin = Agenda(issues=agenda.issues, t_max=agenda.t_max)
+        declared = set(agenda.issue_ids())
+        ids = data.draw(st.lists(st.sampled_from(ISSUE_POOL), max_size=8))
+        if not declared & set(ids):
+            for _ in range(2):
+                with pytest.raises(EmptyAgendaError):
+                    restrict_agenda(agenda, ids)
+        else:
+            restricted = restrict_agenda(agenda, ids)
+            assert restricted == _reference_restrict(agenda, ids)
+            again = data.draw(st.permutations(ids + data.draw(st.lists(st.sampled_from(ids)))))
+            assert restrict_agenda(agenda, again) is restricted
+            assert restrict_agenda(agenda, iter(again)) is restricted
+            later = dataclasses.replace(agenda, t_max=agenda.t_max + 1)
+            assert restrict_agenda(later, ids).t_max == agenda.t_max + 1
+            assert restrict_agenda(agenda, ids).t_max == agenda.t_max
+        assert (hash(agenda), repr(agenda)) == before
+        assert agenda == twin and twin == agenda
 
 
 class TestRecords:

@@ -724,6 +724,60 @@ class TestWakeUps:
         assert steps
 
 
+class TestSessionOpenCounts:
+    """On dense-market at seed 1 (432 opens of 216 sessions) the restriction
+    and the opening are derived once per (agent, product, issue set), not
+    once per open. The counts are exact at this seed."""
+
+    def test_dense_market_derives_each_opening_once(self, monkeypatch):
+        from agorasim import agent, core, tactics
+
+        counts = {"restrict": 0, "offer": 0, "utility": 0, "opening": 0}
+        opening = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                if opening and name == "offer":
+                    counts["opening"] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def open_session(state, msg, now):
+            opening.append(msg)
+            try:
+                return original_open(state, msg, now)
+            finally:
+                opening.pop()
+
+        original_open = agent._open_session
+        monkeypatch.setattr(agent, "_open_session", open_session)
+        # restrict_agenda validates only what it has not restricted before.
+        monkeypatch.setattr(core, "validate_agenda", counting("restrict", core.validate_agenda))
+        monkeypatch.setattr(
+            agent, "generate_offer_package", counting("offer", agent.generate_offer_package)
+        )
+        # The three names the benchmark's tracer counts as tactics.utility.
+        for module in (agent, tactics, simulation):
+            monkeypatch.setattr(
+                module, "aggregate_utility", counting("utility", module.aggregate_utility)
+            )
+        scenario = load_scenario(_marketgen().generate("dense-market", 1))
+        market = simulation.run_simulation_with_market(scenario)[2]
+
+        opens = [
+            (m.receiver, m.commence.product, frozenset(m.commence.issue_ids))
+            for session in market.sessions.values()
+            for m in session.transcript
+            if m.commence is not None
+        ]
+        assert (len(opens), len(set(opens))) == (432, 72)
+        assert counts["opening"] == 72
+        assert counts["restrict"] == 72
+        assert counts["offer"] == 430
+        assert counts["utility"] == 420
+
+
 class TestEmitReport:
     def test_identical_reports_identical_bytes(self, bilateral_scenario_text):
         scenario = load_scenario(bilateral_scenario_text)

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     DELIVERY_ORDER,
@@ -45,13 +45,20 @@ from .tactics import (
     TacticParams,
     adapt_tactic,
     aggregate_utility,
-    concession_rate,
     decide_response,
     effective_deadline,
     generate_offer_package,
 )
 
 logger = logging.getLogger(__name__)
+
+# Bound once for the per-message path: on CPython 3.11 reading a member off
+# its Enum class takes about 120 ns, reading a module global about 15.
+_COMMENCE = MessageKind.COMMENCE
+_OFFER = MessageKind.OFFER
+_TERMINATE = MessageKind.TERMINATE
+_RESPONSE_ACQUIRE = ResponseKind.ACQUIRE
+_RESPONSE_TERMINATE = ResponseKind.TERMINATE
 
 TERMINATE_DEADLINE = "deadline"
 TERMINATE_BETTER_DEAL = "better-deal"
@@ -128,11 +135,6 @@ class SessionEntry:
         self.issue_ids = tuple(sorted(spec.issue_id for spec in self.agenda.issues))
 
     @property
-    def deadline(self) -> float:
-        """Absolute tick past which this negotiation is dead."""
-        return self.t0 + self.t_max_eff
-
-    @property
     def standing(self) -> Optional[OfferPackage]:
         """The opponent's latest accepted offer, if any."""
         return self.recent[-1] if self.recent else None
@@ -155,9 +157,10 @@ class AgendaDB:
     def remove(self, session: SessionId) -> None:
         self._entries.pop(session, None)
 
-    def entries(self) -> list[SessionEntry]:
-        """A snapshot of the live entries in insertion order."""
-        return list(self._entries.values())
+    def __iter__(self) -> Iterator[SessionEntry]:
+        """The live entries in insertion order. Nothing may be added or
+        removed while it runs; take a list() first to do that."""
+        return iter(self._entries.values())
 
     def for_product(self, product: ProductId) -> list[SessionId]:
         return sorted(
@@ -182,22 +185,22 @@ def proxy_filter(
     """
     if entry is None:
         return FilterVerdict.rejected(RejectReason.UNKNOWN_SESSION)
-    if msg.kind is not MessageKind.TERMINATE:
+    if msg.kind is not _TERMINATE:
         if msg.sent_at - entry.t0 > entry.t_max_eff:
             return FilterVerdict.rejected(RejectReason.DEADLINE_EXCEEDED)
     if msg.package is None:
-        if msg.kind is MessageKind.OFFER:
+        if msg.kind is _OFFER:
             return FilterVerdict.rejected(RejectReason.OUT_OF_SPACE)
     else:
         values = msg.package.values
-        issues = entry.agenda.issues
-        for spec in issues:
-            offered = values.get(spec.issue_id)
-            if offered is None or not spec.min_value <= offered <= spec.max_value:
+        rows = entry.agenda.rows()
+        for issue_id, _, vmin, vmax, _, _ in rows:
+            offered = values.get(issue_id)
+            if offered is None or not vmin <= offered <= vmax:
                 return FilterVerdict.rejected(RejectReason.OUT_OF_SPACE)
         # Every issue is present and issue ids are unique, so an extra key
         # shows as a longer package.
-        if len(values) != len(issues):
+        if len(values) != len(rows):
             return FilterVerdict.rejected(RejectReason.OUT_OF_SPACE)
     if msg.round <= entry.last_seen_round:
         return FilterVerdict.rejected(RejectReason.STALE_ROUND)
@@ -216,12 +219,23 @@ def mean_lambda(entry: SessionEntry) -> Optional[float]:
     """
     if len(entry.recent) < BELIEF_WINDOW:
         return None
-    oldest, previous, latest = (package.values for package in entry.recent)
-    ratios = []
+    # An OfferPackage is the 1-tuple of its values.
+    (oldest,), (previous,), (latest,) = entry.recent
+    # concession_rate inlined, summed left to right as sum() did before
+    # Python 3.12 compensated its float sums.
+    total = 0.0
     for issue_id in entry.issue_ids:
-        lam = concession_rate(oldest[issue_id], previous[issue_id], latest[issue_id])
-        ratios.append(1.0 if lam is None else lam)
-    return sum(ratios) / len(ratios)
+        o_minus2 = oldest[issue_id]
+        o_minus1 = previous[issue_id]
+        o_now = latest[issue_id]
+        denom = o_minus1 - o_minus2
+        if denom == 0.0:
+            total += 1.0
+        else:
+            lam = (o_now - o_minus1) / denom
+            # A NaN ratio is undefined too.
+            total += lam if lam == lam else 1.0
+    return total / len(entry.issue_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +312,13 @@ class PlanLibrary:
         if plan is None:
             plan = self._memo[key] = _first_match(self.rules, *key)
         return plan
+
+
+# The plans agent_step tells apart per message, bound once as _COMMENCE is.
+_PLAN_TERMINATE = PlanKind.TERMINATE
+_PLAN_ACCEPT = PlanKind.ACCEPT
+_PLAN_COUNTER = PlanKind.MAKE_COUNTER
+_PLAN_OFFER = PlanKind.MAKE_OFFER
 
 
 def _first_match(
@@ -480,7 +501,7 @@ def _plan(state: AgentState, entry: SessionEntry, now: int) -> PlanKind:
             >= entry.target_utility
         )
     return plans.choose(
-        now > entry.deadline,
+        now > entry.t0 + entry.t_max_eff,
         standing is not None,
         target_met,
         entry.initiator and not entry.opened,
@@ -496,30 +517,37 @@ def agent_step(
     returns the ordered outbox; rejected messages are logged, never raised.
     """
     outbox: list[NegotiationMessage] = []
-    level = state.resources.level_at(now)
-    aggressive = level <= state.resources.r_threshold
-    acquire_products: set[ProductId] = set()
+    # Whether the resource level is at or below the threshold, read when the
+    # first offer is generated, and the products to resolve, from the first
+    # acquire on.
+    aggressive: Optional[bool] = None
+    acquire_products: Optional[set[ProductId]] = None
 
     # Sweep sessions whose effective deadline has passed. The sweep draws no
     # randomness and the outbox is sorted at the end, so stored order will do.
-    for entry in state.agenda_db.entries():
-        if now > entry.deadline:
-            outbox.append(
-                _emit(state, entry, now, MessageKind.TERMINATE, reason=TERMINATE_DEADLINE)
-            )
-            state.agenda_db.remove(entry.session)
+    expired = [e for e in state.agenda_db if now > e.t0 + e.t_max_eff]
+    for entry in expired:
+        outbox.append(
+            _emit(state, entry, now, MessageKind.TERMINATE, reason=TERMINATE_DEADLINE)
+        )
+        state.agenda_db.remove(entry.session)
 
-    for msg in sorted(inbox, key=DELIVERY_ORDER):
-        if msg.kind is MessageKind.COMMENCE:
+    if not isinstance(inbox, list):
+        inbox = list(inbox)
+    if len(inbox) > 1:
+        inbox = sorted(inbox, key=DELIVERY_ORDER)
+    for msg in inbox:
+        if msg.kind is _COMMENCE:
             _open_session(state, msg, now)
             continue
         entry = state.agenda_db.get(msg.session)
         verdict = proxy_filter(msg, entry, now)
         if not verdict.ok:
-            logger.debug(
-                "%s: rejected %s on %s (%s)",
-                state.agent_id, msg.kind.value, msg.session, verdict.reason.value,
-            )
+            if logger.isEnabledFor(logging.DEBUG):
+                logger.debug(
+                    "%s: rejected %s on %s (%s)",
+                    state.agent_id, msg.kind.value, msg.session, verdict.reason.value,
+                )
             if verdict.reason is RejectReason.DEADLINE_EXCEEDED:
                 outbox.append(
                     _emit(state, entry, now, MessageKind.TERMINATE, reason=TERMINATE_DEADLINE)
@@ -527,7 +555,7 @@ def agent_step(
                 state.agenda_db.remove(msg.session)
             continue
         entry.last_seen_round = msg.round
-        if msg.kind is not MessageKind.OFFER:
+        if msg.kind is not _OFFER:
             # The opponent acquired or terminated: the session is over.
             state.agenda_db.remove(msg.session)
             continue
@@ -546,43 +574,50 @@ def agent_step(
             )
             entry.t_max_eff_of = state.resources
         plan = _plan(state, entry, now)
-        if plan is PlanKind.TERMINATE:
+        if plan is _PLAN_TERMINATE:
             outbox.append(
                 _emit(state, entry, now, MessageKind.TERMINATE, reason=TERMINATE_DEADLINE)
             )
             state.agenda_db.remove(msg.session)
-        elif plan is PlanKind.ACCEPT:
+        elif plan is _PLAN_ACCEPT:
+            if acquire_products is None:
+                acquire_products = set()
             acquire_products.add(entry.product)
-        elif plan in (PlanKind.MAKE_COUNTER, PlanKind.MAKE_OFFER):
+        elif plan is _PLAN_COUNTER or plan is _PLAN_OFFER:
+            if aggressive is None:
+                aggressive = state.resources.level_at(now) <= state.resources.r_threshold
             params = _effective_params(state, aggressive)
             planned = generate_offer_package(
                 entry.agenda, now - entry.t0, entry.t_max_eff, params
             )
             response = decide_response(
-                entry.agenda, entry.role, msg, planned, entry.deadline
+                entry.agenda, entry.role, msg, planned, entry.t0 + entry.t_max_eff
             )
-            if response.kind is ResponseKind.TERMINATE:
+            if response.kind is _RESPONSE_TERMINATE:
                 outbox.append(
                     _emit(state, entry, now, MessageKind.TERMINATE, reason=TERMINATE_DEADLINE)
                 )
                 state.agenda_db.remove(msg.session)
-            elif response.kind is ResponseKind.ACQUIRE:
+            elif response.kind is _RESPONSE_ACQUIRE:
+                if acquire_products is None:
+                    acquire_products = set()
                 acquire_products.add(entry.product)
             else:
                 entry.opened = True
                 outbox.append(
-                    _emit(state, entry, now, MessageKind.OFFER, package=response.package)
+                    _emit(state, entry, now, _OFFER, package=response.package)
                 )
 
     # Opening offers for sessions this agent initiates, in session-id order
     # because jitter draws from rng.
-    pending = sorted(
-        (e for e in state.agenda_db.entries() if e.initiator and not e.opened),
-        key=_SESSION,
-    )
+    pending = [e for e in state.agenda_db if e.initiator and not e.opened]
+    if len(pending) > 1:
+        pending.sort(key=_SESSION)
     for entry in pending:
         if _plan(state, entry, now) is not PlanKind.MAKE_OFFER:
             continue
+        if aggressive is None:
+            aggressive = state.resources.level_at(now) <= state.resources.r_threshold
         params = _effective_params(state, aggressive)
         package = generate_offer_package(
             entry.agenda, now - entry.t0, entry.t_max_eff, params
@@ -593,7 +628,7 @@ def agent_step(
         outbox.append(_emit(state, entry, now, MessageKind.OFFER, package=package))
 
     # Resolve agreements: best standing offer per product wins, the rest end.
-    for product in sorted(acquire_products):
+    for product in sorted(acquire_products) if acquire_products else ():
         candidates = []
         for sid in state.agenda_db.for_product(product):
             entry = state.agenda_db.get(sid)
@@ -644,15 +679,16 @@ def wake_threshold(state: AgentState) -> Optional[float]:
     if not state.agenda_db:
         return None
     threshold = math.inf
-    for entry in state.agenda_db.entries():
+    for entry in state.agenda_db:
+        deadline = entry.t0 + entry.t_max_eff
         if (
             entry.initiator
             and not entry.opened
             # At the deadline tick itself the deadline has not yet passed.
-            and _plan(state, entry, entry.deadline) is PlanKind.MAKE_OFFER
+            and _plan(state, entry, deadline) is PlanKind.MAKE_OFFER
         ):
             return -math.inf
         # A NaN deadline never passes, so `<` rightly skips it.
-        if entry.deadline < threshold:
-            threshold = entry.deadline
+        if deadline < threshold:
+            threshold = deadline
     return threshold

@@ -3,8 +3,13 @@
 All types are immutable values; agents and the marketplace exchange them
 without copying or locking. Invariants are enforced by validate_agenda rather
 than in constructors so tests can build deliberately broken agendas. One
-exception: an `Agenda` caches its restrictions (see restrict_agenda), and the
-cache is excluded from equality, hash and repr.
+exception: an `Agenda` caches its restrictions (see restrict_agenda) and its
+issue rows (`Agenda.rows`, built on first use), and both caches are excluded
+from equality, hash and repr.
+
+`issue_score` and `check_in_range` work on one issue. The package-level
+functions in `tactics` (offer generation and utility) make one pass over an
+agenda's rows and inline the per-issue arithmetic.
 
 The records built once per message, `OfferPackage` and `NegotiationMessage`
 (and `tactics.Response`), are `typing.NamedTuple`s: one is built by a single
@@ -88,6 +93,12 @@ class IssueSpec:
     direction: Direction = Direction.ASCENDING
 
 
+#: One issue as the package loops read it: id, weight, min, max, whether
+#: offers ascend as the party concedes, and 1 / (n * weight) for n issues
+#: (the factor of tactics.issue_beta).
+IssueRow = tuple[IssueId, float, float, float, bool, float]
+
+
 @dataclass(frozen=True)
 class Agenda:
     """Weighted issue set plus the negotiation time window in virtual ticks."""
@@ -98,6 +109,32 @@ class Agenda:
     _restricted: Optional[dict[frozenset[IssueId], Agenda]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # rows()'s result; None until the first call.
+    _rows: Optional[tuple[IssueRow, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def rows(self) -> tuple[IssueRow, ...]:
+        """Each issue as an IssueRow, in issue order, built on the first call.
+
+        Every weight must be nonzero, as validate_agenda ensures.
+        """
+        rows = self._rows
+        if rows is None:
+            n = len(self.issues)
+            rows = tuple(
+                (
+                    spec.issue_id,
+                    spec.weight,
+                    spec.min_value,
+                    spec.max_value,
+                    spec.direction is Direction.ASCENDING,
+                    1.0 / (n * spec.weight),
+                )
+                for spec in self.issues
+            )
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     def issue_ids(self) -> tuple[IssueId, ...]:
         return tuple(spec.issue_id for spec in self.issues)

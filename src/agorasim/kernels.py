@@ -3,6 +3,16 @@
 Plain functions over floats and the callers' own tuples, kept apart from
 `tactics.py` because `core.py` scores issues with them and `tactics.py`
 imports `core.py`.
+
+`time_fraction`, `offer_value`, `issue_score` and `concession_ratio` work on
+one issue; `weighted_utility` works on a whole package; `piecewise_level`
+and `threshold_crossing` work on a resource schedule. The package loops of
+the negotiation (offer generation and utility in `tactics`, the belief's
+mean ratio in `agent`, the watchdog's trail ratios in `marketplace`) do not
+call the per-issue kernels or `weighted_utility`: each makes one pass over
+an agenda's cached rows (`core.Agenda.rows`) or an offer trail and inlines
+the same expressions. The kernels stay the single-issue API and the
+reference those loops are tested against bit for bit.
 """
 
 from __future__ import annotations

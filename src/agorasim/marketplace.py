@@ -42,7 +42,7 @@ from .core import (
     SessionId,
     ValidatedAgenda,
 )
-from .tactics import Stance, classify_concession, concession_rate
+from .tactics import Stance, classify_concession
 
 logger = logging.getLogger(__name__)
 
@@ -362,6 +362,15 @@ class SessionOutcome(Enum):
     TERMINATED = "terminated"
 
 
+# Bound once for the per-message path: on CPython 3.11 reading a member off
+# its Enum class takes about 120 ns, reading a module global about 15.
+_COMMENCE = MessageKind.COMMENCE
+_OFFER = MessageKind.OFFER
+_ACQUIRE = MessageKind.ACQUIRE
+_TERMINATE = MessageKind.TERMINATE
+_OPEN = SessionOutcome.OPEN
+
+
 @dataclass
 class SessionState:
     """Marketplace-side record of one negotiation."""
@@ -537,7 +546,7 @@ def offer_trails(
     count = 0
     by_sender: dict[AgentId, dict[IssueId, list[float]]] = {}
     for msg in session.transcript:
-        if msg.kind is not MessageKind.OFFER:
+        if msg.kind is not _OFFER:
             continue
         count += 1
         if msg.package is None:
@@ -554,10 +563,17 @@ def trail_ratios(trails: dict[IssueId, list[float]]) -> list[float]:
     ratios: list[float] = []
     for issue_id in sorted(trails):
         trail = trails[issue_id]
-        for i in range(2, len(trail)):
-            lam = concession_rate(trail[i - 2], trail[i - 1], trail[i])
-            if lam is not None:
-                ratios.append(lam)
+        if len(trail) < 3:
+            continue
+        # concession_rate inlined over each triple (o_minus2, o_minus1, o_now).
+        o_minus2, o_minus1 = trail[0], trail[1]
+        for o_now in trail[2:]:
+            denom = o_minus1 - o_minus2
+            if denom != 0.0:
+                lam = (o_now - o_minus1) / denom
+                if lam == lam:  # a NaN ratio is undefined too
+                    ratios.append(lam)
+            o_minus2, o_minus1 = o_minus1, o_now
     return ratios
 
 
@@ -565,13 +581,18 @@ def behavior_norm(ratios: Sequence[float]) -> float:
     """Mean of the ratios, floored at 0; 1 (linear) when there are none.
 
     The sum runs left to right, so callers pass the ratios in session
-    creation order to get the same bits as compute_behavior_norm.
+    creation order to get the same bits as compute_behavior_norm. It is a
+    plain loop: from Python 3.12 on, sum() of floats compensates rounding
+    and gives other bits.
     """
     if not ratios:
         return 1.0
+    total = 0.0
+    for ratio in ratios:
+        total += ratio
     # Tactic switches can make an offer trail retreat, yielding negative
     # ratios; the norm is a concession measure and stays non-negative.
-    return max(0.0, sum(ratios) / len(ratios))
+    return max(0.0, total / len(ratios))
 
 
 def compute_behavior_norm(
@@ -821,9 +842,9 @@ class Marketplace:
         sender = msg.sender
         if sender != session.buyer and sender != session.seller:
             return self._reject(sender, DeliveryStatus.NOT_PARTICIPANT)
-        if msg.kind is MessageKind.COMMENCE:
+        if msg.kind is _COMMENCE:
             return self._reject(sender, DeliveryStatus.NOT_FROM_MARKET)
-        if not session.is_open:
+        if session.outcome is not _OPEN:
             # A message crossing the close in the same tick is a benign race;
             # only sends after the sender could have learned of the closure
             # count against compliance.
@@ -831,7 +852,7 @@ class Marketplace:
             if msg.sent_at > closed_at:
                 return self._reject(sender, DeliveryStatus.SESSION_CLOSED)
             return DeliveryResult(DeliveryStatus.SESSION_CLOSED, ())
-        if msg.kind is MessageKind.ACQUIRE:
+        if msg.kind is _ACQUIRE:
             other = session.seller if sender == session.buyer else session.buyer
             offered = session.last_offer(other)
             if offered is None or msg.package != offered:
@@ -846,14 +867,14 @@ class Marketplace:
         session.transcript.append(msg)
         self._log.append(msg)
         self._enqueue(msg)
-        if msg.kind is MessageKind.ACQUIRE:
+        if msg.kind is _ACQUIRE:
             session.outcome = SessionOutcome.AGREED
             session.final_package = msg.package
             session.closed_at = msg.sent_at
             self._agreed.add((session.buyer, session.product))
             self._agreed.add((session.seller, session.product))
             self._on_close(session)
-        elif msg.kind is MessageKind.TERMINATE:
+        elif msg.kind is _TERMINATE:
             session.outcome = SessionOutcome.TERMINATED
             session.closed_at = msg.sent_at
             session.close_reason = msg.reason
@@ -877,11 +898,11 @@ class Marketplace:
         receiver's filter)."""
         found = []
         if (
-            msg.kind is not MessageKind.TERMINATE
+            msg.kind is not _TERMINATE
             and msg.sent_at - session.commence_at > session.t_max
         ):
             found.append("past-deadline")
-        if msg.kind is MessageKind.OFFER and msg.package is not None:
+        if msg.kind is _OFFER and msg.package is not None:
             values = msg.package.values
             for issue_id, lo, hi in session.bounds.get(msg.sender, ()):
                 offered = values.get(issue_id)

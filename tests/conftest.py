@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from agorasim.core import (
     Agenda,
@@ -38,6 +39,24 @@ def make_agenda(*issues: IssueSpec, t_max: int = 20) -> Agenda:
     if not issues:
         issues = (make_issue(),)
     return validate_agenda(Agenda(issues=tuple(issues), t_max=t_max))
+
+
+#: Issue ids the generated agendas draw from.
+ISSUE_POOL = ("price", "memory", "disk", "cpu", "bandwidth", "latency")
+
+
+@st.composite
+def agendas(draw):
+    """Validated agendas of 1 to 5 issues from ISSUE_POOL."""
+    ids = draw(st.lists(st.sampled_from(ISSUE_POOL), min_size=1, max_size=5, unique=True))
+    raw = [draw(st.floats(0.01, 1.0)) for _ in ids]
+    specs = []
+    for issue_id, w in zip(ids, raw):
+        lo = draw(st.floats(-1e6, 1e6))
+        width = draw(st.floats(1e-3, 1e6))
+        direction = draw(st.sampled_from(Direction))
+        specs.append(IssueSpec(issue_id, w / sum(raw), lo, lo + width, direction))
+    return validate_agenda(Agenda(issues=tuple(specs), t_max=draw(st.integers(0, 5000))))
 
 
 def make_offer(

@@ -2,7 +2,10 @@
 
 import copy
 import itertools
+import logging
+import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +28,7 @@ from agorasim.agent import (
     wake_threshold,
 )
 from agorasim.core import (
+    DELIVERY_ORDER,
     CommenceInfo,
     Direction,
     MessageKind,
@@ -139,12 +143,12 @@ def reference_mean_lambda(packages):
                 lams[issue_id] = concession_rate(*history)
     if not histories:
         return None
-    ratios = []
+    total = 0.0  # left to right: sum() compensates from Python 3.12 on
     for issue_id in sorted(histories):
         if len(histories[issue_id]) < BELIEF_WINDOW:
             return None
-        ratios.append(1.0 if lams[issue_id] is None else lams[issue_id])
-    return sum(ratios) / len(ratios)
+        total += 1.0 if lams[issue_id] is None else lams[issue_id]
+    return total / len(histories)
 
 
 WEIGHTS = {1: (1.0,), 2: (0.5, 0.5), 3: (0.5, 0.25, 0.25), 4: (0.25,) * 4}
@@ -210,6 +214,37 @@ class TestBeliefs:
                 OfferPackage(values=values) for values in packages[:n]
             )[-BELIEF_WINDOW:]
             assert mean_lambda(entry) == reference_mean_lambda(packages[:n])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mean_lambda_bits_over_any_values(self, data):
+        ids = data.draw(st.lists(st.sampled_from(("ram", "price", "cpu")), min_size=1, unique=True))
+        entry = make_entry(agenda=make_agenda(*(
+            make_issue(issue_id=issue_id, weight=1.0 / len(ids)) for issue_id in ids
+        )))
+        # Flat steps, NaN and infinite offers, and wide magnitudes.
+        value = st.sampled_from((0.0, 1.0, math.nan, math.inf, -math.inf, 1e16)) | st.floats()
+        packages = data.draw(st.lists(
+            st.fixed_dictionaries({issue_id: value for issue_id in ids}),
+            min_size=BELIEF_WINDOW, max_size=BELIEF_WINDOW,
+        ))
+        entry.recent = tuple(OfferPackage(values) for values in packages)
+        bits = struct.Struct("<d").pack
+        assert bits(mean_lambda(entry)) == bits(reference_mean_lambda(packages))
+
+    def test_mean_lambda_sums_left_to_right(self):
+        # Ratios 1e16, 1 and -1e16 in sorted issue order: a left-to-right sum
+        # loses the 1 (mean 0.0); a compensated one keeps it (mean 1/3).
+        entry = make_entry(agenda=make_agenda(
+            make_issue("a", weight=0.25), make_issue("b", weight=0.5),
+            make_issue("c", weight=0.25),
+        ))
+        entry.recent = (
+            OfferPackage({"a": 0.0, "b": 0.0, "c": 0.0}),
+            OfferPackage({"a": 1.0, "b": 1.0, "c": 1.0}),
+            OfferPackage({"a": 1.0 + 1e16, "b": 2.0, "c": 1.0 - 1e16}),
+        )
+        assert mean_lambda(entry) == 0.0
 
 
 class TestPlans:
@@ -404,10 +439,10 @@ class TestAgentStep:
         assert (threshold is None) == (not sessions)
         if threshold is not None and now > threshold:
             return
-        before = copy.deepcopy(agent.agenda_db.entries())
+        before = copy.deepcopy(list(agent.agenda_db))
         rng_state, tactic = agent.rng.getstate(), agent.tactic
         assert agent_step(agent, [], now=now) == []
-        assert agent.agenda_db.entries() == before
+        assert list(agent.agenda_db) == before
         assert agent.tactic == tactic
         assert agent.rng.getstate() == rng_state
 
@@ -476,7 +511,7 @@ class TestAgentStep:
                            t_max_eff=float(deadline))
             )
         outbox = agent_step(agent, [], now=10)
-        assert [e.session for e in agent.agenda_db.entries()] == ["s-2"]
+        assert [e.session for e in agent.agenda_db] == ["s-2"]
         assert [(m.session, m.kind) for m in outbox] == [
             ("s-1", MessageKind.TERMINATE), ("s-3", MessageKind.TERMINATE),
         ]
@@ -495,6 +530,47 @@ class TestAgentStep:
         assert "s-1" in agent.agenda_db
         assert entry.offers_received == 6
         assert [p.values["price"] for p in entry.recent] == prices[-BELIEF_WINDOW:]
+
+    def test_rejection_is_logged_at_debug_only(self, caplog):
+        agent = self.buyer()
+        agent.agenda_db.add(make_entry())
+        stray = make_offer(session="s-9", values={"price": 15.0}, sent_at=1)
+        with caplog.at_level(logging.INFO, logger="agorasim.agent"):
+            assert agent_step(agent, [stray], now=2) == []
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="agorasim.agent"):
+            assert agent_step(agent, [stray], now=2) == []
+        assert [r.getMessage() for r in caplog.records] == [
+            "buyer-1: rejected offer on s-9 (unknown-session)"
+        ]
+
+    def test_inbox_may_be_any_iterable_in_any_order(self):
+        def fresh():
+            agent = self.buyer(beta=2.0)
+            agent.agenda_db.add(make_entry(t0=0, session_t_max=40, t_max_eff=40.0))
+            agent.agenda_db.add(make_entry(
+                session="s-2", opponent="seller-2", t0=0, session_t_max=40, t_max_eff=40.0
+            ))
+            return agent
+
+        # Read out of order, s-1's round 1 would make its round 0 stale.
+        inbox = [
+            make_offer(values={"price": 18.0}, round=1, sent_at=4),
+            make_offer(values={"price": 19.0}, round=0, sent_at=3),
+            make_offer(session="s-2", sender="seller-2", values={"price": 19.5}, sent_at=2),
+        ]
+        expected_agent = fresh()
+        expected = agent_step(expected_agent, sorted(inbox, key=DELIVERY_ORDER), now=5)
+        assert [e.offers_received for e in expected_agent.agenda_db] == [2, 1]
+        for given_inbox in (list(inbox), tuple(inbox), iter(inbox), (m for m in inbox)):
+            agent = fresh()
+            assert agent_step(agent, given_inbox, now=5) == expected
+            assert [(e.session, e.recent, e.last_seen_round) for e in agent.agenda_db] == [
+                (e.session, e.recent, e.last_seen_round) for e in expected_agent.agenda_db
+            ]
+        unsorted = list(inbox)
+        agent_step(fresh(), unsorted, now=5)
+        assert unsorted == inbox
 
     def test_rejected_messages_produce_no_reply(self):
         agent = self.buyer()
@@ -587,7 +663,7 @@ class TestAgentStep:
             )
 
         def assert_fresh(agent):
-            for entry in agent.agenda_db.entries():
+            for entry in agent.agenda_db:
                 assert entry.t_max_eff == effective_deadline(
                     entry.session_t_max, agent.resources.shifted(entry.t0)
                 )

@@ -24,7 +24,7 @@ from agorasim.core import (
     validate_agenda,
 )
 from agorasim.tactics import Response, ResponseKind
-from conftest import make_agenda, make_issue
+from conftest import ISSUE_POOL, agendas, make_agenda, make_issue
 
 
 class TestValidateAgenda:
@@ -210,22 +210,6 @@ def _reference_restrict(agenda: Agenda, issue_ids) -> Agenda:
     return validate_agenda(Agenda(issues=rescaled, t_max=agenda.t_max))
 
 
-ISSUE_POOL = ("price", "memory", "disk", "cpu", "bandwidth", "latency")
-
-
-@st.composite
-def agendas(draw):
-    ids = draw(st.lists(st.sampled_from(ISSUE_POOL), min_size=1, max_size=5, unique=True))
-    raw = [draw(st.floats(0.01, 1.0)) for _ in ids]
-    specs = []
-    for issue_id, w in zip(ids, raw):
-        lo = draw(st.floats(-1e6, 1e6))
-        width = draw(st.floats(1e-3, 1e6))
-        direction = draw(st.sampled_from(Direction))
-        specs.append(IssueSpec(issue_id, w / sum(raw), lo, lo + width, direction))
-    return validate_agenda(Agenda(issues=tuple(specs), t_max=draw(st.integers(0, 5000))))
-
-
 class TestRestrictionMemo:
     @given(agendas(), st.data())
     def test_memo_equals_a_fresh_restriction(self, agenda, data):
@@ -248,6 +232,29 @@ class TestRestrictionMemo:
             assert restrict_agenda(agenda, ids).t_max == agenda.t_max
         assert (hash(agenda), repr(agenda)) == before
         assert agenda == twin and twin == agenda
+
+
+class TestIssueRows:
+    @given(agendas(), st.data())
+    def test_rows_are_built_once_and_kept_out_of_equality(self, agenda, data):
+        before = (hash(agenda), repr(agenda))
+        twin = Agenda(issues=agenda.issues, t_max=agenda.t_max)
+        rows = agenda.rows()
+        n = len(agenda.issues)
+        assert rows == tuple(
+            (s.issue_id, s.weight, s.min_value, s.max_value,
+             s.direction is Direction.ASCENDING, 1.0 / (n * s.weight))
+            for s in agenda.issues
+        )
+        assert agenda.rows() is rows
+        assert (hash(agenda), repr(agenda)) == before
+        assert agenda == twin and twin == agenda and hash(twin) == hash(agenda)
+        assert "_rows" not in repr(agenda)
+        assert dataclasses.replace(agenda, t_max=agenda.t_max + 1)._rows is None
+        # A restriction is shared, so each issue set builds its rows once.
+        ids = data.draw(st.lists(st.sampled_from(agenda.issue_ids()), min_size=1))
+        restricted = restrict_agenda(agenda, ids)
+        assert restrict_agenda(agenda, reversed(ids)).rows() is restricted.rows()
 
 
 class TestRecords:

@@ -1,6 +1,8 @@
 """Marketplace: repository, matchmaking, session routing, watchdog scores."""
 
+import math
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -25,14 +27,16 @@ from agorasim.marketplace import (
     SessionState,
     TrustStats,
     UnknownAgentError,
+    behavior_norm,
     compute_behavior_norm,
     compute_reputation,
     match_alliances,
     ranges_overlap,
+    trail_ratios,
     transcript_line,
 )
 from agorasim.simulation import load_scenario, run_simulation_with_market
-from agorasim.tactics import Stance, classify_concession
+from agorasim.tactics import Stance, classify_concession, concession_rate
 from conftest import make_agenda, make_issue
 
 SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))
@@ -749,6 +753,53 @@ class TestWatchdog:
         market.recompute_trust()
         assert market.trust.export_lines() == market.trust.export_lines()
         assert len(market.trust.export_lines()) == 2
+
+
+def reference_trail_ratios(trails):
+    """trail_ratios as one concession_rate call per offer triple."""
+    ratios = []
+    for issue_id in sorted(trails):
+        trail = trails[issue_id]
+        for i in range(2, len(trail)):
+            lam = concession_rate(trail[i - 2], trail[i - 1], trail[i])
+            if lam is not None:
+                ratios.append(lam)
+    return ratios
+
+
+def left_to_right_mean(ratios):
+    total = 0.0
+    for ratio in ratios:
+        total += ratio
+    return max(0.0, total / len(ratios)) if ratios else 1.0
+
+
+class TestRatioLoops:
+    bits = staticmethod(struct.Struct("<d").pack)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from(("price", "memory", "disk")),
+        st.lists(
+            st.sampled_from((0.0, 1.0, 2.0, math.nan, math.inf, -math.inf)) | st.floats(),
+            max_size=8,
+        ),
+    ))
+    def test_trail_ratios_equal_concession_rate(self, trails):
+        got = trail_ratios(trails)
+        assert [self.bits(r) for r in got] == [
+            self.bits(r) for r in reference_trail_ratios(trails)
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False) | st.sampled_from((1e16, -1e16, 1.0))))
+    def test_behavior_norm_sums_left_to_right(self, ratios):
+        assert self.bits(behavior_norm(ratios)) == self.bits(left_to_right_mean(ratios))
+
+    def test_behavior_norm_is_not_compensated(self):
+        # A compensated sum (Python 3.12's sum()) keeps the 1.0: mean 1/3.
+        assert behavior_norm([1e16, 1.0, -1e16]) == 0.0
+        assert behavior_norm([1e16, 1.0, -1e16]) == left_to_right_mean([1e16, 1.0, -1e16])
 
 
 class TestIncrementalWatchdog:

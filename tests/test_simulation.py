@@ -702,10 +702,10 @@ class TestWakeUps:
         def checking(state, inbox, now):
             if not inbox:
                 assert any(
-                    now > e.deadline
+                    now > e.t0 + e.t_max_eff
                     or (e.initiator and not e.opened
                         and _plan(state, e, now) is PlanKind.MAKE_OFFER)
-                    for e in state.agenda_db.entries()
+                    for e in state.agenda_db
                 ), f"{state.agent_id} stepped at tick {now} with nothing to do"
             outbox = original(state, inbox, now)
             assert outbox or inbox, f"{state.agent_id} stepped at tick {now} for nothing"

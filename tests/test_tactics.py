@@ -1,15 +1,20 @@
 """Negotiation math: utility, concession curve, response rule, adaptation."""
 
+import math
 import random
+import struct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from agorasim import kernels
 from agorasim.core import (
     Direction,
     MissingIssueError,
     OfferPackage,
     OutOfRangeError,
     Perspective,
+    check_in_range,
     issue_score,
 )
 from agorasim.tactics import (
@@ -30,7 +35,7 @@ from agorasim.tactics import (
     issue_beta,
     time_function,
 )
-from conftest import make_agenda, make_issue, make_offer
+from conftest import agendas, make_agenda, make_issue, make_offer
 
 
 def unit_issue(issue_id: str, weight: float) -> "IssueSpec":
@@ -100,6 +105,116 @@ class TestAggregateUtility:
                 )
                 got = aggregate_utility(agenda, package, perspective)
                 assert got == pytest.approx(expected, abs=1e-12)
+
+
+def bits(value):
+    """A float's IEEE bytes, so NaN equals NaN and 0.0 differs from -0.0."""
+    return struct.pack("<d", value)
+
+
+def reference_utility(agenda, package, perspective):
+    """aggregate_utility as the per-issue checks then kernels.weighted_utility."""
+    for spec in agenda.issues:
+        check_in_range(spec, package.value(spec.issue_id))
+    return kernels.weighted_utility(
+        agenda.issues, package.values, perspective is Perspective.BUYER
+    )
+
+
+def outcome(fn, *args):
+    """fn's result as bits, or the type and message of what it raised."""
+    try:
+        return bits(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+class TestPackageUtilityLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(agendas(), st.data())
+    def test_equals_the_weighted_kernel(self, agenda, data):
+        values = {}
+        for spec in agenda.issues:
+            lo, hi = spec.min_value, spec.max_value
+            value = data.draw(
+                st.floats(lo, hi)
+                | st.sampled_from((lo, hi, math.nan, lo - 1.0, hi + 1.0, math.inf))
+                | st.none(),
+                label=spec.issue_id,
+            )
+            if value is not None:  # None: the issue is missing
+                values[spec.issue_id] = value
+        if data.draw(st.booleans(), label="extra key"):
+            values["extra"] = 0.0
+        package = OfferPackage(values)
+        for perspective in Perspective:
+            assert outcome(aggregate_utility, agenda, package, perspective) == outcome(
+                reference_utility, agenda, package, perspective
+            )
+
+    @pytest.mark.parametrize("value, error", [
+        (None, MissingIssueError), (25.0, OutOfRangeError),
+        (5.0, OutOfRangeError), (math.nan, OutOfRangeError),
+    ])
+    def test_bad_value_raises_what_the_check_raises(self, value, error):
+        agenda = make_agenda(make_issue("price", weight=0.5), make_issue("memory", weight=0.5))
+        values = {"price": 15.0}
+        if value is not None:
+            values["memory"] = value
+        package = OfferPackage(values)
+        with pytest.raises(error) as raised:
+            aggregate_utility(agenda, package, Perspective.BUYER)
+        with pytest.raises(error) as expected:
+            reference_utility(agenda, package, Perspective.BUYER)
+        assert str(raised.value) == str(expected.value)
+
+
+def reference_package(agenda, t, t_max_eff, params):
+    """The per-issue composition generate_offer_package inlines."""
+    n = len(agenda.issues)
+    return {
+        spec.issue_id: kernels.offer_value(
+            spec.min_value,
+            spec.max_value,
+            kernels.time_fraction(
+                t, t_max_eff, params.k, issue_beta(params.beta, spec.weight, n)
+            ),
+            spec.direction is Direction.ASCENDING,
+        )
+        for spec in agenda.issues
+    }
+
+
+class TestPackageOfferLoop:
+    # Deadlines that are zero, negative, NaN, tiny, huge and infinite; times
+    # before 0 and past the deadline; exponents that hit each clamp; k out
+    # of [0, 1] so that f hits its clamps.
+    DEADLINES = st.sampled_from((0.0, -0.0, -5.0, math.nan, 1e-9, 20.0, 4000.0, math.inf))
+    TIMES = st.sampled_from((-3, 0, 7, 20, 5000, -0.5, math.inf, math.nan))
+    BETAS = st.sampled_from((0.0, 1e-9, 0.05, 1.0, 20.0, 1e9, math.nan, -1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        agendas(),
+        DEADLINES | st.floats(-10.0, 1e4),
+        TIMES | st.integers(-10, 10_000) | st.floats(-10.0, 1e4),
+        BETAS | st.floats(1e-6, 1e6),
+        st.sampled_from((0.0, 1.0, -0.5, 1.5)) | st.floats(0.0, 1.0),
+    )
+    # On [-5.6, -0.9], min + 1.0 * (max - min) rounds below max, so only the
+    # clamp of f into [0, 1] gives the kernels' value at k = 1.5 (ascending)
+    # and k = -0.5 (descending).
+    @example(make_agenda(make_issue(lo=-5.6, hi=-0.9)), 10.0, 0, 1.0, 1.5)
+    @example(
+        make_agenda(make_issue(lo=-5.6, hi=-0.9, direction=Direction.DESCENDING)),
+        10.0, 0, 1.0, -0.5,
+    )
+    def test_equals_the_per_issue_kernels(self, agenda, t_max_eff, t, beta, k):
+        params = TacticParams(k=k, beta=beta)
+        got = generate_offer_package(agenda, t, t_max_eff, params).values
+        expected = reference_package(agenda, t, t_max_eff, params)
+        assert list(got) == list(expected)
+        assert [bits(v) for v in got.values()] == [bits(v) for v in expected.values()]
 
 
 class TestTimeFunction:

@@ -114,7 +114,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(
         f"{report.scenario}: seed {report.seed}, {report.ticks} ticks, "
         f"{len(report.sessions)} sessions ({agreed} agreed); "
-        f"wrote {transcript_path} and {report_path}"
+        f"wrote {transcript_path}, {report_path} and {trust_path}"
     )
     return EXIT_OK
 

@@ -445,6 +445,8 @@ def _json(value: object, encoded: dict[str, str]) -> str:
         return float.__repr__(value)
     if kind is int:
         return int.__repr__(value)
+    if value is None:
+        return "null"
     return _COMPACT_JSON.encode(value)
 
 
@@ -657,29 +659,31 @@ class TrustArchive:
         return [self._records[a] for a in sorted(self._records)]
 
     def export_lines(self) -> list[str]:
+        """One JSON line per agent, in agent order.
+
+        Each line is _COMPACT_JSON.encode of the record {agent,
+        behavior_norm, stance, reputation, stats: {sessions_observed,
+        agreements, violations, messages_sent, mean_rounds_to_agreement}},
+        the mean being that of rounds_to_agreement or null. One format string
+        writes it out and each value goes through _json, as in
+        transcript_line, so the bytes are those of the encoded record.
+        """
+        encoded: dict[str, str] = {}
         lines = []
         for rec in self.records():
+            stats = rec.stats
+            rounds = stats.rounds_to_agreement
+            mean = sum(rounds) / len(rounds) if rounds else None
             lines.append(
-                _COMPACT_JSON.encode(
-                    {
-                        "agent": rec.agent,
-                        "behavior_norm": rec.behavior_norm,
-                        "stance": rec.stance.value,
-                        "reputation": rec.reputation,
-                        "stats": {
-                            "sessions_observed": rec.stats.sessions_observed,
-                            "agreements": rec.stats.agreements,
-                            "violations": rec.stats.violations,
-                            "messages_sent": rec.stats.messages_sent,
-                            "mean_rounds_to_agreement": (
-                                sum(rec.stats.rounds_to_agreement)
-                                / len(rec.stats.rounds_to_agreement)
-                                if rec.stats.rounds_to_agreement
-                                else None
-                            ),
-                        },
-                    }
-                )
+                f'{{"agent":{_json(rec.agent, encoded)},'
+                f'"behavior_norm":{_json(rec.behavior_norm, encoded)},'
+                f'"stance":{_json(rec.stance.value, encoded)},'
+                f'"reputation":{_json(rec.reputation, encoded)},'
+                f'"stats":{{"sessions_observed":{_json(stats.sessions_observed, encoded)},'
+                f'"agreements":{_json(stats.agreements, encoded)},'
+                f'"violations":{_json(stats.violations, encoded)},'
+                f'"messages_sent":{_json(stats.messages_sent, encoded)},'
+                f'"mean_rounds_to_agreement":{_json(mean, encoded)}}}}}'
             )
         return lines
 

@@ -19,10 +19,11 @@ transcripts and reports.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import attrgetter
 from typing import Any, Optional
 
 import yaml
@@ -49,7 +50,7 @@ from .core import (
     restrict_agenda,
     validate_agenda,
 )
-from .marketplace import Marketplace, SessionOutcome, SessionState
+from .marketplace import Marketplace, SessionOutcome, SessionState, _json
 from .tactics import (
     BETA_MAX,
     BETA_MIN,
@@ -719,18 +720,59 @@ def _fmt(value: Optional[float]) -> str:
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-    return lines
+    """Headers and rows as lines of columns two spaces apart, each cell
+    left-justified to its column's width, each line right-stripped.
+
+    One str.format pattern writes every line; the last column needs no
+    padding, as the strip would take it off again.
+    """
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    pattern = "  ".join([*(f"{{:<{width}}}" for width in widths[:-1]), "{}"])
+    return [pattern.format(*row).rstrip() for row in (headers, *rows)]
+
+
+def _record_pattern(cls: type, indent: str) -> tuple[attrgetter, str]:
+    """A getter of the fields of a `cls` record, in sorted name order, and
+    the str.format pattern that writes their JSON texts out as
+    json.dumps(indent=2, sort_keys=True) writes the record at `indent`."""
+    names = sorted(f.name for f in fields(cls))
+    body = ",\n".join(f"{indent}  {_json(name, {})}: {{}}" for name in names)
+    return attrgetter(*names), f"{indent}{{{{\n{body}\n{indent}}}}}"
+
+
+_RECORD_PATTERNS = {cls: _record_pattern(cls, "    ") for cls in (SessionReport, AgentReport)}
+_REPORT_FIELDS = sorted(f.name for f in fields(SimulationReport))
+
+
+def _record_block(report: SimulationReport) -> str:
+    """emit_report's record block (see its docstring for the contract)."""
+    encoded: dict[str, str] = {}
+    parts = []
+    for name in _REPORT_FIELDS:
+        value = getattr(report, name)
+        if type(value) is not tuple:
+            text = _json(value, encoded)
+        elif not value:
+            text = "[]"
+        else:
+            getter, pattern = _RECORD_PATTERNS[type(value[0])]
+            text = "[\n" + ",\n".join(
+                [pattern.format(*map(_json, getter(rec), repeat(encoded))) for rec in value]
+            ) + "\n  ]"
+        parts.append(f"  {_json(name, encoded)}: {text}")
+    return "{\n" + ",\n".join(parts) + "\n}"
 
 
 def emit_report(report: SimulationReport) -> str:
-    """Render a report as a stable text table plus a machine-readable block."""
+    """Render a report as a stable text table plus a machine-readable block.
+
+    The block after "--- record ---" is, byte for byte,
+    json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False) of
+    the report's fields, `sessions` and `agents` each a list of its
+    records' fields. Per record type, the field names and the text around
+    each value are laid out once; each value goes through the scalar
+    encoder that transcript_line uses.
+    """
     lines = [
         f"scenario: {report.scenario}",
         f"seed: {report.seed}",
@@ -777,13 +819,6 @@ def emit_report(report: SimulationReport) -> str:
         lines.extend("  " + line for line in _table(headers, rows))
     lines.append("")
     lines.append("--- record ---")
-    # Every field of the report records, read from their own __dict__s
-    # (dataclasses.asdict writes the same bytes but deep-copies each value).
-    record = {
-        **vars(report),
-        "sessions": [vars(s) for s in report.sessions],
-        "agents": [vars(a) for a in report.agents],
-    }
-    lines.append(json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False))
+    lines.append(_record_block(report))
     lines.append("")
     return "\n".join(lines)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import typing
+
 import pytest
 from hypothesis import strategies as st
 
@@ -57,6 +60,41 @@ def agendas(draw):
         direction = draw(st.sampled_from(Direction))
         specs.append(IssueSpec(issue_id, w / sum(raw), lo, lo + width, direction))
     return validate_agenda(Agenda(issues=tuple(specs), t_max=draw(st.integers(0, 5000))))
+
+
+# Scalars as a JSON writer must take them: non-ASCII, quotes, backslashes,
+# control characters, U+2028 and spaces; non-finite and extreme floats,
+# -0.0, large ints and bools.
+json_text = st.text(st.sampled_from('ab -é€😀"\\/\x00\x1f\n\t\u2028'), max_size=6)
+json_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308]),
+)
+json_ints = st.one_of(st.integers(-(10**20), 10**20), st.booleans())
+JSON_SCALARS = {str: json_text, float: json_floats, int: json_ints, type(None): st.none()}
+
+
+def from_fields(cls: type, values: dict = JSON_SCALARS) -> st.SearchStrategy:
+    """Records of dataclass `cls`, each field drawn by its annotated type.
+
+    `values` maps a type to its strategy. Optional[X] draws from both arms,
+    tuple[X, ...] and list[X] draw up to three Xs, and a dataclass field is
+    built the same way. A type with neither rule nor entry is a KeyError,
+    so a field added later fails the tests until they give it values.
+    """
+    hints = typing.get_type_hints(cls)
+
+    def of(tp):
+        origin, args = typing.get_origin(tp), typing.get_args(tp)
+        if origin is typing.Union:
+            return st.one_of(*map(of, args))
+        if origin in (tuple, list):
+            return st.lists(of(args[0]), max_size=3).map(origin)
+        if dataclasses.is_dataclass(tp):
+            return from_fields(tp, values)
+        return values[tp]
+
+    return st.builds(cls, **{f.name: of(hints[f.name]) for f in dataclasses.fields(cls)})
 
 
 def make_offer(

@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+import yaml
 
 from agorasim.cli import main
 from conftest import BILATERAL_SCENARIO
@@ -18,7 +19,7 @@ BILATERAL_FILE = (ROOT / "scenarios" / "bilateral.yaml").read_text(encoding="utf
 # Runs the CLI in a child process, first hiding libyaml if argv[1] is "pure".
 CLI_UNDER_LOADER = """
 import sys, yaml
-if sys.argv[1] == "pure":
+if sys.argv[1] == "pure" and hasattr(yaml, "CSafeLoader"):
     del yaml.CSafeLoader
 from agorasim.cli import main
 sys.exit(main(sys.argv[2:]))
@@ -146,6 +147,8 @@ class TestHostileInput:
     @pytest.mark.parametrize("verb", ["validate", "run"])
     @pytest.mark.parametrize("doc", sorted(DOCUMENTS))
     def test_fails_cleanly(self, tmp_path, doc, verb, loader):
+        if loader == "libyaml" and not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
         path = tmp_path / "hostile.yaml"
         path.write_text(self.DOCUMENTS[doc], encoding="utf-8")
         args = [verb, "--scenario", str(path)]
@@ -225,6 +228,16 @@ class TestRun:
         assert len(trust_lines) == 2  # one record per agent
         summary = capsys.readouterr().out
         assert "1 sessions (1 agreed)" in summary
+
+    def test_summary_names_every_file_written(self, scenario_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario_file), "--out", str(out_dir)]) == 0
+        summary = capsys.readouterr().out
+        written = summary.split("; wrote ", 1)[1].rstrip("\n")
+        assert written == (
+            f"{out_dir / 'transcript.jsonl'}, {out_dir / 'report.txt'}"
+            f" and {out_dir / 'trust.jsonl'}"
+        )
 
     def test_same_seed_identical_outputs(self, scenario_file, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]

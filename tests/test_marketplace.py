@@ -25,6 +25,8 @@ from agorasim.marketplace import (
     Match,
     SessionOutcome,
     SessionState,
+    TrustArchive,
+    TrustRecord,
     TrustStats,
     UnknownAgentError,
     behavior_norm,
@@ -37,7 +39,15 @@ from agorasim.marketplace import (
 )
 from agorasim.simulation import load_scenario, run_simulation_with_market
 from agorasim.tactics import Stance, classify_concession, concession_rate
-from conftest import make_agenda, make_issue
+from conftest import (
+    JSON_SCALARS,
+    from_fields,
+    json_floats,
+    json_ints,
+    json_text,
+    make_agenda,
+    make_issue,
+)
 
 SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))
 
@@ -81,14 +91,7 @@ def reference_transcript_line(msg: NegotiationMessage) -> str:
     return marketplace._COMPACT_JSON.encode(record)
 
 
-# Non-ASCII, quotes, backslashes and control characters.
-json_text = st.text(st.sampled_from('ab-é€😀"\\/\x00\x1f\n\t\u2028'), max_size=6)
-json_numbers = st.one_of(
-    st.floats(),
-    st.sampled_from([0.0, -0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308]),
-    st.integers(-(10**20), 10**20),
-    st.booleans(),
-)
+json_numbers = st.one_of(json_floats, json_ints)
 packages = st.one_of(
     st.none(),
     st.dictionaries(json_text, json_numbers, max_size=4),
@@ -118,6 +121,43 @@ class TestTranscriptLine:
         # As transcript_lines renders: one string cache for every line.
         encoded: dict[str, str] = {}
         assert [transcript_line(msg, encoded) for msg in msgs] == expected
+
+
+def reference_trust_line(rec: TrustRecord) -> str:
+    """The trust record built as a dict and encoded whole: what
+    export_lines writes out field by field."""
+    stats = rec.stats
+    rounds = stats.rounds_to_agreement
+    return marketplace._COMPACT_JSON.encode(
+        {
+            "agent": rec.agent,
+            "behavior_norm": rec.behavior_norm,
+            "stance": rec.stance.value,
+            "reputation": rec.reputation,
+            "stats": {
+                "sessions_observed": stats.sessions_observed,
+                "agreements": stats.agreements,
+                "violations": stats.violations,
+                "messages_sent": stats.messages_sent,
+                "mean_rounds_to_agreement": sum(rounds) / len(rounds) if rounds else None,
+            },
+        }
+    )
+
+
+class TestTrustExport:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        from_fields(TrustRecord, {**JSON_SCALARS, Stance: st.sampled_from(Stance)}),
+        max_size=3,
+        unique_by=lambda rec: rec.agent,
+    ))
+    def test_equals_the_encoded_records(self, recs):
+        archive = TrustArchive()
+        for rec in recs:
+            archive._records[rec.agent] = rec
+        expected = [reference_trust_line(rec) for rec in sorted(recs, key=lambda r: r.agent)]
+        assert archive.export_lines() == expected
 
 
 class TestRepository:

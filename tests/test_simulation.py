@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from agorasim import simulation, yamlload
 from agorasim.agent import DEFAULT_PLAN_RULES, PlanCondition, PlanKind, PlanRule, _plan
@@ -17,10 +18,12 @@ from agorasim.marketplace import Marketplace
 from agorasim.simulation import (
     ScenarioParseError,
     ScenarioValidationError,
+    SimulationReport,
     emit_report,
     load_scenario,
     run_simulation,
 )
+from conftest import from_fields, json_text
 from test_golden import _marketgen
 
 SCENARIOS_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -276,7 +279,7 @@ MALFORMED = {
 def yaml_loader(request, monkeypatch):
     """Runs a test under each loader: libyaml, and the pure-Python one."""
     if request.param == "pure":
-        monkeypatch.delattr(yaml, "CSafeLoader")
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     elif not hasattr(yaml, "CSafeLoader"):
         pytest.skip("PyYAML was built without libyaml")
     assert (simulation._yaml_loader() is yamlload.PureLoader) == (request.param == "pure")
@@ -361,6 +364,8 @@ class TestLoaders:
 
     @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
     def test_shipped_scenarios_load_equal(self, path, monkeypatch):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
         text = path.read_text(encoding="utf-8")
         with_libyaml = load_scenario(text)
         monkeypatch.delattr(yaml, "CSafeLoader")
@@ -778,7 +783,50 @@ class TestSessionOpenCounts:
         assert counts["utility"] == 420
 
 
+def reference_table(headers, rows):
+    """The table with each cell ljust to its column's width: what _table
+    writes with one format pattern."""
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
+    for row in rows:
+        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
+    return lines
+
+
+def reference_record_block(report):
+    """The record block built as nested dicts and encoded whole: what
+    emit_report writes out from per-record patterns."""
+    record = {
+        **vars(report),
+        "sessions": [vars(s) for s in report.sessions],
+        "agents": [vars(a) for a in report.agents],
+    }
+    return json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False)
+
+
+@st.composite
+def tables(draw):
+    headers = draw(st.lists(json_text, min_size=1, max_size=4))
+    row = st.lists(json_text, min_size=len(headers), max_size=len(headers))
+    return headers, draw(st.lists(row, max_size=4))
+
+
 class TestEmitReport:
+    @settings(max_examples=300, deadline=None)
+    @given(from_fields(SimulationReport))
+    def test_record_block_equals_the_encoded_record(self, report):
+        text = emit_report(report)
+        assert text.endswith("\n--- record ---\n" + reference_record_block(report) + "\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    def test_table_equals_the_justified_cells(self, table):
+        headers, rows = table
+        assert simulation._table(headers, rows) == reference_table(headers, rows)
+
     def test_identical_reports_identical_bytes(self, bilateral_scenario_text):
         scenario = load_scenario(bilateral_scenario_text)
         _, report = run_simulation(scenario)

@@ -35,6 +35,7 @@ from .core import (
     ProductId,
     SessionId,
     ValidatedAgenda,
+    new_record,
     restrict_agenda,
 )
 from .tactics import (
@@ -56,7 +57,9 @@ logger = logging.getLogger(__name__)
 # its Enum class takes about 120 ns, reading a module global about 15.
 _COMMENCE = MessageKind.COMMENCE
 _OFFER = MessageKind.OFFER
+_ACQUIRE = MessageKind.ACQUIRE
 _TERMINATE = MessageKind.TERMINATE
+_BUYER = Perspective.BUYER
 _RESPONSE_ACQUIRE = ResponseKind.ACQUIRE
 _RESPONSE_TERMINATE = ResponseKind.TERMINATE
 
@@ -95,6 +98,10 @@ class FilterVerdict:
 
 _PASSED = FilterVerdict(ok=True)
 _REJECTED = {reason: FilterVerdict(ok=False, reason=reason) for reason in RejectReason}
+_UNKNOWN_SESSION = _REJECTED[RejectReason.UNKNOWN_SESSION]
+_DEADLINE_EXCEEDED = _REJECTED[RejectReason.DEADLINE_EXCEEDED]
+_OUT_OF_SPACE = _REJECTED[RejectReason.OUT_OF_SPACE]
+_STALE_ROUND = _REJECTED[RejectReason.STALE_ROUND]
 
 
 # ---------------------------------------------------------------------------
@@ -141,21 +148,81 @@ class SessionEntry:
 
 
 class AgendaDB:
-    """Active sessions keyed by session id; entries leave on acquire/terminate."""
+    """Active sessions keyed by session id; entries leave on acquire/terminate.
+
+    The DB keeps two facts so that agent_step walks it only when a walk can
+    find something:
+
+    - `unopened`: the number of initiator entries not yet opened. `add`
+      counts an entry that enters unopened, `mark_opened` and `remove`
+      uncount it.
+    - `due`: a lower bound on the earliest entry deadline (t0 + t_max_eff;
+      a NaN deadline never passes and is not counted). `add` and
+      `set_deadline` lower it to the entry's deadline, `remove` leaves it (a
+      bound on more entries bounds fewer), and `expired` sets it to the
+      earliest deadline of the entries it keeps. No entry has passed its
+      deadline at a tick not past `due`.
+
+    Both stay true while an entry's `initiator`, `opened`, `t0` and
+    `t_max_eff` change only through these methods once it is in the DB.
+    """
 
     def __init__(self) -> None:
         self._entries: dict[SessionId, SessionEntry] = {}
+        self.unopened = 0
+        self.due = math.inf
 
     def add(self, entry: SessionEntry) -> None:
         if entry.session in self._entries:
             raise ValueError(f"session {entry.session!r} already active")
         self._entries[entry.session] = entry
+        if entry.initiator and not entry.opened:
+            self.unopened += 1
+        deadline = entry.t0 + entry.t_max_eff
+        if deadline < self.due:
+            self.due = deadline
 
     def get(self, session: SessionId) -> Optional[SessionEntry]:
         return self._entries.get(session)
 
     def remove(self, session: SessionId) -> None:
-        self._entries.pop(session, None)
+        entry = self._entries.pop(session, None)
+        if entry is not None and entry.initiator and not entry.opened:
+            self.unopened -= 1
+
+    def mark_opened(self, entry: SessionEntry) -> None:
+        """Record that the entry, which is in the DB, sent its first offer."""
+        if not entry.opened:
+            entry.opened = True
+            if entry.initiator:
+                self.unopened -= 1
+
+    def set_deadline(self, entry: SessionEntry, t_max_eff: float) -> None:
+        """Give the entry, which is in the DB, a new effective deadline."""
+        entry.t_max_eff = t_max_eff
+        deadline = entry.t0 + t_max_eff
+        if deadline < self.due:
+            self.due = deadline
+
+    def expired(self, now: int) -> list[SessionEntry]:
+        """The entries whose deadline has passed at `now`, in stored order.
+
+        Walks the DB only when `now` is past `due`, and then sets `due` to the
+        earliest deadline of the other entries. The caller removes the
+        entries returned.
+        """
+        if not now > self.due:
+            return []
+        found = []
+        due = math.inf
+        for entry in self._entries.values():
+            deadline = entry.t0 + entry.t_max_eff
+            if now > deadline:
+                found.append(entry)
+            elif deadline < due:
+                due = deadline
+        self.due = due
+        return found
 
     def __iter__(self) -> Iterator[SessionEntry]:
         """The live entries in insertion order. Nothing may be added or
@@ -184,27 +251,28 @@ def proxy_filter(
     replayed round number.
     """
     if entry is None:
-        return FilterVerdict.rejected(RejectReason.UNKNOWN_SESSION)
-    if msg.kind is not _TERMINATE:
-        if msg.sent_at - entry.t0 > entry.t_max_eff:
-            return FilterVerdict.rejected(RejectReason.DEADLINE_EXCEEDED)
-    if msg.package is None:
-        if msg.kind is _OFFER:
-            return FilterVerdict.rejected(RejectReason.OUT_OF_SPACE)
+        return _UNKNOWN_SESSION
+    _, _, _, round_, sent_at, kind, package, _, _ = msg
+    if kind is not _TERMINATE:
+        if sent_at - entry.t0 > entry.t_max_eff:
+            return _DEADLINE_EXCEEDED
+    if package is None:
+        if kind is _OFFER:
+            return _OUT_OF_SPACE
     else:
-        values = msg.package.values
+        values = package.values
         rows = entry.agenda.rows()
         for issue_id, _, vmin, vmax, _, _ in rows:
             offered = values.get(issue_id)
             if offered is None or not vmin <= offered <= vmax:
-                return FilterVerdict.rejected(RejectReason.OUT_OF_SPACE)
+                return _OUT_OF_SPACE
         # Every issue is present and issue ids are unique, so an extra key
         # shows as a longer package.
         if len(values) != len(rows):
-            return FilterVerdict.rejected(RejectReason.OUT_OF_SPACE)
-    if msg.round <= entry.last_seen_round:
-        return FilterVerdict.rejected(RejectReason.STALE_ROUND)
-    return FilterVerdict.passed()
+            return _OUT_OF_SPACE
+    if round_ <= entry.last_seen_round:
+        return _STALE_ROUND
+    return _PASSED
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +468,24 @@ def _emit(
     package: Optional[OfferPackage] = None,
     reason: Optional[str] = None,
 ) -> NegotiationMessage:
-    # Positional: a NamedTuple builds from positions about twice as fast.
-    msg = NegotiationMessage(
+    round_ = entry.next_round
+    entry.next_round = round_ + 1
+    return new_record(NegotiationMessage, (
         entry.session,  # session
         state.agent_id,  # sender
         entry.opponent,  # receiver
-        entry.next_round,  # round
+        round_,
         now,  # sent_at
         kind,
         package,
         reason,
-    )
-    entry.next_round += 1
-    return msg
+        None,  # commence
+    ))
 
 
 def _effective_params(state: AgentState, aggressive: bool) -> TacticParams:
     # Resource pressure forces buy-side sessions into a conceding stance.
-    if aggressive and state.role is Perspective.BUYER:
+    if aggressive and state.role is _BUYER:
         forced_beta = max(state.tactic.beta, STANCE_BETA[Stance.CONCEDER])
         return replace(state.tactic, beta=forced_beta, stance=Stance.CONCEDER)
     return state.tactic
@@ -435,7 +503,7 @@ def _jittered(
         values[spec.issue_id] = min(
             spec.max_value, max(spec.min_value, values[spec.issue_id] + shift)
         )
-    return OfferPackage(values=values)
+    return new_record(OfferPackage, (values,))
 
 
 def _open_session(state: AgentState, msg: NegotiationMessage, now: int) -> None:
@@ -517,6 +585,8 @@ def agent_step(
     returns the ordered outbox; rejected messages are logged, never raised.
     """
     outbox: list[NegotiationMessage] = []
+    db = state.agenda_db
+    plans = state.plans
     # Whether the resource level is at or below the threshold, read when the
     # first offer is generated, and the products to resolve, from the first
     # acquire on.
@@ -525,113 +595,124 @@ def agent_step(
 
     # Sweep sessions whose effective deadline has passed. The sweep draws no
     # randomness and the outbox is sorted at the end, so stored order will do.
-    expired = [e for e in state.agenda_db if now > e.t0 + e.t_max_eff]
-    for entry in expired:
+    for entry in db.expired(now):
         outbox.append(
-            _emit(state, entry, now, MessageKind.TERMINATE, reason=TERMINATE_DEADLINE)
+            _emit(state, entry, now, _TERMINATE, reason=TERMINATE_DEADLINE)
         )
-        state.agenda_db.remove(entry.session)
+        db.remove(entry.session)
 
     if not isinstance(inbox, list):
         inbox = list(inbox)
     if len(inbox) > 1:
         inbox = sorted(inbox, key=DELIVERY_ORDER)
     for msg in inbox:
-        if msg.kind is _COMMENCE:
+        session, _, _, round_, _, kind, package, _, _ = msg
+        if kind is _COMMENCE:
             _open_session(state, msg, now)
             continue
-        entry = state.agenda_db.get(msg.session)
+        entry = db.get(session)
         verdict = proxy_filter(msg, entry, now)
         if not verdict.ok:
             if logger.isEnabledFor(logging.DEBUG):
                 logger.debug(
                     "%s: rejected %s on %s (%s)",
-                    state.agent_id, msg.kind.value, msg.session, verdict.reason.value,
+                    state.agent_id, kind.value, session, verdict.reason.value,
                 )
             if verdict.reason is RejectReason.DEADLINE_EXCEEDED:
                 outbox.append(
-                    _emit(state, entry, now, MessageKind.TERMINATE, reason=TERMINATE_DEADLINE)
+                    _emit(state, entry, now, _TERMINATE, reason=TERMINATE_DEADLINE)
                 )
-                state.agenda_db.remove(msg.session)
+                db.remove(session)
             continue
-        entry.last_seen_round = msg.round
-        if msg.kind is not _OFFER:
+        entry.last_seen_round = round_
+        if kind is not _OFFER:
             # The opponent acquired or terminated: the session is over.
-            state.agenda_db.remove(msg.session)
+            db.remove(session)
             continue
 
         # Offer: learn, adapt, recompute the hybrid deadline if the resource
         # projection was replaced, then plan.
-        entry.recent = (*entry.recent, msg.package)[-BELIEF_WINDOW:]
+        entry.recent = (*entry.recent, package)[-BELIEF_WINDOW:]
         entry.offers_received += 1
         lam = mean_lambda(entry)
-        state.tactic = adapt_tactic(
-            state.tactic, 1.0 if lam is None else lam, entry.offers_received
-        )
-        if entry.t_max_eff_of is not state.resources:
-            entry.t_max_eff = effective_deadline(
-                entry.session_t_max, state.resources.shifted(entry.t0)
+        # Until the window is full there is no ratio; adapt_tactic given the
+        # linear ratio 1 in its place returns its input.
+        if lam is not None:
+            state.tactic = adapt_tactic(state.tactic, lam, entry.offers_received)
+        resources = state.resources
+        if entry.t_max_eff_of is not resources:
+            db.set_deadline(
+                entry, effective_deadline(entry.session_t_max, resources.shifted(entry.t0))
             )
-            entry.t_max_eff_of = state.resources
-        plan = _plan(state, entry, now)
+            entry.t_max_eff_of = resources
+        if plans.tests_target:
+            plan = _plan(state, entry, now)
+        else:
+            # _plan's facts with an offer standing and the target untested,
+            # read straight from the library's memo.
+            key = (
+                now > entry.t0 + entry.t_max_eff, True, False,
+                entry.initiator and not entry.opened,
+            )
+            plan = plans._memo.get(key) or plans.choose(*key)
         if plan is _PLAN_TERMINATE:
             outbox.append(
-                _emit(state, entry, now, MessageKind.TERMINATE, reason=TERMINATE_DEADLINE)
+                _emit(state, entry, now, _TERMINATE, reason=TERMINATE_DEADLINE)
             )
-            state.agenda_db.remove(msg.session)
+            db.remove(session)
         elif plan is _PLAN_ACCEPT:
             if acquire_products is None:
                 acquire_products = set()
             acquire_products.add(entry.product)
         elif plan is _PLAN_COUNTER or plan is _PLAN_OFFER:
             if aggressive is None:
-                aggressive = state.resources.level_at(now) <= state.resources.r_threshold
-            params = _effective_params(state, aggressive)
+                aggressive = resources.level_at(now) <= resources.r_threshold
             planned = generate_offer_package(
-                entry.agenda, now - entry.t0, entry.t_max_eff, params
+                entry.agenda, now - entry.t0, entry.t_max_eff,
+                _effective_params(state, True) if aggressive else state.tactic,
             )
-            response = decide_response(
+            response_kind, response_package = decide_response(
                 entry.agenda, entry.role, msg, planned, entry.t0 + entry.t_max_eff
             )
-            if response.kind is _RESPONSE_TERMINATE:
+            if response_kind is _RESPONSE_TERMINATE:
                 outbox.append(
-                    _emit(state, entry, now, MessageKind.TERMINATE, reason=TERMINATE_DEADLINE)
+                    _emit(state, entry, now, _TERMINATE, reason=TERMINATE_DEADLINE)
                 )
-                state.agenda_db.remove(msg.session)
-            elif response.kind is _RESPONSE_ACQUIRE:
+                db.remove(session)
+            elif response_kind is _RESPONSE_ACQUIRE:
                 if acquire_products is None:
                     acquire_products = set()
                 acquire_products.add(entry.product)
             else:
-                entry.opened = True
-                outbox.append(
-                    _emit(state, entry, now, _OFFER, package=response.package)
-                )
+                db.mark_opened(entry)
+                outbox.append(_emit(state, entry, now, _OFFER, package=response_package))
 
     # Opening offers for sessions this agent initiates, in session-id order
     # because jitter draws from rng.
-    pending = [e for e in state.agenda_db if e.initiator and not e.opened]
-    if len(pending) > 1:
-        pending.sort(key=_SESSION)
-    for entry in pending:
-        if _plan(state, entry, now) is not PlanKind.MAKE_OFFER:
-            continue
-        if aggressive is None:
-            aggressive = state.resources.level_at(now) <= state.resources.r_threshold
-        params = _effective_params(state, aggressive)
-        package = generate_offer_package(
-            entry.agenda, now - entry.t0, entry.t_max_eff, params
-        )
-        if now == entry.t0:
-            package = _jittered(state, entry.agenda, package)
-        entry.opened = True
-        outbox.append(_emit(state, entry, now, MessageKind.OFFER, package=package))
+    if db.unopened:
+        pending = [e for e in db if e.initiator and not e.opened]
+        if len(pending) > 1:
+            pending.sort(key=_SESSION)
+        for entry in pending:
+            if _plan(state, entry, now) is not _PLAN_OFFER:
+                continue
+            if aggressive is None:
+                resources = state.resources
+                aggressive = resources.level_at(now) <= resources.r_threshold
+            package = generate_offer_package(
+                entry.agenda, now - entry.t0, entry.t_max_eff,
+                _effective_params(state, True) if aggressive else state.tactic,
+            )
+            if now == entry.t0:
+                package = _jittered(state, entry.agenda, package)
+            db.mark_opened(entry)
+            outbox.append(_emit(state, entry, now, _OFFER, package=package))
 
     # Resolve agreements: best standing offer per product wins, the rest end.
     for product in sorted(acquire_products) if acquire_products else ():
         candidates = []
-        for sid in state.agenda_db.for_product(product):
-            entry = state.agenda_db.get(sid)
+        for sid in db.for_product(product):
+            entry = db.get(sid)
             if entry.standing is None:
                 continue
             candidates.append(
@@ -639,23 +720,21 @@ def agent_step(
             )
         if not candidates:
             continue
-        chosen, losers = resolve_concurrent_agreements(state.agenda_db, candidates)
+        chosen, losers = resolve_concurrent_agreements(db, candidates)
         affected = {chosen, *losers}
         outbox = [
             m for m in outbox
-            if not (m.kind is MessageKind.OFFER and m.session in affected)
+            if not (m.kind is _OFFER and m.session in affected)
         ]
-        entry = state.agenda_db.get(chosen)
-        outbox.append(
-            _emit(state, entry, now, MessageKind.ACQUIRE, package=entry.standing)
-        )
-        state.agenda_db.remove(chosen)
+        entry = db.get(chosen)
+        outbox.append(_emit(state, entry, now, _ACQUIRE, package=entry.standing))
+        db.remove(chosen)
         for sid in losers:
-            loser = state.agenda_db.get(sid)
+            loser = db.get(sid)
             outbox.append(
-                _emit(state, loser, now, MessageKind.TERMINATE, reason=TERMINATE_BETTER_DEAL)
+                _emit(state, loser, now, _TERMINATE, reason=TERMINATE_BETTER_DEAL)
             )
-            state.agenda_db.remove(sid)
+            db.remove(sid)
 
     if len(outbox) > 1:
         # Each _emit takes the entry's next round, so no two messages here

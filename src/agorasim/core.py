@@ -12,11 +12,19 @@ functions in `tactics` (offer generation and utility) make one pass over an
 agenda's rows and inline the per-issue arithmetic.
 
 The records built once per message, `OfferPackage` and `NegotiationMessage`
-(and `tactics.Response`), are `typing.NamedTuple`s: one is built by a single
-tuple construction, where a frozen dataclass sets each field in turn. Their
-fields are read by name as before and cannot be assigned. Being tuples, they
-also compare equal to a plain tuple of the same fields and can be unpacked,
-and a modified copy is made with `_replace`, not `dataclasses.replace`.
+(and `tactics.Response`), are `typing.NamedTuple`s. Their fields are read by
+name and cannot be assigned. Being tuples, they also compare equal to a plain
+tuple of the same fields and can be unpacked, and a modified copy is made
+with `_replace`, not `dataclasses.replace`.
+
+On the per-message path (`agent._emit`, `agent._jittered`,
+`Marketplace.commence_negotiation`, `tactics.generate_offer_package` and
+`tactics.decide_response`) a record is built by one C call,
+`new_record(Cls, (every field, ...))`, `new_record` being `tuple.__new__`.
+Calling the class instead runs the `__new__` that NamedTuple generates in
+Python, a frame per record. The C call fills no defaults, so these builders
+pass every field, `None` ones included; the tests check that each record has
+as many items as its type has fields.
 """
 
 from __future__ import annotations
@@ -193,6 +201,10 @@ class NegotiationMessage(NamedTuple):
     package: Optional[OfferPackage] = None
     reason: Optional[str] = None
     commence: Optional[CommenceInfo] = None
+
+
+#: Builds a NamedTuple record from a tuple of every field in one C call.
+new_record = tuple.__new__
 
 
 #: Sort key of the delivery order: send tick, session, sender, round. The

@@ -2,11 +2,13 @@
 
 All mutations are serialized through one logical event order (tick, session,
 sender); the simulation kernel drives it that way. Only a session's two
-participants may send in it. The trust watchdog is incremental: when a
-session closes, the concession ratios of its transcript are computed once
-and stored per participant, and the refresh pass then updates the Behavior
-Norm and Reputation Index of only the agents whose inputs changed. The
-scores equal a full recomputation over every closed transcript, bit for bit.
+participants may send in it. The trust watchdog is incremental: as each
+offer is routed, its values are folded into the session's per-sender offer
+trails and its offer count. When the session closes, the concession ratios
+of those trails are stored per participant, without a pass over the
+transcript, and the refresh pass then updates the Behavior Norm and
+Reputation Index of only the agents whose inputs changed. The scores equal a
+full recomputation over every closed transcript, bit for bit.
 
 Matchmaking is incremental too. The repository marks a product stale when a
 posting, an agenda or an agent role that it depends on changes, and the
@@ -41,6 +43,7 @@ from .core import (
     ProductId,
     SessionId,
     ValidatedAgenda,
+    new_record,
 )
 from .tactics import Stance, classify_concession
 
@@ -369,6 +372,7 @@ _OFFER = MessageKind.OFFER
 _ACQUIRE = MessageKind.ACQUIRE
 _TERMINATE = MessageKind.TERMINATE
 _OPEN = SessionOutcome.OPEN
+_AGREED = SessionOutcome.AGREED
 
 
 @dataclass
@@ -394,13 +398,15 @@ class SessionState:
     bounds: dict[AgentId, tuple[tuple[IssueId, float, float], ...]] = field(
         default_factory=dict
     )
+    # Folded by route_message as each offer enters the transcript: the number
+    # of offers, and per sender each issue's offered values in transcript
+    # order (offers without a package count but add no values).
+    offer_count: int = 0
+    trails: dict[AgentId, dict[IssueId, list[float]]] = field(default_factory=dict)
 
     @property
     def is_open(self) -> bool:
         return self.outcome is SessionOutcome.OPEN
-
-    def offer_count(self) -> int:
-        return sum(1 for m in self.transcript if m.kind is MessageKind.OFFER)
 
     def participants(self) -> tuple[AgentId, AgentId]:
         return (self.buyer, self.seller)
@@ -537,26 +543,6 @@ def session_ratios(session: SessionState, agent: AgentId) -> list[float]:
         for issue_id in sorted(msg.package.values):
             trails.setdefault(issue_id, []).append(msg.package.values[issue_id])
     return trail_ratios(trails)
-
-
-def offer_trails(
-    session: SessionState,
-) -> tuple[int, dict[AgentId, dict[IssueId, list[float]]]]:
-    """One pass over a transcript: its offer count and each sender's offered
-    values per issue, in transcript order (session_ratios' trails, for every
-    sender at once)."""
-    count = 0
-    by_sender: dict[AgentId, dict[IssueId, list[float]]] = {}
-    for msg in session.transcript:
-        if msg.kind is not _OFFER:
-            continue
-        count += 1
-        if msg.package is None:
-            continue
-        trails = by_sender.setdefault(msg.sender, {})
-        for issue_id, value in msg.package.values.items():
-            trails.setdefault(issue_id, []).append(value)
-    return count, by_sender
 
 
 def trail_ratios(trails: dict[IssueId, list[float]]) -> list[float]:
@@ -805,12 +791,12 @@ class Marketplace:
             initiator=match.seller,
         )
         for i, receiver in enumerate((match.buyer, match.seller)):
-            # Positional, as agent._emit builds its messages: session, sender,
-            # receiver, round, sent_at, kind, package, reason, commence.
-            msg = NegotiationMessage(
+            # session, sender, receiver, round, sent_at, kind, package,
+            # reason, commence
+            msg = new_record(NegotiationMessage, (
                 session.session, MARKETPLACE_ID, receiver, i, now,
-                MessageKind.COMMENCE, None, None, info,
-            )
+                _COMMENCE, None, None, info,
+            ))
             session.transcript.append(msg)
             self._log.append(msg)
             self._enqueue(msg)
@@ -837,54 +823,80 @@ class Marketplace:
         unknown or closed sessions, messages from anyone but the session's
         buyer and seller, a commence (only the marketplace sends one, and it
         does not route it) and an acquire of anything but the other side's
-        last offer are counted against the sender and dropped. A delivery
-        without compliance violations returns one shared result.
+        last offer are counted against the sender and dropped. An offer that
+        enters the transcript is folded into the session's offer count and
+        trails. A delivery without compliance violations returns one shared
+        result.
         """
-        session = self.sessions.get(msg.session)
+        session_id, sender, _, _, sent_at, kind, package, reason, _ = msg
+        session = self.sessions.get(session_id)
         if session is None:
-            return self._reject(msg.sender, DeliveryStatus.UNKNOWN_SESSION)
-        sender = msg.sender
+            return self._reject(sender, DeliveryStatus.UNKNOWN_SESSION)
         if sender != session.buyer and sender != session.seller:
             return self._reject(sender, DeliveryStatus.NOT_PARTICIPANT)
-        if msg.kind is _COMMENCE:
+        if kind is _COMMENCE:
             return self._reject(sender, DeliveryStatus.NOT_FROM_MARKET)
         if session.outcome is not _OPEN:
             # A message crossing the close in the same tick is a benign race;
             # only sends after the sender could have learned of the closure
             # count against compliance.
             closed_at = session.closed_at if session.closed_at is not None else -1
-            if msg.sent_at > closed_at:
+            if sent_at > closed_at:
                 return self._reject(sender, DeliveryStatus.SESSION_CLOSED)
             return DeliveryResult(DeliveryStatus.SESSION_CLOSED, ())
-        if msg.kind is _ACQUIRE:
+        if kind is _ACQUIRE:
             other = session.seller if sender == session.buyer else session.buyer
             offered = session.last_offer(other)
-            if offered is None or msg.package != offered:
+            if offered is None or package != offered:
                 return self._reject(sender, DeliveryStatus.NOT_LAST_OFFER)
 
-        violations = self._compliance_violations(session, msg)
-        stats = self.trust.record(sender).stats
+        # TrustArchive.record, inlined: one dict read once the record exists.
+        rec = self.trust._records.get(sender)
+        if rec is None:
+            rec = self.trust.record(sender)
+        stats = rec.stats
         stats.messages_sent += 1
-        stats.violations += len(violations)
+        violations = ()
+        if kind is _OFFER or (
+            kind is not _TERMINATE and sent_at - session.commence_at > session.t_max
+        ):
+            violations = self._compliance_violations(session, msg)
+            stats.violations += len(violations)
         self._dirty.add(sender)
 
         session.transcript.append(msg)
         self._log.append(msg)
-        self._enqueue(msg)
-        if msg.kind is _ACQUIRE:
-            session.outcome = SessionOutcome.AGREED
-            session.final_package = msg.package
-            session.closed_at = msg.sent_at
+        due = self._pending.get(sent_at + 1)
+        if due is None:
+            self._pending[sent_at + 1] = [msg]
+        else:
+            due.append(msg)
+        if kind is _OFFER:
+            session.offer_count += 1
+            if package is not None:
+                trails = session.trails.get(sender)
+                if trails is None:
+                    trails = session.trails[sender] = {}
+                for issue_id, value in package.values.items():
+                    trail = trails.get(issue_id)
+                    if trail is None:
+                        trails[issue_id] = [value]
+                    else:
+                        trail.append(value)
+        elif kind is _ACQUIRE:
+            session.outcome = _AGREED
+            session.final_package = package
+            session.closed_at = sent_at
             self._agreed.add((session.buyer, session.product))
             self._agreed.add((session.seller, session.product))
             self._on_close(session)
-        elif msg.kind is _TERMINATE:
+        elif kind is _TERMINATE:
             session.outcome = SessionOutcome.TERMINATED
-            session.closed_at = msg.sent_at
-            session.close_reason = msg.reason
+            session.closed_at = sent_at
+            session.close_reason = reason
             self._on_close(session)
         if violations:
-            return DeliveryResult(DeliveryStatus.DELIVERED, tuple(violations))
+            return DeliveryResult(DeliveryStatus.DELIVERED, violations)
         return _DELIVERED
 
     def _reject(self, sender: AgentId, status: DeliveryStatus) -> DeliveryResult:
@@ -895,23 +907,21 @@ class Marketplace:
 
     def _compliance_violations(
         self, session: SessionState, msg: NegotiationMessage
-    ) -> list[str]:
+    ) -> tuple[str, ...]:
         """Sender-side compliance: a terminate past the deadline is the
         protocol-required teardown, and offers are held to the sender's own
         declared ranges as captured at COMMENCE (the receiver's space is the
         receiver's filter)."""
-        found = []
-        if (
-            msg.kind is not _TERMINATE
-            and msg.sent_at - session.commence_at > session.t_max
-        ):
-            found.append("past-deadline")
-        if msg.kind is _OFFER and msg.package is not None:
-            values = msg.package.values
-            for issue_id, lo, hi in session.bounds.get(msg.sender, ()):
+        _, sender, _, _, sent_at, kind, package, _, _ = msg
+        found: tuple[str, ...] = ()
+        if kind is not _TERMINATE and sent_at - session.commence_at > session.t_max:
+            found = ("past-deadline",)
+        if kind is _OFFER and package is not None:
+            values = package.values
+            for issue_id, lo, hi in session.bounds.get(sender, ()):
                 offered = values.get(issue_id)
                 if offered is None or not lo <= offered <= hi:
-                    found.append(f"out-of-space:{issue_id}")
+                    found += (f"out-of-space:{issue_id}",)
         return found
 
     # -- watchdog ----------------------------------------------------------
@@ -919,8 +929,9 @@ class Marketplace:
     def _on_close(self, session: SessionState) -> None:
         """Fold one closed session into the watchdog state, then refresh."""
         self.open_count -= 1
-        agreed = session.outcome is SessionOutcome.AGREED
-        rounds, trails = offer_trails(session)
+        agreed = session.outcome is _AGREED
+        rounds = session.offer_count
+        trails = session.trails
         if agreed:
             self._max_rounds = max(self._max_rounds, rounds)
         for agent in session.participants():

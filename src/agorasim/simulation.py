@@ -580,7 +580,7 @@ def _build_report(scenario: Scenario, seed: int, ticks: int, market: Marketplace
                 seller=record.seller,
                 outcome=record.outcome.value,
                 reason=record.close_reason,
-                rounds=record.offer_count(),
+                rounds=record.offer_count,
                 buyer_utility=buyer_u,
                 seller_utility=seller_u,
                 closed_at=record.closed_at,

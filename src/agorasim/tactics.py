@@ -25,6 +25,7 @@ from .core import (
     Direction,
     ValidatedAgenda,
     check_in_range,
+    new_record,
 )
 
 BETA_MIN = 0.05
@@ -99,6 +100,7 @@ class ResponseKind(Enum):
 # its Enum class takes about 120 ns, reading a module global about 15.
 _BUYER = Perspective.BUYER
 _RESPONSE_ACQUIRE = ResponseKind.ACQUIRE
+_RESPONSE_TERMINATE = ResponseKind.TERMINATE
 _RESPONSE_COUNTER = ResponseKind.COUNTER
 
 
@@ -209,7 +211,7 @@ def generate_offer_package(
         elif v > vmax:
             v = vmax
         values[issue_id] = v
-    return OfferPackage(values)
+    return new_record(OfferPackage, (values,))
 
 
 def concession_rate(o_minus2: float, o_minus1: float, o_now: float) -> Optional[float]:
@@ -277,12 +279,13 @@ def decide_response(
     when the planned counter is worth no more than the offer on the table;
     otherwise send the counter.
     """
-    if incoming.sent_at > t_max_eff:
-        return Response(ResponseKind.TERMINATE)
-    if incoming.package is None:
+    _, _, _, _, sent_at, _, package, _, _ = incoming
+    if sent_at > t_max_eff:
+        return new_record(Response, (_RESPONSE_TERMINATE, None))
+    if package is None:
         raise MissingIssueError("incoming message carries no offer package")
     mine = aggregate_utility(agenda, planned_counter, perspective)
-    theirs = aggregate_utility(agenda, incoming.package, perspective)
+    theirs = aggregate_utility(agenda, package, perspective)
     if mine <= theirs:
-        return Response(_RESPONSE_ACQUIRE, incoming.package)
-    return Response(_RESPONSE_COUNTER, planned_counter)
+        return new_record(Response, (_RESPONSE_ACQUIRE, package))
+    return new_record(Response, (_RESPONSE_COUNTER, planned_counter))

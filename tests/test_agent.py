@@ -735,6 +735,85 @@ class TestAgentStep:
         assert _effective_params(buyer, aggressive=True).beta == 12.0
 
 
+class TestAgendaDBFacts:
+    """AgendaDB's unopened count and deadline bound, against a fresh count
+    and the true earliest deadline after every operation."""
+
+    SESSIONS = tuple(f"s-{i}" for i in range(5))
+    DEADLINES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0]) | st.floats(-30.0, 60.0)
+
+    @staticmethod
+    def assert_facts(db):
+        assert db.unopened == sum(1 for e in db if e.initiator and not e.opened)
+        for entry in db:
+            deadline = entry.t0 + entry.t_max_eff
+            # A NaN deadline never passes, so no bound is owed to it.
+            if deadline == deadline:
+                assert not db.due > deadline
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_facts_hold_after_every_operation(self, data):
+        db = AgendaDB()
+        for _ in range(data.draw(st.integers(1, 30))):
+            op = data.draw(st.sampled_from(
+                ["add", "remove", "mark_opened", "set_deadline", "expired"]
+            ))
+            live = list(db)
+            if op == "add":
+                entry = make_entry(
+                    session=data.draw(st.sampled_from(self.SESSIONS)),
+                    t0=data.draw(st.integers(-10, 40)),
+                    t_max_eff=data.draw(self.DEADLINES),
+                    initiator=data.draw(st.booleans()),
+                )
+                entry.opened = data.draw(st.booleans())
+                if entry.session in db:
+                    with pytest.raises(ValueError):
+                        db.add(entry)
+                else:
+                    db.add(entry)
+            elif op == "remove":
+                # Present and absent ids alike.
+                db.remove(data.draw(st.sampled_from(self.SESSIONS)))
+            elif op == "mark_opened" and live:
+                entry = data.draw(st.sampled_from(live))
+                db.mark_opened(entry)
+                assert entry.opened
+            elif op == "set_deadline" and live:
+                entry = data.draw(st.sampled_from(live))
+                t_max_eff = data.draw(self.DEADLINES)
+                db.set_deadline(entry, t_max_eff)
+                assert entry.t_max_eff is t_max_eff
+            elif op == "expired":
+                now = data.draw(st.integers(-50, 120))
+                expected = [e for e in db if now > e.t0 + e.t_max_eff]
+                found = db.expired(now)
+                assert [e.session for e in found] == [e.session for e in expected]
+                for entry in found:
+                    db.remove(entry.session)
+            self.assert_facts(db)
+
+    def test_replaced_resources_move_the_sweep_to_the_new_deadline(self):
+        # The projection is replaced mid-session; the next offer recomputes
+        # the deadline from 40 down to 10, and the sweep ends the session at
+        # the first tick past it, with no mail in between.
+        agent = make_agent(tactic=TacticParams(k=0.0, beta=1.0))
+        entry = make_entry(t0=0, session_t_max=40, t_max_eff=40.0)
+        entry.t_max_eff_of = agent.resources
+        agent.agenda_db.add(entry)
+        agent.resources = ResourceProjection(points=((0.0, 1.0), (10.0, 0.1)), r_threshold=0.1)
+        outbox = agent_step(agent, [make_offer(values={"price": 19.0}, sent_at=1)], now=2)
+        assert [m.kind for m in outbox] == [MessageKind.OFFER]
+        assert entry.t_max_eff == 10.0
+        assert wake_threshold(agent) == 10.0
+        for now in range(3, 11):
+            assert agent_step(agent, [], now) == []
+        outbox = agent_step(agent, [], 11)
+        assert [(m.kind, m.reason) for m in outbox] == [(MessageKind.TERMINATE, "deadline")]
+        assert "s-1" not in agent.agenda_db
+
+
 class TestSessionOpen:
     """Opening a session reuses what earlier opens derived: the restricted
     agenda, the opening's target utility and the shifted resource projection.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import typing
 
 import pytest
 from hypothesis import given, strategies as st
@@ -291,3 +292,119 @@ class TestRecords:
         (values,) = package
         assert values == {"price": 15.0}
         assert Response(ResponseKind.TERMINATE) == (ResponseKind.TERMINATE, None)
+
+
+def assert_complete(record):
+    """A record holds one item per field of its type and equals the record
+    that its type builds from those fields by keyword. A record built by
+    tuple.__new__ without a field added to its type fails both."""
+    cls = type(record)
+    assert len(record) == len(cls._fields), (cls.__name__, cls._fields, record)
+    assert record == cls(**dict(zip(cls._fields, record)))
+
+
+class TestRecordBuilders:
+    """The per-message builders make each record in one C call
+    (tuple.__new__), which fills no defaults: each must pass every field."""
+
+    AGENDA = make_agenda(make_issue("price", 0.6, 10, 20), make_issue("memory", 0.4, 1, 8))
+
+    def offer(self, price=14.0, memory=4.0, sent_at=3):
+        return NegotiationMessage(
+            session="s-1", sender="seller-1", receiver="buyer-1", round=2,
+            sent_at=sent_at, kind=MessageKind.OFFER,
+            package=OfferPackage(values={"price": price, "memory": memory}),
+        )
+
+    @pytest.mark.parametrize("kind, package, reason", [
+        (MessageKind.OFFER, OfferPackage({"price": 12.0}), None),
+        (MessageKind.TERMINATE, None, "deadline"),
+        (MessageKind.ACQUIRE, OfferPackage({"price": 13.0}), None),
+    ])
+    def test_emit(self, kind, package, reason):
+        from agorasim.agent import _emit
+        from conftest import make_agent, make_entry
+
+        entry = make_entry(session="s-7", opponent="seller-3")
+        entry.next_round = 4
+        msg = _emit(make_agent(agent_id="buyer-2"), entry, 9, kind, package, reason)
+        assert msg == NegotiationMessage(
+            session="s-7", sender="buyer-2", receiver="seller-3", round=4,
+            sent_at=9, kind=kind, package=package, reason=reason,
+        )
+        assert entry.next_round == 5
+        assert_complete(msg)
+
+    def test_commence_negotiation(self):
+        from agorasim.core import MARKETPLACE_ID, CommenceInfo
+        from agorasim.marketplace import Marketplace, Match
+
+        market = Marketplace()
+        for agent, role in (("b1", Perspective.BUYER), ("s1", Perspective.SELLER)):
+            market.repo.register_agent(agent, role)
+            market.repo.declare_agenda(agent, "vm", self.AGENDA)
+        session = market.commence_negotiation(
+            Match("rfq-1", "ad-1", "vm", "b1", "s1", ("price", "memory")), now=6
+        )
+        info = CommenceInfo(
+            product="vm", issue_ids=("price", "memory"), t_max=20,
+            buyer="b1", seller="s1", initiator="s1",
+        )
+        assert session.transcript == [
+            NegotiationMessage(
+                session=session.session, sender=MARKETPLACE_ID, receiver=receiver,
+                round=i, sent_at=6, kind=MessageKind.COMMENCE, commence=info,
+            )
+            for i, receiver in enumerate(("b1", "s1"))
+        ]
+        for msg in session.transcript:
+            assert_complete(msg)
+
+    @pytest.mark.parametrize("t, t_max_eff", [(0.0, 20.0), (7.0, 20.0), (3.0, 0.0)])
+    def test_generate_offer_package(self, t, t_max_eff):
+        from agorasim.tactics import TacticParams, generate_offer_package
+
+        package = generate_offer_package(self.AGENDA, t, t_max_eff, TacticParams(k=0.1))
+        assert package == OfferPackage(values=dict(package.values))
+        assert_complete(package)
+
+    def test_jittered(self):
+        from agorasim.agent import _jittered
+        from conftest import make_agent
+
+        state = make_agent(jitter=0.3, rng=random.Random(5))
+        package = _jittered(state, self.AGENDA, OfferPackage({"price": 15.0, "memory": 4.0}))
+        assert package == OfferPackage(values=dict(package.values))
+        assert package.values != {"price": 15.0, "memory": 4.0}
+        assert_complete(package)
+
+    @pytest.mark.parametrize("incoming, expected_kind", [
+        ({"sent_at": 30}, ResponseKind.TERMINATE),
+        ({"price": 10.0, "memory": 1.0}, ResponseKind.ACQUIRE),
+        ({"price": 19.0, "memory": 7.0}, ResponseKind.COUNTER),
+    ])
+    def test_decide_response(self, incoming, expected_kind):
+        from agorasim.tactics import decide_response
+
+        msg = self.offer(**incoming)
+        planned = OfferPackage({"price": 12.0, "memory": 2.0})
+        response = decide_response(self.AGENDA, Perspective.BUYER, msg, planned, 20.0)
+        package = {
+            ResponseKind.TERMINATE: None,
+            ResponseKind.ACQUIRE: msg.package,
+            ResponseKind.COUNTER: planned,
+        }[expected_kind]
+        assert response == Response(kind=expected_kind, package=package)
+        assert_complete(response)
+
+    def test_check_fails_when_a_field_is_added(self):
+        # A type grown by one defaulted field, its record built as the
+        # builders build theirs, from the old fields only.
+        class Grown(typing.NamedTuple):
+            kind: ResponseKind
+            package: typing.Optional[OfferPackage] = None
+            note: typing.Optional[str] = None
+
+        with pytest.raises(AssertionError):
+            assert_complete(tuple.__new__(Grown, (ResponseKind.TERMINATE, None)))
+        assert_complete(tuple.__new__(Grown, (ResponseKind.TERMINATE, None, None)))

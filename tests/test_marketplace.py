@@ -1,12 +1,13 @@
 """Marketplace: repository, matchmaking, session routing, watchdog scores."""
 
+import copy
 import math
 import random
 import struct
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from agorasim import marketplace
 from agorasim.core import (
@@ -685,11 +686,34 @@ def test_route_violations_match_declared_agenda_scan(
     assert market.trust.record(sender).stats.violations == len(expected)
 
 
+def offer_count(session):
+    """The offers in a transcript: the reference for SessionState.offer_count."""
+    return sum(1 for m in session.transcript if m.kind is MessageKind.OFFER)
+
+
+def offer_trails(session):
+    """One pass over a transcript: its offer count and each sender's offered
+    values per issue, in transcript order. The reference for the count and
+    trails that route_message folds as offers are routed."""
+    count = 0
+    by_sender = {}
+    for msg in session.transcript:
+        if msg.kind is not MessageKind.OFFER:
+            continue
+        count += 1
+        if msg.package is None:
+            continue
+        trails = by_sender.setdefault(msg.sender, {})
+        for issue_id, value in msg.package.values.items():
+            trails.setdefault(issue_id, []).append(value)
+    return count, by_sender
+
+
 def assert_trust_matches_bruteforce(market):
     """Every registered agent's scores equal a full rescan of closed sessions."""
     closed = [s for s in market.sessions.values() if not s.is_open]
     max_rounds = max(
-        (s.offer_count() for s in closed if s.outcome is SessionOutcome.AGREED),
+        (offer_count(s) for s in closed if s.outcome is SessionOutcome.AGREED),
         default=0,
     )
     for agent in market.repo.agents():
@@ -928,6 +952,8 @@ class TestIncrementalWatchdog:
             assert_trust_matches_bruteforce(market)
 
     def test_close_folds_only_that_session(self, monkeypatch):
+        # The close reads the trails folded as offers were routed: it walks
+        # no transcript, neither its own nor another session's.
         market = self.market()
         sessions = [self.commence(market, i) for i in range(3)]
         for tick in range(1, 5):
@@ -938,22 +964,28 @@ class TestIncrementalWatchdog:
         for session in sessions[:2]:
             self.send(market, session, "b1", MessageKind.TERMINATE, 5)
 
-        folded = []
-        real = marketplace.offer_trails
+        class Unwalkable(list):
+            def __iter__(self):
+                raise AssertionError("the watchdog walked a transcript")
 
-        def counting(session):
-            folded.append(session.session)
-            return real(session)
+            __reversed__ = __iter__
 
         def forbidden(*args):
             raise AssertionError("the watchdog rescanned closed transcripts")
 
-        monkeypatch.setattr(marketplace, "offer_trails", counting)
+        for session in sessions:
+            session.transcript = Unwalkable(session.transcript)
         monkeypatch.setattr(marketplace, "session_ratios", forbidden)
         monkeypatch.setattr(marketplace, "compute_behavior_norm", forbidden)
-        monkeypatch.setattr(marketplace.SessionState, "offer_count", forbidden)
+        # Neither transcript scan is left in the marketplace to call.
+        assert not hasattr(marketplace, "offer_trails")
+        assert not callable(sessions[2].offer_count)
         self.send(market, sessions[2], "s1", MessageKind.TERMINATE, 5)
-        assert folded == [sessions[2].session]
+        assert not sessions[2].is_open
+        for session in sessions:
+            session.transcript = list.copy(session.transcript)
+        monkeypatch.undo()
+        assert_trust_matches_bruteforce(market)
 
     def test_offer_trails_match_the_references(self):
         market = self.market()
@@ -962,12 +994,52 @@ class TestIncrementalWatchdog:
             for sender in session.participants():
                 values = {"price": 20.0 - tick * tick, "memory": 1.0 + tick % 3}
                 self.send(market, session, sender, MessageKind.OFFER, tick, values)
-        count, trails = marketplace.offer_trails(session)
-        assert count == session.offer_count() == 12
+        count, trails = offer_trails(session)
+        assert count == session.offer_count == 12
+        assert trails == session.trails
         for agent in session.participants():
             assert marketplace.trail_ratios(trails[agent]) == (
                 marketplace.session_ratios(session, agent)
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_routed_trails_equal_a_transcript_pass(self, data):
+        # Every kind of rejected send is drawn: an unknown session, an
+        # outsider, a routed commence, a send after the close and an acquire
+        # of anything but the other side's last offer. None may reach the
+        # count or the trails, which must equal a pass over the transcript.
+        market = self.market()
+        sessions = [
+            self.commence(market, i, buyer=data.draw(st.sampled_from(["b1", "b2"])))
+            for i in range(data.draw(st.integers(1, 3)))
+        ]
+        value = st.sampled_from([10.0, 15.0, 20.0]) | st.floats(0.0, 30.0)
+        package = st.none() | st.dictionaries(
+            st.sampled_from(["price", "memory", "disk"]), value, max_size=3
+        )
+        for tick in range(1, data.draw(st.integers(1, 25)) + 1):
+            session = data.draw(st.sampled_from(sessions))
+            kind = data.draw(st.sampled_from(list(MessageKind)))
+            sender = data.draw(st.sampled_from(self.AGENTS))
+            values = data.draw(package)
+            if kind is MessageKind.ACQUIRE and data.draw(st.booleans()):
+                other = session.seller if sender == session.buyer else session.buyer
+                offered = session.last_offer(other)
+                values = None if offered is None else dict(offered.values)
+            target = data.draw(st.sampled_from([session.session, "s-unknown"]))
+            before = [(s.offer_count, copy.deepcopy(s.trails)) for s in sessions]
+            result = market.route_message(NegotiationMessage(
+                session=target, sender=sender, receiver="b1", round=tick,
+                sent_at=data.draw(st.sampled_from([tick, tick - 1])), kind=kind,
+                package=None if values is None else OfferPackage(values=values),
+            ))
+            event(result.status.value)
+            routed = result.status is DeliveryStatus.DELIVERED
+            for s, (count, trails) in zip(sessions, before):
+                if not (routed and s is session and kind is MessageKind.OFFER):
+                    assert (s.offer_count, s.trails) == (count, trails)
+                assert offer_trails(s) == (s.offer_count, s.trails)
 
 
 class TestIncrementalMatchmaking:

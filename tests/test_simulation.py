@@ -3,6 +3,7 @@
 import bisect
 import copy
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +16,7 @@ from agorasim import simulation, yamlload
 from agorasim.agent import DEFAULT_PLAN_RULES, PlanCondition, PlanKind, PlanRule, _plan
 from agorasim.core import DELIVERY_ORDER
 from agorasim.marketplace import Marketplace
+from agorasim.tactics import ResourceProjection
 from agorasim.simulation import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -691,6 +693,41 @@ class TestWakeUps:
         scenario = _with_rules(_tiny_workload(workload, 0), PLAN_VARIANTS[variant])
         expected = _outputs(_polling_run(scenario))
         assert _outputs(simulation.run_simulation_with_market(scenario)) == expected
+
+    def test_replaced_resources_expire_at_the_new_deadline(self, monkeypatch):
+        # The buyer's projection is replaced before it answers the opening
+        # offer at tick 2, so that offer recomputes its deadline from 21 down
+        # to 8.5. The seller never counters, so no mail comes after: only the
+        # deadline sweep can end the session, at tick 9. The polling oracle
+        # steps every tick and walks every entry at every step.
+        depleting = ResourceProjection(points=((0.0, 1.0), (10.0, 0.0)), r_threshold=0.15)
+        silent = (_DEADLINE, PlanRule(PlanCondition.OFFER_STANDING, PlanKind.IDLE),
+                  _OPENING, _IDLE)
+        scenario = load_scenario((SCENARIOS_DIR / "bilateral.yaml").read_text(encoding="utf-8"))
+        scenario = replace(scenario, agents=tuple(
+            replace(a, plan_rules=silent) if a.agent_id == "seller-1" else a
+            for a in scenario.agents
+        ))
+        original = simulation.agent_step
+        walk_always = False
+
+        def replacing(state, inbox, now):
+            if state.agent_id == "buyer-1" and now == 2:
+                state.resources = depleting
+            if walk_always:
+                state.agenda_db.due = -math.inf
+            return original(state, inbox, now)
+
+        monkeypatch.setattr(simulation, "agent_step", replacing)
+        walk_always = True
+        expected = _outputs(_polling_run(scenario))
+        walk_always = False
+        got = _outputs(simulation.run_simulation_with_market(scenario))
+        assert got == expected
+        last = json.loads(got[0][-1])
+        assert (last["tick"], last["sender"], last["kind"], last["reason"]) == (
+            9, "buyer-1", "terminate", "deadline"
+        )
 
     @pytest.mark.parametrize("source, variant", [
         pytest.param(source, variant, id=f"{source}-{variant}".removesuffix("-default"))

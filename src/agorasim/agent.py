@@ -586,7 +586,6 @@ def agent_step(
     """
     outbox: list[NegotiationMessage] = []
     db = state.agenda_db
-    plans = state.plans
     # Whether the resource level is at or below the threshold, read when the
     # first offer is generated, and the products to resolve, from the first
     # acquire on.
@@ -645,16 +644,7 @@ def agent_step(
                 entry, effective_deadline(entry.session_t_max, resources.shifted(entry.t0))
             )
             entry.t_max_eff_of = resources
-        if plans.tests_target:
-            plan = _plan(state, entry, now)
-        else:
-            # _plan's facts with an offer standing and the target untested,
-            # read straight from the library's memo.
-            key = (
-                now > entry.t0 + entry.t_max_eff, True, False,
-                entry.initiator and not entry.opened,
-            )
-            plan = plans._memo.get(key) or plans.choose(*key)
+        plan = _plan(state, entry, now)
         if plan is _PLAN_TERMINATE:
             outbox.append(
                 _emit(state, entry, now, _TERMINATE, reason=TERMINATE_DEADLINE)

@@ -400,7 +400,8 @@ class SessionState:
     )
     # Folded by route_message as each offer enters the transcript: the number
     # of offers, and per sender each issue's offered values in transcript
-    # order (offers without a package count but add no values).
+    # order (offers without a package count but add no values). The trails
+    # are released once the close has folded them.
     offer_count: int = 0
     trails: dict[AgentId, dict[IssueId, list[float]]] = field(default_factory=dict)
 
@@ -805,7 +806,12 @@ class Marketplace:
     # -- routing -----------------------------------------------------------
 
     def _enqueue(self, msg: NegotiationMessage) -> None:
-        self._pending.setdefault(msg.sent_at + 1, []).append(msg)
+        # No setdefault: it would build a fresh list for every message.
+        due = self._pending.get(msg.sent_at + 1)
+        if due is None:
+            self._pending[msg.sent_at + 1] = [msg]
+        else:
+            due.append(msg)
 
     def due_messages(self, now: int) -> dict[AgentId, list[NegotiationMessage]]:
         """Pop messages due for delivery this tick, per receiver, in order."""
@@ -850,27 +856,15 @@ class Marketplace:
             if offered is None or package != offered:
                 return self._reject(sender, DeliveryStatus.NOT_LAST_OFFER)
 
-        # TrustArchive.record, inlined: one dict read once the record exists.
-        rec = self.trust._records.get(sender)
-        if rec is None:
-            rec = self.trust.record(sender)
-        stats = rec.stats
+        violations = self._compliance_violations(session, msg)
+        stats = self.trust.record(sender).stats
         stats.messages_sent += 1
-        violations = ()
-        if kind is _OFFER or (
-            kind is not _TERMINATE and sent_at - session.commence_at > session.t_max
-        ):
-            violations = self._compliance_violations(session, msg)
-            stats.violations += len(violations)
+        stats.violations += len(violations)
         self._dirty.add(sender)
 
         session.transcript.append(msg)
         self._log.append(msg)
-        due = self._pending.get(sent_at + 1)
-        if due is None:
-            self._pending[sent_at + 1] = [msg]
-        else:
-            due.append(msg)
+        self._enqueue(msg)
         if kind is _OFFER:
             session.offer_count += 1
             if package is not None:
@@ -911,7 +905,7 @@ class Marketplace:
         """Sender-side compliance: a terminate past the deadline is the
         protocol-required teardown, and offers are held to the sender's own
         declared ranges as captured at COMMENCE (the receiver's space is the
-        receiver's filter)."""
+        receiver's filter). Builds nothing when neither check can fire."""
         _, sender, _, _, sent_at, kind, package, _, _ = msg
         found: tuple[str, ...] = ()
         if kind is not _TERMINATE and sent_at - session.commence_at > session.t_max:
@@ -944,6 +938,8 @@ class Marketplace:
             if ratios:
                 bisect.insort(self._ratios.setdefault(agent, []), (session.seq, ratios))
             self._dirty.add(agent)
+        # The ratios are stored; a closed session takes no more offers.
+        session.trails = {}
         self.recompute_trust()
 
     def recompute_trust(self) -> None:

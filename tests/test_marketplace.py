@@ -1008,7 +1008,9 @@ class TestIncrementalWatchdog:
         # Every kind of rejected send is drawn: an unknown session, an
         # outsider, a routed commence, a send after the close and an acquire
         # of anything but the other side's last offer. None may reach the
-        # count or the trails, which must equal a pass over the transcript.
+        # count or the trails, which must equal a pass over the transcript
+        # while the session is open. The close folds the trails into the
+        # watchdog and releases them; the count stays.
         market = self.market()
         sessions = [
             self.commence(market, i, buyer=data.draw(st.sampled_from(["b1", "b2"])))
@@ -1028,7 +1030,9 @@ class TestIncrementalWatchdog:
                 offered = session.last_offer(other)
                 values = None if offered is None else dict(offered.values)
             target = data.draw(st.sampled_from([session.session, "s-unknown"]))
-            before = [(s.offer_count, copy.deepcopy(s.trails)) for s in sessions]
+            before = [
+                (s.is_open, s.offer_count, copy.deepcopy(s.trails)) for s in sessions
+            ]
             result = market.route_message(NegotiationMessage(
                 session=target, sender=sender, receiver="b1", round=tick,
                 sent_at=data.draw(st.sampled_from([tick, tick - 1])), kind=kind,
@@ -1036,10 +1040,15 @@ class TestIncrementalWatchdog:
             ))
             event(result.status.value)
             routed = result.status is DeliveryStatus.DELIVERED
-            for s, (count, trails) in zip(sessions, before):
-                if not (routed and s is session and kind is MessageKind.OFFER):
+            for s, (was_open, count, trails) in zip(sessions, before):
+                if was_open and not s.is_open:
+                    assert (s.offer_count, s.trails) == (count, {})
+                elif not (routed and s is session and kind is MessageKind.OFFER):
                     assert (s.offer_count, s.trails) == (count, trails)
-                assert offer_trails(s) == (s.offer_count, s.trails)
+                reference_count, reference_trails = offer_trails(s)
+                assert reference_count == s.offer_count
+                if s.is_open:
+                    assert reference_trails == s.trails
 
 
 class TestIncrementalMatchmaking:

@@ -589,8 +589,10 @@ class TestEmptyTicks:
 
 def _polling_run(scenario):
     """The tick loop as it was before wake thresholds: every agent that holds
-    a live entry steps on every tick. The reference the wake rule must
-    reproduce byte for byte."""
+    a live entry steps on every tick, and every step walks every entry for
+    expired sessions and pending openings (the AgendaDB facts that let a step
+    skip those walks are overridden). The reference the wake rule and the
+    facts must reproduce byte for byte."""
     seed = scenario.seed
     market = Marketplace(require_overlap=scenario.options.require_overlap)
     states = simulation.build_agent_states(scenario, seed)
@@ -621,7 +623,12 @@ def _polling_run(scenario):
         outgoing = []
         busy = sorted(live.union(a for a in inboxes if a in states))
         for agent_id in busy:
-            outgoing.extend(simulation.agent_step(states[agent_id], inboxes.get(agent_id, []), now))
+            state = states[agent_id]
+            # No deadline bound to wait for and always an opening to look
+            # for; mark_opened keeps an infinite count infinite.
+            state.agenda_db.due = -math.inf
+            state.agenda_db.unopened = math.inf
+            outgoing.extend(simulation.agent_step(state, inboxes.get(agent_id, []), now))
         live = {a for a in busy if len(states[a].agenda_db)}
         outgoing.sort(key=DELIVERY_ORDER)
         for msg in outgoing:
@@ -709,19 +716,14 @@ class TestWakeUps:
             for a in scenario.agents
         ))
         original = simulation.agent_step
-        walk_always = False
 
         def replacing(state, inbox, now):
             if state.agent_id == "buyer-1" and now == 2:
                 state.resources = depleting
-            if walk_always:
-                state.agenda_db.due = -math.inf
             return original(state, inbox, now)
 
         monkeypatch.setattr(simulation, "agent_step", replacing)
-        walk_always = True
         expected = _outputs(_polling_run(scenario))
-        walk_always = False
         got = _outputs(simulation.run_simulation_with_market(scenario))
         assert got == expected
         last = json.loads(got[0][-1])

@@ -78,6 +78,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _jsonl_text(lines: list[str]) -> str:
+    """The lines, each ended by a newline, built by one join: no lines give
+    an empty text."""
+    return "\n".join([*lines, ""])
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     text = _load(args.scenario)
     if text is None:
@@ -97,16 +103,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         transcript_path = out_dir / "transcript.jsonl"
-        transcript_path.write_text(
-            "".join(line + "\n" for line in transcript_lines), encoding="utf-8"
-        )
+        transcript_path.write_text(_jsonl_text(transcript_lines), encoding="utf-8")
         report_path = out_dir / "report.txt"
         report_path.write_text(emit_report(report), encoding="utf-8")
         trust_path = out_dir / "trust.jsonl"
-        trust_path.write_text(
-            "".join(line + "\n" for line in market.trust.export_lines()),
-            encoding="utf-8",
-        )
+        trust_path.write_text(_jsonl_text(market.trust.export_lines()), encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot write outputs to {out_dir}: {exc}", file=sys.stderr)
         return EXIT_FAILURE

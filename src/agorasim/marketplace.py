@@ -15,6 +15,14 @@ posting, an agenda or an agent role that it depends on changes, and the
 watchdog marks an advertiser's products stale when that agent's reputation
 changes. Each matchmaking pass scans only the stale products and finds the
 same matches, in the same order, as a pass over every RFQ.
+
+Each transcript line equals _COMPACT_JSON.encode of its message's record
+{tick, session, sender, receiver, round, kind, values, reason}.
+render_transcript writes the lines of one transcript from one %-pattern per
+message shape; a message the patterns do not cover (a bool tick or round, a
+key that is not an exact str, a value that is not an exact finite float, a
+package whose values are not a dict) goes to transcript_line, which renders
+any single message.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from math import isfinite
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import (
     DELIVERY_ORDER,
@@ -478,15 +487,16 @@ def transcript_line(
 ) -> str:
     """One message as a stable-field-order JSON line.
 
-    The line is the compact JSON of the record {tick, session, sender,
-    receiver, round, kind, values, reason}, `values` holding the package's
-    issues in sorted order (or null), written out by one format string.
-    Strings go through _COMPACT_JSON once each and are kept in `encoded`,
-    which callers rendering many lines pass to every call. Finite floats and
-    ints are written by float.__repr__ and int.__repr__, as json writes them.
-    Any other value (NaN, an infinity, a bool) and a package with a key that
-    is not a string go to _COMPACT_JSON, so the line always equals
-    _COMPACT_JSON.encode of the record.
+    The line equals _COMPACT_JSON.encode of the record {tick, session,
+    sender, receiver, round, kind, values, reason}, `values` holding the
+    package's issues in sorted order (or null), written out by one format
+    string. Strings go through _COMPACT_JSON once each and are kept in
+    `encoded`, which callers rendering many lines pass to every call. Finite
+    floats and ints are written by float.__repr__ and int.__repr__, as json
+    writes them. Any other value (NaN, an infinity, a bool) and a package
+    with a key that is not a string go to _COMPACT_JSON. This renders any
+    message; render_transcript sends it every message its patterns do not
+    cover, and it is the one-message reference for them.
     """
     if encoded is None:
         encoded = {}
@@ -505,6 +515,115 @@ def transcript_line(
         f'"values":{values},'
         f'"reason":{"null" if reason is None else _json(reason, encoded)}}}'
     )
+
+
+def _shape_pattern(
+    kind: MessageKind,
+    has_reason: bool,
+    keys: Optional[tuple[str, ...]],
+    encoded: dict[str, str],
+) -> tuple[str, Optional[Callable[[dict], tuple]]]:
+    """The %-pattern of one message shape and the getter of its issue values
+    as a tuple in sorted-key order (None when there are none).
+
+    The pattern holds the encoded kind and issue keys, each `%` doubled; `%d`
+    stands for tick and round, `%s` for the encoded session, sender, receiver
+    and reason, `%r` for each issue value.
+    """
+    getter = None
+    if keys is None:
+        values = "null"
+    else:
+        ordered = sorted(keys)
+        values = "{" + ",".join(
+            _json(key, encoded).replace("%", "%%") + ":%r" for key in ordered
+        ) + "}"
+        if len(ordered) > 1:
+            getter = itemgetter(*ordered)
+        elif ordered:
+            # itemgetter of one key returns the bare value.
+            getter = lambda offered, key=ordered[0]: (offered[key],)
+    pattern = (
+        '{"tick":%d,"session":%s,"sender":%s,"receiver":%s,"round":%d,'
+        '"kind":' + _json(kind.value, encoded).replace("%", "%%") + ","
+        '"values":' + values + ","
+        '"reason":' + ("%s" if has_reason else "null") + "}"
+    )
+    return pattern, getter
+
+
+class _EncodedText(dict):
+    """Each string's JSON text; a lookup that misses encodes the value with
+    _json, which keeps it when it is a string."""
+
+    def __missing__(self, value: object) -> str:
+        return _json(value, self)
+
+
+def render_transcript(messages: Iterable[NegotiationMessage]) -> list[str]:
+    """Every message as a transcript line; the lines of Marketplace.transcript_lines.
+
+    Each line equals _COMPACT_JSON.encode of the message's record, as
+    transcript_line writes it. Messages of one shape (kind, whether a reason
+    is given, and the package's issue keys in insertion order, or no package)
+    share one %-pattern, built on first use and kept for this call only. A
+    message is written from its pattern when its tick and round are exact
+    ints, its package's values a dict whose keys are exact strs, and every
+    value an exact, finite float. Every other message goes to
+    transcript_line: a bool tick or round, a key of any other type (a str
+    subclass too), an int, bool, NaN, infinity or float-subclass value, and
+    a package whose values are not a dict. Both paths share one cache of
+    encoded strings.
+    """
+    encoded = _EncodedText()
+    # (id(kind), no reason, keys) -> (pattern, getter, kind); holding the
+    # kind keeps its id from naming another object during the call.
+    shapes: dict[tuple, tuple] = {}
+    # The previous pattern's shape: runs of one shape skip the lookup.
+    last_kind = last_no_reason = last_keys = last_shape = None
+    lines: list[str] = []
+    append = lines.append
+    for msg in messages:
+        session, sender, receiver, round_, tick, kind, package, reason, _ = msg
+        if type(tick) is int and type(round_) is int:
+            if package is None:
+                keys = values = None
+            else:
+                values = package.values
+                # (None,) fails the key check: a non-dict goes to the fallback.
+                keys = tuple(values) if type(values) is dict else (None,)
+            for key in keys or ():
+                if type(key) is not str:
+                    break
+            else:
+                no_reason = reason is None
+                if (
+                    kind is not last_kind
+                    or no_reason is not last_no_reason
+                    or keys != last_keys
+                ):
+                    shape_key = (id(kind), no_reason, keys)
+                    last_shape = shapes.get(shape_key)
+                    if last_shape is None:
+                        last_shape = shapes[shape_key] = (
+                            *_shape_pattern(kind, not no_reason, keys, encoded), kind
+                        )
+                    last_kind, last_no_reason, last_keys = kind, no_reason, keys
+                pattern, getter, _ = last_shape
+                issue_values = () if getter is None else getter(values)
+                for value in issue_values:
+                    if type(value) is not float or not isfinite(value):
+                        break
+                else:
+                    args = (
+                        tick, encoded[session], encoded[sender], encoded[receiver], round_
+                    ) + issue_values
+                    if not no_reason:
+                        args += (_json(reason, encoded),)
+                    append(pattern % args)
+                    continue
+        append(transcript_line(msg, encoded))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -984,5 +1103,5 @@ class Marketplace:
         return any(self._pending.values())
 
     def transcript_lines(self) -> list[str]:
-        encoded: dict[str, str] = {}
-        return [transcript_line(msg, encoded) for msg in self._log]
+        """Render every line of the transcript; emission starts here."""
+        return render_transcript(self._log)

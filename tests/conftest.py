@@ -63,9 +63,9 @@ def agendas(draw):
 
 
 # Scalars as a JSON writer must take them: non-ASCII, quotes, backslashes,
-# control characters, U+2028 and spaces; non-finite and extreme floats,
-# -0.0, large ints and bools.
-json_text = st.text(st.sampled_from('ab -é€😀"\\/\x00\x1f\n\t\u2028'), max_size=6)
+# control characters, U+2028, spaces and the format metacharacters % { };
+# non-finite and extreme floats, -0.0, large ints and bools.
+json_text = st.text(st.sampled_from('ab -é€😀"\\/\x00\x1f\n\t\u2028%{}'), max_size=6)
 json_floats = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308]),

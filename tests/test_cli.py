@@ -252,6 +252,17 @@ class TestRun:
         for name in ("transcript.jsonl", "report.txt"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
+    def test_run_without_sessions_writes_empty_files(self, tmp_path, capsys):
+        path = tmp_path / "no-rfq.yaml"
+        path.write_text(
+            BILATERAL_FILE.split("rfqs:")[0] + "rfqs: []\n", encoding="utf-8"
+        )
+        out_dir = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out_dir)]) == 0
+        assert "0 sessions" in capsys.readouterr().out
+        assert (out_dir / "transcript.jsonl").read_bytes() == b""
+        assert (out_dir / "trust.jsonl").read_bytes() == b""
+
     def test_invalid_scenario_fails_with_diagnostics(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text("t_end: [broken\n", encoding="utf-8")

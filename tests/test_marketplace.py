@@ -7,7 +7,7 @@ import struct
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from agorasim import marketplace
 from agorasim.core import (
@@ -35,6 +35,7 @@ from agorasim.marketplace import (
     compute_reputation,
     match_alliances,
     ranges_overlap,
+    render_transcript,
     trail_ratios,
     transcript_line,
 )
@@ -119,9 +120,177 @@ class TestTranscriptLine:
     def test_equals_the_encoded_record(self, msgs):
         expected = [reference_transcript_line(msg) for msg in msgs]
         assert [transcript_line(msg) for msg in msgs] == expected
-        # As transcript_lines renders: one string cache for every line.
+        # As render_transcript falls back: one string cache for every line.
         encoded: dict[str, str] = {}
         assert [transcript_line(msg, encoded) for msg in msgs] == expected
+        assert render_transcript(msgs) == expected
+
+
+class _DescendingKey(str):
+    """An issue key equal to its str, but sorted in reverse."""
+
+    def __lt__(self, other):
+        return str.__gt__(self, other)
+
+
+class _TaggedFloat(float):
+    """A float whose own repr is not the JSON number."""
+
+    def __repr__(self):
+        return "tagged"
+
+
+#: Issue key sets the shaped messages draw from, so patterns are reused;
+#: some keys hold format metacharacters.
+KEY_SETS = (
+    (),
+    ("price",),
+    ("memory", "price"),
+    ("price", "memory"),
+    ("%d", "{x}", "a%%b"),
+    ("%", "%s}", "{%r"),
+)
+ids = st.one_of(st.sampled_from(["s-1", "buyer-%d", "{seller}", "%"]), json_text)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+#: Issue values that are not exact finite floats.
+odd_values = st.sampled_from(
+    [math.nan, math.inf, -math.inf, True, False, 0, 7, _TaggedFloat(2.5)]
+)
+
+
+@st.composite
+def shaped_messages(draw):
+    """A message every check of the renderer's patterns admits."""
+    keys = draw(st.sampled_from((None,) + KEY_SETS))
+    package = None
+    if keys is not None:
+        package = OfferPackage(values={key: draw(finite_floats) for key in keys})
+    return NegotiationMessage(
+        session=draw(ids),
+        sender=draw(ids),
+        receiver=draw(ids),
+        round=draw(st.integers(0, 10**6)),
+        sent_at=draw(st.integers(0, 10**6)),
+        kind=draw(st.sampled_from(MessageKind)),
+        package=package,
+        reason=draw(st.one_of(st.none(), ids)),
+    )
+
+
+def _with_values(msg, values):
+    return msg._replace(package=OfferPackage(values=values))
+
+
+# Each takes a message and a draw; returns a message of the same shape, or of
+# a neighbouring one, that some check must send to the fallback or to
+# another pattern; None when the message has nothing to change.
+def _odd_value(msg, draw):
+    if msg.package is None or not msg.package.values:
+        return None
+    values = dict(msg.package.values)
+    values[draw(st.sampled_from(sorted(values)))] = draw(odd_values)
+    return _with_values(msg, values)
+
+
+def _reordered(msg, draw):
+    if msg.package is None:
+        return None
+    return _with_values(msg, dict(reversed(msg.package.values.items())))
+
+
+def _str_subclass_keys(msg, draw):
+    if msg.package is None:
+        return None
+    return _with_values(
+        msg, {_DescendingKey(k): v for k, v in msg.package.values.items()}
+    )
+
+
+def _non_str_keys(msg, draw):
+    if msg.package is None:
+        return None
+    return _with_values(msg, dict(enumerate(msg.package.values.values())))
+
+
+def _empty_package(msg, draw):
+    return _with_values(msg, {})
+
+
+def _other_reason(msg, draw):
+    return msg._replace(reason=None if msg.reason is not None else draw(ids))
+
+
+def _other_kind(msg, draw):
+    others = [kind for kind in MessageKind if kind is not msg.kind]
+    return msg._replace(kind=draw(st.sampled_from(others)))
+
+
+def _bool_clock(msg, draw):
+    field = draw(st.sampled_from(["sent_at", "round"]))
+    return msg._replace(**{field: draw(st.booleans())})
+
+
+TWISTS = (
+    _odd_value,
+    _reordered,
+    _str_subclass_keys,
+    _non_str_keys,
+    _empty_package,
+    _other_reason,
+    _other_kind,
+    _bool_clock,
+)
+
+
+@st.composite
+def transcripts(draw):
+    """Up to 40 messages: plain ones first, then for each twist up to two
+    twisted copies of earlier messages, so every twist meets a cached
+    pattern of its message's shape; then plain ones again."""
+    msgs = draw(st.lists(shaped_messages(), min_size=1, max_size=14))
+    for twist in TWISTS:
+        for _ in range(draw(st.integers(1, 2))):
+            twisted = twist(msgs[draw(st.integers(0, len(msgs) - 1))], draw)
+            if twisted is not None:
+                msgs.append(twisted)
+    msgs += draw(st.lists(shaped_messages(), max_size=8))
+    return msgs
+
+
+def every_twist():
+    """Each case transcripts() draws, once, every one after the pattern of
+    its base message is cached."""
+    offer = NegotiationMessage(
+        "s-%d", "a{b}", "%s", 3, 5, MessageKind.OFFER,
+        OfferPackage(values={"price": 1.5, "%d": 0.1, "{x}": -0.0}),
+    )
+    terminate = offer._replace(kind=MessageKind.TERMINATE, package=None, reason="%s{}")
+    values = offer.package.values
+    msgs = [offer, terminate]
+    for odd in (math.nan, math.inf, -math.inf, True, 7, _TaggedFloat(2.5)):
+        msgs.append(_with_values(offer, {**values, "price": odd}))
+    return msgs + [
+        _with_values(offer, dict(reversed(values.items()))),
+        _with_values(offer, {_DescendingKey(k): v for k, v in values.items()}),
+        _with_values(offer, dict(enumerate(values.values()))),
+        _with_values(offer, {}),
+        offer._replace(reason="why%s"),
+        offer._replace(kind=MessageKind.ACQUIRE),
+        terminate._replace(reason=None),
+        terminate._replace(kind=MessageKind.COMMENCE),
+        offer._replace(sent_at=True),
+        offer._replace(round=False),
+        offer,
+        terminate,
+    ]
+
+
+class TestRenderTranscript:
+    @settings(max_examples=300, deadline=None)
+    @given(transcripts())
+    @example(every_twist())
+    def test_every_line_equals_the_encoded_record(self, msgs):
+        assert render_transcript(msgs) == [reference_transcript_line(m) for m in msgs]
 
 
 def reference_trust_line(rec: TrustRecord) -> str:

@@ -12,7 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from agorasim import simulation, yamlload
+from agorasim import marketplace, simulation, yamlload
 from agorasim.agent import DEFAULT_PLAN_RULES, PlanCondition, PlanKind, PlanRule, _plan
 from agorasim.core import DELIVERY_ORDER
 from agorasim.marketplace import Marketplace
@@ -515,6 +515,35 @@ class TestRunSimulation:
         assert len(seen) > 2
         assert all(count == expected for count, expected in seen)
         assert any(count for count, _ in seen)
+
+    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+    def test_transcript_renders_only_inside_transcript_lines(self, path, monkeypatch):
+        # The benchmark starts emission when transcript_lines is entered: a
+        # line rendered earlier would be timed as part of the run.
+        events = []
+
+        def spied(name, fn):
+            def spy(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+
+            return spy
+
+        for owner, name in (
+            (marketplace, "transcript_line"),
+            (marketplace, "_shape_pattern"),
+            (marketplace, "render_transcript"),
+            (Marketplace, "transcript_lines"),
+        ):
+            monkeypatch.setattr(owner, name, spied(name, getattr(owner, name)))
+        lines, _, _ = simulation.run_simulation_with_market(
+            load_scenario(path.read_text(encoding="utf-8"))
+        )
+        assert lines
+        assert events[0] == "transcript_lines"
+        assert events.count("transcript_lines") == 1
+        assert events.count("render_transcript") == 1
+        assert "_shape_pattern" in events
 
 
 def _posted_at(document: str, tick: int) -> str:

@@ -150,18 +150,19 @@ class SessionEntry:
 class AgendaDB:
     """Active sessions keyed by session id; entries leave on acquire/terminate.
 
-    The DB keeps two facts so that agent_step walks it only when a walk can
-    find something:
+    The DB keeps two facts so that agent_step and wake_threshold walk it only
+    when a walk can find something:
 
     - `unopened`: the number of initiator entries not yet opened. `add`
       counts an entry that enters unopened, `mark_opened` and `remove`
       uncount it.
-    - `due`: a lower bound on the earliest entry deadline (t0 + t_max_eff;
-      a NaN deadline never passes and is not counted). `add` and
-      `set_deadline` lower it to the entry's deadline, `remove` leaves it (a
-      bound on more entries bounds fewer), and `expired` sets it to the
-      earliest deadline of the entries it keeps. No entry has passed its
-      deadline at a tick not past `due`.
+    - `due`: the earliest entry deadline (t0 + t_max_eff), exactly, or inf
+      when no entry has one; a NaN deadline never passes and is not counted.
+      `add` and `set_deadline` lower it to the entry's deadline. When the
+      entry that holds it leaves (`remove`) or moves later (`set_deadline`),
+      a walk over the entries finds it again; `expired` finds it over the
+      entries it keeps. No entry has passed its deadline at a tick not past
+      `due`, and one has at every tick past it.
 
     Both stay true while an entry's `initiator`, `opened`, `t0` and
     `t_max_eff` change only through these methods once it is in the DB.
@@ -187,8 +188,12 @@ class AgendaDB:
 
     def remove(self, session: SessionId) -> None:
         entry = self._entries.pop(session, None)
-        if entry is not None and entry.initiator and not entry.opened:
+        if entry is None:
+            return
+        if entry.initiator and not entry.opened:
             self.unopened -= 1
+        if entry.t0 + entry.t_max_eff == self.due:
+            self.due = self._earliest()
 
     def mark_opened(self, entry: SessionEntry) -> None:
         """Record that the entry, which is in the DB, sent its first offer."""
@@ -199,10 +204,22 @@ class AgendaDB:
 
     def set_deadline(self, entry: SessionEntry, t_max_eff: float) -> None:
         """Give the entry, which is in the DB, a new effective deadline."""
+        held = entry.t0 + entry.t_max_eff == self.due
         entry.t_max_eff = t_max_eff
         deadline = entry.t0 + t_max_eff
         if deadline < self.due:
             self.due = deadline
+        elif held and deadline != self.due:
+            self.due = self._earliest()
+
+    def _earliest(self) -> float:
+        due = math.inf
+        for entry in self._entries.values():
+            deadline = entry.t0 + entry.t_max_eff
+            # A NaN deadline never passes, so `<` rightly skips it.
+            if deadline < due:
+                due = deadline
+        return due
 
     def expired(self, now: int) -> list[SessionEntry]:
         """The entries whose deadline has passed at `now`, in stored order.
@@ -425,7 +442,9 @@ class AgentState:
     plans: PlanLibrary = field(default_factory=PlanLibrary.default)
     agenda_db: AgendaDB = field(default_factory=AgendaDB)
     jitter: float = 0.0
-    rng: random.Random = field(default_factory=lambda: random.Random(0))
+    # The stream _jittered draws from; only an agent with positive jitter
+    # draws, and one without a stream of its own is given Random(0).
+    rng: Optional[random.Random] = None
     # What earlier opens derived, reused by later ones: the schedule shifted
     # to the tick of the last open, as (tick, resources, shifted), and each
     # opening's (agenda, target utility) by (id of that restricted agenda,
@@ -434,6 +453,10 @@ class AgentState:
     openings: dict[tuple[int, Perspective, float], tuple[ValidatedAgenda, float]] = field(
         default_factory=dict
     )
+
+    def __post_init__(self) -> None:
+        if self.rng is None and not self.jitter <= 0.0:
+            self.rng = random.Random(0)
 
 
 def resolve_concurrent_agreements(
@@ -657,12 +680,10 @@ def agent_step(
         elif plan is _PLAN_COUNTER or plan is _PLAN_OFFER:
             if aggressive is None:
                 aggressive = resources.level_at(now) <= resources.r_threshold
-            planned = generate_offer_package(
-                entry.agenda, now - entry.t0, entry.t_max_eff,
-                _effective_params(state, True) if aggressive else state.tactic,
-            )
             response_kind, response_package = decide_response(
-                entry.agenda, entry.role, msg, planned, entry.t0 + entry.t_max_eff
+                entry.agenda, entry.role, msg, now - entry.t0, entry.t_max_eff,
+                _effective_params(state, True) if aggressive else state.tactic,
+                entry.t0 + entry.t_max_eff,
             )
             if response_kind is _RESPONSE_TERMINATE:
                 outbox.append(
@@ -739,25 +760,25 @@ def wake_threshold(state: AgentState) -> Optional[float]:
     None when the agent holds no entry. It is -inf when an unopened
     initiator entry's plan before its deadline is MAKE_OFFER (the opening
     goes out at the next step); otherwise it is the earliest entry deadline,
-    past which the sweep terminates that entry. That plan reads only facts
-    that change with mail, so an opening not due now is not due later
-    without mail. At or before the threshold, a step with an empty inbox
-    sweeps nothing, opens nothing, resolves nothing and draws no random
+    `AgendaDB.due`, past which the sweep terminates that entry. That plan
+    reads only facts that change with mail, so an opening not due now is not
+    due later without mail. At or before the threshold, a step with an empty
+    inbox sweeps nothing, opens nothing, resolves nothing and draws no random
     number: it returns [] and changes nothing.
+
+    The entries are walked only while an opening is pending; otherwise the
+    answer is read off the DB.
     """
-    if not state.agenda_db:
+    db = state.agenda_db
+    if not db:
         return None
-    threshold = math.inf
-    for entry in state.agenda_db:
-        deadline = entry.t0 + entry.t_max_eff
-        if (
-            entry.initiator
-            and not entry.opened
-            # At the deadline tick itself the deadline has not yet passed.
-            and _plan(state, entry, deadline) is PlanKind.MAKE_OFFER
-        ):
-            return -math.inf
-        # A NaN deadline never passes, so `<` rightly skips it.
-        if deadline < threshold:
-            threshold = deadline
-    return threshold
+    if db.unopened:
+        for entry in db:
+            if (
+                entry.initiator
+                and not entry.opened
+                # At the deadline tick itself the deadline has not yet passed.
+                and _plan(state, entry, entry.t0 + entry.t_max_eff) is PlanKind.MAKE_OFFER
+            ):
+                return -math.inf
+    return db.due

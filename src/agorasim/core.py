@@ -3,13 +3,15 @@
 All types are immutable values; agents and the marketplace exchange them
 without copying or locking. Invariants are enforced by validate_agenda rather
 than in constructors so tests can build deliberately broken agendas. One
-exception: an `Agenda` caches its restrictions (see restrict_agenda) and its
-issue rows (`Agenda.rows`, built on first use), and both caches are excluded
-from equality, hash and repr.
+exception: an `Agenda` caches its restrictions (see restrict_agenda), its
+issue rows (`Agenda.rows`, built on first use) and, in one slot, its
+concession rows for the last base β asked for (`tactics.concession_rows`).
+These caches are excluded from equality, hash and repr.
 
 `issue_score` and `check_in_range` work on one issue. The package-level
-functions in `tactics` (offer generation and utility) make one pass over an
-agenda's rows and inline the per-issue arithmetic.
+functions in `tactics` (offer generation, utility and the response to an
+offer) make one pass over an agenda's rows and inline the per-issue
+arithmetic.
 
 The records built once per message, `OfferPackage` and `NegotiationMessage`
 (and `tactics.Response`), are `typing.NamedTuple`s. Their fields are read by
@@ -18,8 +20,9 @@ tuple of the same fields and can be unpacked, and a modified copy is made
 with `_replace`, not `dataclasses.replace`.
 
 On the per-message path (`agent._emit`, `agent._jittered`,
-`Marketplace.commence_negotiation`, `tactics.generate_offer_package` and
-`tactics.decide_response`) a record is built by one C call,
+`Marketplace.commence_negotiation`, `tactics.generate_offer_package` for
+openings and `tactics.decide_response`, which builds a counter's package
+and its response) a record is built by one C call,
 `new_record(Cls, (every field, ...))`, `new_record` being `tuple.__new__`.
 Calling the class instead runs the `__new__` that NamedTuple generates in
 Python, a frame per record. The C call fills no defaults, so these builders
@@ -106,6 +109,10 @@ class IssueSpec:
 #: (the factor of tactics.issue_beta).
 IssueRow = tuple[IssueId, float, float, float, bool, float]
 
+#: An IssueRow with its last item replaced by the issue's concession exponent
+#: under one base beta: 1 / (tactics.issue_beta of that beta).
+ConcessionRow = tuple[IssueId, float, float, float, bool, float]
+
 
 @dataclass(frozen=True)
 class Agenda:
@@ -119,6 +126,11 @@ class Agenda:
     )
     # rows()'s result; None until the first call.
     _rows: Optional[tuple[IssueRow, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # tactics.concession_rows's last result, as (base beta, rows); None until
+    # the first call.
+    _concession: Optional[tuple[float, tuple[ConcessionRow, ...]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 

@@ -850,6 +850,8 @@ class Marketplace:
         now if it did not then, so the result equals a pass over every RFQ.
         Reputations must change through recompute_trust for this to hold.
         """
+        if not self.repo.stale_products():
+            return []
         found, startable = self._matches(self.repo.take_stale())
         self._matched.update((m.rfq_id, m.ad_id) for m in found)
         return [self.commence_negotiation(m, now) for m in startable]

@@ -609,7 +609,8 @@ def _build_report(scenario: Scenario, seed: int, ticks: int, market: Marketplace
 
 
 def build_agent_states(scenario: Scenario, seed: int) -> dict[AgentId, AgentState]:
-    """Instantiate runtime agents with per-agent deterministic RNG streams."""
+    """Instantiate runtime agents; each jittered agent gets its own
+    deterministic RNG stream, seeded from the run's seed and its id."""
     states: dict[AgentId, AgentState] = {}
     for spec in sorted(scenario.agents, key=lambda s: s.agent_id):
         plans = (
@@ -624,7 +625,8 @@ def build_agent_states(scenario: Scenario, seed: int) -> dict[AgentId, AgentStat
             declared_agendas=dict(spec.agendas),
             plans=plans,
             jitter=spec.jitter,
-            rng=random.Random(f"{seed}:{spec.agent_id}"),
+            # Only a jittered agent draws, so only it pays for seeding a stream.
+            rng=random.Random(f"{seed}:{spec.agent_id}") if spec.jitter > 0.0 else None,
         )
     return states
 
@@ -671,11 +673,11 @@ def run_simulation_with_market(
     now = 0
     while now <= scenario.t_end:
         ticks = now
-        for ad in ads_by_tick.get(now, []):
+        for ad in ads_by_tick.get(now, ()):
             market.repo.submit_advertisement(
                 ad.agent, ad.product, issues=ad.issues, posted_at=now
             )
-        for rfq in rfqs_by_tick.get(now, []):
+        for rfq in rfqs_by_tick.get(now, ()):
             market.repo.submit_rfq(
                 rfq.agent,
                 rfq.product,

@@ -1,11 +1,19 @@
 """Negotiation mathematics: utilities, concession curves, response rule.
 
-Everything here is a pure function over immutable inputs.
-`generate_offer_value`, `time_function` and `issue_beta` work on one issue
-and delegate to `kernels`. `generate_offer_package` and `aggregate_utility`
-work on a whole package: each makes one pass over the agenda's cached rows
-(`Agenda.rows`) and inlines the kernels' arithmetic by the same expressions,
-so every value equals the per-issue functions' bit for bit.
+Everything here is a pure function over immutable inputs, apart from the
+caches an `Agenda` keeps for them. `generate_offer_value`, `time_function`
+and `issue_beta` work on one issue and delegate to `kernels`.
+`generate_offer_package`, `aggregate_utility` and `decide_response` work on
+a whole package: each makes one pass over the agenda's cached rows and
+inlines the kernels' arithmetic by the same expressions, so every value
+equals the per-issue functions' bit for bit.
+
+The concession exponent 1 / issue_beta of each issue depends only on the
+base β, which changes only when the tactic adapts. `concession_rows` keeps
+each row with its exponent for the last base β asked for, in one slot on
+the agenda. `decide_response` builds the counter from those rows and
+scores it and the incoming offer in the same pass, so an answer to an offer
+needs neither `generate_offer_package` nor `aggregate_utility`.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from typing import NamedTuple, Optional
 
 from . import kernels
 from .core import (
+    ConcessionRow,
     IssueSpec,
     MissingIssueError,
     NegotiationMessage,
@@ -173,31 +182,56 @@ def issue_beta(base_beta: float, weight: float, n_issues: int) -> float:
     return clamp_beta(base_beta * (1.0 / (n_issues * weight)))
 
 
+def concession_rows(
+    agenda: ValidatedAgenda, base_beta: float
+) -> tuple[ConcessionRow, ...]:
+    """The agenda's rows, each with its issue's concession exponent under
+    `base_beta`: 1 / issue_beta(base_beta, weight, n), by the same expression.
+
+    The exponent changes only when the tactic adapts, so the agenda keeps the
+    rows of the last base beta asked for in one slot; a call for another beta
+    replaces them.
+    """
+    slot = agenda._concession
+    if slot is not None and slot[0] == base_beta:
+        return slot[1]
+    rows = tuple(
+        (
+            issue_id, weight, vmin, vmax, ascending,
+            1.0 / min(BETA_MAX, max(BETA_MIN, base_beta * share)),
+        )
+        for issue_id, weight, vmin, vmax, ascending, share in agenda.rows()
+    )
+    object.__setattr__(agenda, "_concession", (base_beta, rows))
+    return rows
+
+
+def _curve_start(t: float, t_max_eff: float, k: float) -> tuple[float, float]:
+    """(k, elapsed share of the deadline) as the package loops read them:
+    kernels.time_fraction's clamp of t to [0, t_max_eff], over t_max_eff."""
+    if t_max_eff <= 0.0:
+        # A zero deadline concedes in full. With k = 1 and nothing elapsed the
+        # curve is 1 + 0 * 0 ** (1 / beta), exactly 1.0 for every beta.
+        return 1.0, 0.0
+    x = t if t < t_max_eff else t_max_eff
+    if x < 0.0:
+        x = 0.0
+    return k, x / t_max_eff
+
+
 def generate_offer_package(
     agenda: ValidatedAgenda, t: float, t_max_eff: float, params: TacticParams
 ) -> OfferPackage:
     """Full package at time t, conceding low-weight issues first.
 
     Each value is generate_offer_value's for the issue under its own
-    exponent, issue_beta: one pass over the agenda's rows inlines issue_beta,
+    exponent, issue_beta: one pass over concession_rows inlines
     kernels.time_fraction and kernels.offer_value by the same expressions.
     """
-    k = params.k
-    base_beta = params.beta
-    if t_max_eff <= 0.0:
-        # A zero deadline concedes in full. With k = 1 and nothing elapsed the
-        # curve below is 1 + 0 * 0 ** (1 / beta), exactly 1.0 for every beta.
-        k = 1.0
-        elapsed = 0.0
-    else:
-        x = t if t < t_max_eff else t_max_eff
-        if x < 0.0:
-            x = 0.0
-        elapsed = x / t_max_eff
+    k, elapsed = _curve_start(t, t_max_eff, params.k)
     values: dict[str, float] = {}
-    for issue_id, _, vmin, vmax, ascending, share in agenda.rows():
-        beta = min(BETA_MAX, max(BETA_MIN, base_beta * share))
-        f = k + (1.0 - k) * elapsed ** (1.0 / beta)
+    for issue_id, _, vmin, vmax, ascending, exponent in concession_rows(agenda, params.beta):
+        f = k + (1.0 - k) * elapsed ** exponent
         if f < 0.0:
             f = 0.0
         elif f > 1.0:
@@ -270,22 +304,105 @@ def decide_response(
     agenda: ValidatedAgenda,
     perspective: Perspective,
     incoming: NegotiationMessage,
-    planned_counter: OfferPackage,
+    t: float,
     t_max_eff: float,
+    params: TacticParams,
+    deadline: float,
 ) -> Response:
     """Three-way response rule for an incoming offer.
 
-    Terminate when the offer arrived past the effective deadline; acquire it
-    when the planned counter is worth no more than the offer on the table;
-    otherwise send the counter.
+    Terminate when the offer was sent past `deadline`; acquire it when the
+    counter, generate_offer_package(agenda, t, t_max_eff, params), is worth
+    no more than the offer on the table; otherwise send that counter.
+
+    One pass over concession_rows generates each counter value and scores it
+    and the incoming value by aggregate_utility's expressions, summed left to
+    right, so both utilities equal aggregate_utility's bit for bit. The
+    counter's package is built only when it is sent. A value that
+    aggregate_utility refuses (missing, NaN or out of range) hands the
+    decision to that composition, which raises what it raises.
     """
     _, _, _, _, sent_at, _, package, _, _ = incoming
-    if sent_at > t_max_eff:
+    if sent_at > deadline:
         return new_record(Response, (_RESPONSE_TERMINATE, None))
     if package is None:
         raise MissingIssueError("incoming message carries no offer package")
-    mine = aggregate_utility(agenda, planned_counter, perspective)
-    theirs = aggregate_utility(agenda, package, perspective)
+    offered_values = package.values
+    buyer = perspective is _BUYER
+    k, elapsed = _curve_start(t, t_max_eff, params.k)
+    base_beta = params.beta
+    # concession_rows, its slot read in place.
+    slot = agenda._concession
+    rows = (
+        slot[1] if slot is not None and slot[0] == base_beta
+        else concession_rows(agenda, base_beta)
+    )
+    values: dict[str, float] = {}
+    mine = 0.0
+    theirs = 0.0
+    for issue_id, weight, vmin, vmax, ascending, exponent in rows:
+        offered = offered_values.get(issue_id)
+        if offered is None or not vmin <= offered <= vmax:
+            return _decide_by_composition(agenda, perspective, package, t, t_max_eff, params)
+        f = k + (1.0 - k) * elapsed ** exponent
+        if f < 0.0:
+            f = 0.0
+        elif f > 1.0:
+            f = 1.0
+        if ascending:
+            v = vmin + f * (vmax - vmin)
+        else:
+            v = vmin + (1.0 - f) * (vmax - vmin)
+        if v < vmin:
+            v = vmin
+        elif v > vmax:
+            v = vmax
+        values[issue_id] = v
+        if buyer:
+            s = (vmax - v) / (vmax - vmin)
+            o = (vmax - offered) / (vmax - vmin)
+        else:
+            s = (v - vmin) / (vmax - vmin)
+            o = (offered - vmin) / (vmax - vmin)
+        if s < 0.0:
+            s = 0.0
+        elif s > 1.0:
+            s = 1.0
+        if o < 0.0:
+            o = 0.0
+        elif o > 1.0:
+            o = 1.0
+        mine += weight * s
+        theirs += weight * o
+    if mine < 0.0:
+        mine = 0.0
+    elif mine > 1.0:
+        mine = 1.0
+    if theirs < 0.0:
+        theirs = 0.0
+    elif theirs > 1.0:
+        theirs = 1.0
     if mine <= theirs:
         return new_record(Response, (_RESPONSE_ACQUIRE, package))
-    return new_record(Response, (_RESPONSE_COUNTER, planned_counter))
+    if mine != mine:
+        # A NaN counter value (from a NaN k or deadline), which
+        # aggregate_utility refuses.
+        return _decide_by_composition(agenda, perspective, package, t, t_max_eff, params)
+    return new_record(Response, (_RESPONSE_COUNTER, new_record(OfferPackage, (values,))))
+
+
+def _decide_by_composition(
+    agenda: ValidatedAgenda,
+    perspective: Perspective,
+    package: OfferPackage,
+    t: float,
+    t_max_eff: float,
+    params: TacticParams,
+) -> Response:
+    """decide_response past its deadline test, as the composition it fuses."""
+    counter = generate_offer_package(agenda, t, t_max_eff, params)
+    if aggregate_utility(agenda, counter, perspective) <= aggregate_utility(
+        agenda, package, perspective
+    ):
+        return new_record(Response, (_RESPONSE_ACQUIRE, package))
+    return new_record(Response, (_RESPONSE_COUNTER, counter))

@@ -21,6 +21,7 @@ from agorasim.agent import (
     PlanLibrary,
     PlanRule,
     RejectReason,
+    _plan,
     agent_step,
     mean_lambda,
     proxy_filter,
@@ -735,26 +736,55 @@ class TestAgentStep:
         assert _effective_params(buyer, aggressive=True).beta == 12.0
 
 
+def reference_wake_threshold(state):
+    """wake_threshold as a walk over every entry: -inf when an unopened
+    initiator entry's plan at its deadline is MAKE_OFFER, else the earliest
+    deadline that is not NaN, else inf; None without entries."""
+    if not state.agenda_db:
+        return None
+    threshold = math.inf
+    for entry in state.agenda_db:
+        deadline = entry.t0 + entry.t_max_eff
+        if (
+            entry.initiator
+            and not entry.opened
+            and _plan(state, entry, deadline) is PlanKind.MAKE_OFFER
+        ):
+            return -math.inf
+        if deadline < threshold:
+            threshold = deadline
+    return threshold
+
+
 class TestAgendaDBFacts:
-    """AgendaDB's unopened count and deadline bound, against a fresh count
-    and the true earliest deadline after every operation."""
+    """AgendaDB's unopened count and earliest deadline, against a fresh
+    count and a fresh minimum after every operation, and wake_threshold,
+    which reads them, against a walk over every entry."""
 
     SESSIONS = tuple(f"s-{i}" for i in range(5))
     DEADLINES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0]) | st.floats(-30.0, 60.0)
+    PLANS = {
+        "default": PlanLibrary.default(),
+        # An opening is never due.
+        "no-opening": PlanLibrary((
+            PlanRule(PlanCondition.OPENING_PENDING, PlanKind.IDLE),
+            PlanRule(PlanCondition.ALWAYS, PlanKind.IDLE),
+        )),
+    }
 
     @staticmethod
     def assert_facts(db):
         assert db.unopened == sum(1 for e in db if e.initiator and not e.opened)
-        for entry in db:
-            deadline = entry.t0 + entry.t_max_eff
-            # A NaN deadline never passes, so no bound is owed to it.
-            if deadline == deadline:
-                assert not db.due > deadline
+        deadlines = [e.t0 + e.t_max_eff for e in db]
+        # A NaN deadline never passes, so it is not counted.
+        assert db.due == min([d for d in deadlines if d == d], default=math.inf)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_facts_hold_after_every_operation(self, data):
         db = AgendaDB()
+        agent = make_agent(plans=self.PLANS[data.draw(st.sampled_from(sorted(self.PLANS)))])
+        agent.agenda_db = db
         for _ in range(data.draw(st.integers(1, 30))):
             op = data.draw(st.sampled_from(
                 ["add", "remove", "mark_opened", "set_deadline", "expired"]
@@ -768,6 +798,8 @@ class TestAgendaDBFacts:
                     initiator=data.draw(st.booleans()),
                 )
                 entry.opened = data.draw(st.booleans())
+                if data.draw(st.booleans()):
+                    entry.recent = (OfferPackage({"price": 15.0}),)
                 if entry.session in db:
                     with pytest.raises(ValueError):
                         db.add(entry)
@@ -793,6 +825,7 @@ class TestAgendaDBFacts:
                 for entry in found:
                     db.remove(entry.session)
             self.assert_facts(db)
+            assert wake_threshold(agent) == reference_wake_threshold(agent)
 
     def test_replaced_resources_move_the_sweep_to_the_new_deadline(self):
         # The projection is replaced mid-session; the next offer recomputes

@@ -384,15 +384,19 @@ class TestRecordBuilders:
         ({"price": 19.0, "memory": 7.0}, ResponseKind.COUNTER),
     ])
     def test_decide_response(self, incoming, expected_kind):
-        from agorasim.tactics import decide_response
+        from agorasim.tactics import TacticParams, decide_response, generate_offer_package
 
         msg = self.offer(**incoming)
-        planned = OfferPackage({"price": 12.0, "memory": 2.0})
-        response = decide_response(self.AGENDA, Perspective.BUYER, msg, planned, 20.0)
+        # The counter at t = 0 is {price: 11.0, memory: 1.7}, worth 0.9 to
+        # the buyer.
+        params = TacticParams(k=0.1)
+        response = decide_response(
+            self.AGENDA, Perspective.BUYER, msg, 0.0, 20.0, params, 20.0
+        )
         package = {
             ResponseKind.TERMINATE: None,
             ResponseKind.ACQUIRE: msg.package,
-            ResponseKind.COUNTER: planned,
+            ResponseKind.COUNTER: generate_offer_package(self.AGENDA, 0.0, 20.0, params),
         }[expected_kind]
         assert response == Response(kind=expected_kind, package=package)
         assert_complete(response)

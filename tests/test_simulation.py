@@ -4,6 +4,7 @@ import bisect
 import copy
 import json
 import math
+import random
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -13,10 +14,17 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from agorasim import marketplace, simulation, yamlload
-from agorasim.agent import DEFAULT_PLAN_RULES, PlanCondition, PlanKind, PlanRule, _plan
-from agorasim.core import DELIVERY_ORDER
+from agorasim.agent import (
+    DEFAULT_PLAN_RULES,
+    AgentState,
+    PlanCondition,
+    PlanKind,
+    PlanRule,
+    _plan,
+)
+from agorasim.core import DELIVERY_ORDER, Perspective
 from agorasim.marketplace import Marketplace
-from agorasim.tactics import ResourceProjection
+from agorasim.tactics import ResourceProjection, TacticParams
 from agorasim.simulation import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -444,6 +452,24 @@ class TestRunSimulation:
         lines_c, _ = run_simulation(scenario, seed_override=1)
         assert lines_a == lines_c
 
+    def test_only_jittered_agents_hold_a_seeded_stream(self, bilateral_scenario_text):
+        doc = bilateral_scenario_text.replace(
+            "  - id: seller-1\n    role: seller\n",
+            "  - id: seller-1\n    role: seller\n    jitter: 0.2\n",
+        )
+        states = simulation.build_agent_states(load_scenario(doc), 7)
+        assert states["buyer-1"].jitter == 0.0
+        assert states["buyer-1"].rng is None
+        expected = random.Random("7:seller-1")
+        assert [states["seller-1"].rng.random() for _ in range(5)] == [
+            expected.random() for _ in range(5)
+        ]
+
+    def test_an_agent_that_draws_without_a_stream_gets_random_0(self):
+        assert AgentState("a", Perspective.BUYER, TacticParams()).rng is None
+        agent = AgentState("a", Perspective.BUYER, TacticParams(), jitter=0.1)
+        assert agent.rng.getstate() == random.Random(0).getstate()
+
     def test_clock_monotone_within_sessions(self, bilateral_scenario_text):
         scenario = load_scenario(bilateral_scenario_text)
         lines, _ = run_simulation(scenario)
@@ -800,9 +826,15 @@ class TestWakeUps:
 class TestSessionOpenCounts:
     """On dense-market at seed 1 (432 opens of 216 sessions) the restriction
     and the opening are derived once per (agent, product, issue set), not
-    once per open. The counts are exact at this seed."""
+    once per open, and an answer to an offer builds its counter and scores
+    it without either name. The counts are exact at this seed."""
 
-    def test_dense_market_derives_each_opening_once(self, monkeypatch):
+    @staticmethod
+    def counted_run(monkeypatch, workload, seed):
+        """A run of the workload with the calls counted: `restrict`
+        validations, `offer` (agent.generate_offer_package), `opening` (those
+        made while a session opens) and `utility` (the three names of
+        aggregate_utility that the benchmark's tracer counts)."""
         from agorasim import agent, core, tactics
 
         counts = {"restrict": 0, "offer": 0, "utility": 0, "opening": 0}
@@ -830,14 +862,16 @@ class TestSessionOpenCounts:
         monkeypatch.setattr(
             agent, "generate_offer_package", counting("offer", agent.generate_offer_package)
         )
-        # The three names the benchmark's tracer counts as tactics.utility.
         for module in (agent, tactics, simulation):
             monkeypatch.setattr(
                 module, "aggregate_utility", counting("utility", module.aggregate_utility)
             )
-        scenario = load_scenario(_marketgen().generate("dense-market", 1))
-        market = simulation.run_simulation_with_market(scenario)[2]
+        scenario = load_scenario(_marketgen().generate(workload, seed))
+        lines, _, market = simulation.run_simulation_with_market(scenario)
+        return counts, lines, market
 
+    def test_dense_market_derives_each_opening_once(self, monkeypatch):
+        counts, _, market = self.counted_run(monkeypatch, "dense-market", 1)
         opens = [
             (m.receiver, m.commence.product, frozenset(m.commence.issue_ids))
             for session in market.sessions.values()
@@ -847,8 +881,18 @@ class TestSessionOpenCounts:
         assert (len(opens), len(set(opens))) == (432, 72)
         assert counts["opening"] == 72
         assert counts["restrict"] == 72
-        assert counts["offer"] == 430
-        assert counts["utility"] == 420
+        # 72 derived openings and 216 opening offers; 72 opening targets,
+        # the resolutions and the report.
+        assert counts["offer"] == 288
+        assert counts["utility"] == 136
+
+    def test_long_negotiation_utility_calls_do_not_grow_with_messages(self, monkeypatch):
+        counts, lines, market = self.counted_run(monkeypatch, "long-negotiation", 1)
+        sessions = len(market.sessions)
+        # Per session and side at most one opening target, one resolution
+        # candidate and one report utility; none per offer.
+        assert counts["utility"] <= 6 * sessions
+        assert len(lines) > 1000 * sessions
 
 
 def reference_table(headers, rows):

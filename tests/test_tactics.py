@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from agorasim import kernels
 from agorasim.core import (
+    Agenda,
     Direction,
     MissingIssueError,
     OfferPackage,
@@ -21,6 +22,7 @@ from agorasim.tactics import (
     BETA_MAX,
     BETA_MIN,
     ResourceProjection,
+    Response,
     ResponseKind,
     Stance,
     TacticParams,
@@ -413,44 +415,42 @@ class TestEffectiveDeadline:
 
 
 class TestDecideResponse:
+    # One buyer issue on [10, 20]: at t = 0 under a positive deadline the
+    # counter is 10 + 10 * k, worth 1 - k to the buyer.
     def agenda(self):
         return make_agenda(make_issue())
 
+    def respond(self, incoming, k=0.0, t=0.0, agenda=None):
+        return decide_response(
+            agenda or self.agenda(), Perspective.BUYER, incoming,
+            t, 20.0, TacticParams(k=k), 20,
+        )
+
     def test_late_offer_terminates(self):
         incoming = make_offer(sent_at=21, values={"price": 15.0})
-        planned = OfferPackage(values={"price": 12.0})
-        response = decide_response(
-            self.agenda(), Perspective.BUYER, incoming, planned, 20
-        )
-        assert response.kind is ResponseKind.TERMINATE
+        assert self.respond(incoming, k=0.2).kind is ResponseKind.TERMINATE
 
     def test_acquire_when_offer_beats_planned_counter(self):
-        # buyer utility: incoming 12 -> 0.8, planned 12.5 -> 0.75
+        # buyer utility: incoming 12 -> 0.8, counter 12.5 -> 0.75
         incoming = make_offer(sent_at=5, values={"price": 12.0})
-        planned = OfferPackage(values={"price": 12.5})
-        response = decide_response(
-            self.agenda(), Perspective.BUYER, incoming, planned, 20
-        )
+        response = self.respond(incoming, k=0.25)
         assert response.kind is ResponseKind.ACQUIRE
-        assert response.package == incoming.package
+        assert response.package is incoming.package
 
     def test_counter_otherwise(self):
-        # buyer utility: incoming 12 -> 0.8, planned 11 -> 0.9
+        # buyer utility: incoming 12 -> 0.8, counter 11 -> 0.9
         incoming = make_offer(sent_at=5, values={"price": 12.0})
-        planned = OfferPackage(values={"price": 11.0})
-        response = decide_response(
-            self.agenda(), Perspective.BUYER, incoming, planned, 20
-        )
+        response = self.respond(incoming, k=0.1)
         assert response.kind is ResponseKind.COUNTER
-        assert response.package == planned
+        assert response.package == OfferPackage(values={"price": 11.0})
+        assert response.package == generate_offer_package(
+            self.agenda(), 0.0, 20.0, TacticParams(k=0.1)
+        )
 
     def test_equal_utilities_acquire(self):
+        # the counter is 12 too
         incoming = make_offer(sent_at=5, values={"price": 12.0})
-        planned = OfferPackage(values={"price": 12.0})
-        response = decide_response(
-            self.agenda(), Perspective.BUYER, incoming, planned, 20
-        )
-        assert response.kind is ResponseKind.ACQUIRE
+        assert self.respond(incoming, k=0.2).kind is ResponseKind.ACQUIRE
 
     def test_branches_exhaustive_and_exclusive(self):
         rng = random.Random(17)
@@ -458,16 +458,136 @@ class TestDecideResponse:
         for _ in range(300):
             sent_at = rng.randint(0, 40)
             incoming = make_offer(sent_at=sent_at, values={"price": rng.uniform(10, 20)})
-            planned = OfferPackage(values={"price": rng.uniform(10, 20)})
-            response = decide_response(
-                agenda, Perspective.BUYER, incoming, planned, 20
-            )
+            k, t = rng.uniform(0, 1), rng.uniform(0, 30)
+            response = self.respond(incoming, k=k, t=t, agenda=agenda)
             if sent_at > 20:
                 expected = ResponseKind.TERMINATE
             else:
+                planned = generate_offer_package(agenda, t, 20.0, TacticParams(k=k))
                 mine = aggregate_utility(agenda, planned, Perspective.BUYER)
                 theirs = aggregate_utility(agenda, incoming.package, Perspective.BUYER)
                 expected = (
                     ResponseKind.ACQUIRE if mine <= theirs else ResponseKind.COUNTER
                 )
             assert response.kind is expected
+
+
+def uncached(agenda):
+    """The agenda as a new object, so a reference built on it reads no slot
+    that the code under test filled."""
+    return Agenda(issues=agenda.issues, t_max=agenda.t_max)
+
+
+def reference_response(agenda, perspective, incoming, t, t_max_eff, params, deadline):
+    """decide_response as the composition it fuses: generate_offer_package
+    for the counter, aggregate_utility for both packages, acquire iff the
+    counter is worth no more."""
+    if incoming.sent_at > deadline:
+        return Response(ResponseKind.TERMINATE, None)
+    if incoming.package is None:
+        raise MissingIssueError("incoming message carries no offer package")
+    counter = generate_offer_package(uncached(agenda), t, t_max_eff, params)
+    mine = aggregate_utility(agenda, counter, perspective)
+    theirs = aggregate_utility(agenda, incoming.package, perspective)
+    if mine <= theirs:
+        return Response(ResponseKind.ACQUIRE, incoming.package)
+    return Response(ResponseKind.COUNTER, counter)
+
+
+def response_outcome(fn, incoming, *args):
+    """fn's response, its counter as bits, or the type and message of what
+    it raised."""
+    agenda, perspective, t, t_max_eff, params, deadline = args
+    try:
+        kind, package = fn(agenda, perspective, incoming, t, t_max_eff, params, deadline)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    if kind is ResponseKind.COUNTER:
+        return kind, [(key, bits(value)) for key, value in package.values.items()]
+    # Acquire answers with the incoming package itself.
+    return kind, package is incoming.package
+
+
+class TestDecideResponseLoop:
+    """The fused pass against the composition, over both perspectives, both
+    directions, exponents on and past the clamps, deadlines at or below
+    zero, times past the deadline and late offers. The incoming offer ties
+    the counter, sits one ulp off it on one issue, lies anywhere in range,
+    or has one value missing, NaN or out of range."""
+
+    BETAS = TestPackageOfferLoop.BETAS | st.floats(1e-3, 1e3)
+    DEADLINES = st.sampled_from((0.0, -0.0, -5.0, 1e-9, 20.0)) | st.floats(-10.0, 100.0)
+    TIMES = st.sampled_from((0, 7, 20, 150)) | st.floats(-5.0, 150.0)
+    HOSTILE = st.sampled_from(("missing", None, math.nan, math.inf, -math.inf, "below", "above"))
+
+    @classmethod
+    def incoming(cls, data, agenda, counter):
+        mode = data.draw(st.sampled_from(("tie", "ulp", "free", "hostile")), label="mode")
+        values = dict(counter)
+        if mode == "free":
+            for spec in agenda.issues:
+                lo, hi = spec.min_value, spec.max_value
+                values[spec.issue_id] = data.draw(
+                    st.floats(lo, hi) | st.sampled_from((lo, hi, counter[spec.issue_id])),
+                    label=spec.issue_id,
+                )
+        elif mode != "tie":
+            spec = data.draw(st.sampled_from(agenda.issues), label="issue")
+            tie = values[spec.issue_id]
+            if mode == "ulp":
+                up = data.draw(st.booleans(), label="up")
+                value = math.nextafter(tie, math.inf if up else -math.inf)
+                value = min(spec.max_value, max(spec.min_value, value))
+            else:
+                value = data.draw(cls.HOSTILE, label="hostile")
+                value = {"below": spec.min_value - 1.0, "above": spec.max_value + 1.0}.get(
+                    value, value
+                )
+            values[spec.issue_id] = value
+            if value == "missing":
+                del values[spec.issue_id]
+        return OfferPackage(values)
+
+    @settings(max_examples=400, deadline=None)
+    @given(agendas(), st.data())
+    def test_equals_the_composition(self, agenda, data):
+        perspective = data.draw(st.sampled_from(Perspective), label="perspective")
+        # Two exponents interleaved on the one agenda: a slot that answered
+        # for the wrong one would show.
+        betas = data.draw(
+            st.lists(self.BETAS, min_size=2, max_size=2, unique=True), label="betas"
+        )
+        for beta in (*betas, betas[0]):
+            params = TacticParams(k=data.draw(st.floats(0.0, 1.0), label="k"), beta=beta)
+            t_max_eff = data.draw(self.DEADLINES, label="t_max_eff")
+            t = data.draw(self.TIMES, label="t")
+            counter = reference_package(agenda, t, t_max_eff, params)
+            package = self.incoming(data, agenda, counter)
+            deadline = data.draw(st.integers(0, 40), label="deadline")
+            late = data.draw(st.sampled_from((False, False, False, True)), label="late")
+            sent_at = deadline + 1 if late else data.draw(st.integers(0, deadline), label="sent_at")
+            incoming = make_offer(sent_at=sent_at, values=package.values)
+            args = (agenda, perspective, t, t_max_eff, params, deadline)
+            assert response_outcome(decide_response, incoming, *args) == response_outcome(
+                reference_response, incoming, *args
+            )
+
+    def test_interleaved_exponents_each_get_their_own_rows(self):
+        agenda = make_agenda(make_issue("a", weight=0.3), make_issue("b", weight=0.7))
+        incoming = make_offer(sent_at=5, values={"a": 10.0, "b": 10.0})
+        for beta in (1.0, 3.0, 1.0, 0.5, 3.0):
+            params = TacticParams(k=0.1, beta=beta)
+            response = decide_response(
+                agenda, Perspective.SELLER, incoming, 7.0, 20.0, params, 20
+            )
+            assert response.kind is ResponseKind.COUNTER
+            assert response.package == generate_offer_package(
+                uncached(agenda), 7.0, 20.0, params
+            )
+
+    def test_offer_without_package_raises(self):
+        incoming = make_offer()._replace(package=None)
+        with pytest.raises(MissingIssueError):
+            decide_response(
+                make_agenda(), Perspective.BUYER, incoming, 0.0, 20.0, TacticParams(), 20
+            )

@@ -2,13 +2,13 @@
 
 All mutations are serialized through one logical event order (tick, session,
 sender); the simulation kernel drives it that way. Only a session's two
-participants may send in it. The trust watchdog is incremental: as each
-offer is routed, its values are folded into the session's per-sender offer
-trails and its offer count. When the session closes, the concession ratios
-of those trails are stored per participant, without a pass over the
-transcript, and the refresh pass then updates the Behavior Norm and
-Reputation Index of only the agents whose inputs changed. The scores equal a
-full recomputation over every closed transcript, bit for bit.
+participants may send in it. Each routed offer is folded into its
+session's offer count and per-sender offer trails. The Reputation Index
+gates matchmaking, so each close updates the participants' stats and the
+watchdog rescores only the agents whose inputs changed. The Behavior Norm
+and stance feed no decision: score_behavior sets them once, after the run,
+from the trails of the closed sessions in creation order. Both scores equal
+a full recomputation over every closed transcript, bit for bit.
 
 Matchmaking is incremental too. The repository marks a product stale when a
 posting, an agenda or an agent role that it depends on changes, and the
@@ -400,8 +400,6 @@ class SessionState:
     final_package: Optional[OfferPackage] = None
     closed_at: Optional[int] = None
     close_reason: Optional[str] = None
-    # Creation order within the marketplace; orders the watchdog's sums.
-    seq: int = 0
     # Per participant, (issue, min, max) for each session issue its declared
     # agenda has, in issue_ids order, as declared at COMMENCE.
     bounds: dict[AgentId, tuple[tuple[IssueId, float, float], ...]] = field(
@@ -409,8 +407,8 @@ class SessionState:
     )
     # Folded by route_message as each offer enters the transcript: the number
     # of offers, and per sender each issue's offered values in transcript
-    # order (offers without a package count but add no values). The trails
-    # are released once the close has folded them.
+    # order (offers without a package count but add no values). A closed
+    # session takes no more offers, so score_behavior reads its final trails.
     offer_count: int = 0
     trails: dict[AgentId, dict[IssueId, list[float]]] = field(default_factory=dict)
 
@@ -636,7 +634,7 @@ class TrustStats:
     agreements: int = 0
     violations: int = 0
     messages_sent: int = 0
-    rounds_to_agreement: list[int] = field(default_factory=list)
+    rounds_total: int = 0
 
 
 @dataclass
@@ -708,8 +706,8 @@ def compute_behavior_norm(
 ) -> float:
     """Mean concession ratio over the agent's own offer triples.
 
-    The reference the incremental watchdog is tested against: scans every
-    closed session in the given order.
+    The reference score_behavior is tested against: rescans the transcript
+    of every closed session in the given order.
     """
     ratios: list[float] = []
     for session in sessions:
@@ -731,8 +729,8 @@ def compute_reputation(stats: TrustStats, max_rounds_observed: int) -> float:
         compliance_rate = 1.0 - stats.violations / stats.messages_sent
     else:
         compliance_rate = 1.0
-    if stats.rounds_to_agreement and max_rounds_observed > 0:
-        mean_rounds = sum(stats.rounds_to_agreement) / len(stats.rounds_to_agreement)
+    if stats.agreements and max_rounds_observed > 0:
+        mean_rounds = stats.rounds_total / stats.agreements
         normalized_rounds = mean_rounds / max_rounds_observed
     else:
         normalized_rounds = 1.0
@@ -770,7 +768,7 @@ class TrustArchive:
         Each line is _COMPACT_JSON.encode of the record {agent,
         behavior_norm, stance, reputation, stats: {sessions_observed,
         agreements, violations, messages_sent, mean_rounds_to_agreement}},
-        the mean being that of rounds_to_agreement or null. One format string
+        the mean being rounds_total / agreements or null. One format string
         writes it out and each value goes through _json, as in
         transcript_line, so the bytes are those of the encoded record.
         """
@@ -778,8 +776,7 @@ class TrustArchive:
         lines = []
         for rec in self.records():
             stats = rec.stats
-            rounds = stats.rounds_to_agreement
-            mean = sum(rounds) / len(rounds) if rounds else None
+            mean = stats.rounds_total / stats.agreements if stats.agreements else None
             lines.append(
                 f'{{"agent":{_json(rec.agent, encoded)},'
                 f'"behavior_norm":{_json(rec.behavior_norm, encoded)},'
@@ -831,11 +828,9 @@ class Marketplace:
         self.open_count = 0
         self._pending: dict[int, list[NegotiationMessage]] = {}
         self._log: list[NegotiationMessage] = []
-        # Watchdog state: per agent, (session seq, ratios) of its closed
-        # sessions in seq order; the running max of rounds to agreement;
-        # agents whose inputs changed since the last pass; and the
-        # (max rounds, registered agents) the last full sweep saw.
-        self._ratios: dict[AgentId, list[tuple[int, list[float]]]] = {}
+        # Watchdog state: the running max of rounds to agreement; agents
+        # whose inputs changed since the last pass; and the (max rounds,
+        # registered agents) the last full sweep saw.
         self._max_rounds = 0
         self._dirty: set[AgentId] = set()
         self._swept: Optional[tuple[int, int]] = None
@@ -896,7 +891,6 @@ class Marketplace:
             issue_ids=match.issue_ids,
             commence_at=now,
             t_max=t_max,
-            seq=self._session_seq,
             bounds={
                 match.buyer: _declared_bounds(buyer_agenda, match.issue_ids),
                 match.seller: _declared_bounds(seller_agenda, match.issue_ids),
@@ -1042,11 +1036,10 @@ class Marketplace:
     # -- watchdog ----------------------------------------------------------
 
     def _on_close(self, session: SessionState) -> None:
-        """Fold one closed session into the watchdog state, then refresh."""
+        """Fold one closed session into the participants' stats, then refresh."""
         self.open_count -= 1
         agreed = session.outcome is _AGREED
         rounds = session.offer_count
-        trails = session.trails
         if agreed:
             self._max_rounds = max(self._max_rounds, rounds)
         for agent in session.participants():
@@ -1054,26 +1047,20 @@ class Marketplace:
             stats.sessions_observed += 1
             if agreed:
                 stats.agreements += 1
-                stats.rounds_to_agreement.append(rounds)
-            ratios = trail_ratios(trails.get(agent, {}))
-            if ratios:
-                bisect.insort(self._ratios.setdefault(agent, []), (session.seq, ratios))
+                stats.rounds_total += rounds
             self._dirty.add(agent)
-        # The ratios are stored; a closed session takes no more offers.
-        session.trails = {}
         self.recompute_trust()
 
     def recompute_trust(self) -> None:
-        """Event-driven watchdog pass: refresh B, stance and R where inputs changed.
+        """Event-driven watchdog pass: refresh R where its inputs changed.
 
         A registered agent is refreshed when routing touched its stats or a
         session it took part in closed since the last pass. Every registered
         agent is refreshed, and gets its record, on the first pass, when the
         running max of rounds to agreement has grown (R is normalised by it),
-        and when the number of registered agents has changed. B sums the
-        stored ratios in session creation order, so every score equals
-        compute_behavior_norm and compute_reputation over all closed
-        sessions, bit for bit.
+        and when the number of registered agents has changed. So R equals
+        compute_reputation over all closed sessions, bit for bit. B and
+        stance are left to score_behavior.
         """
         sweep = (self._max_rounds, self.repo.agent_count())
         if sweep != self._swept:
@@ -1084,15 +1071,27 @@ class Marketplace:
         self._dirty.clear()
         for agent in agents:
             rec = self.trust.record(agent)
-            rec.behavior_norm = behavior_norm(
-                [r for _, ratios in self._ratios.get(agent, ()) for r in ratios]
-            )
-            rec.stance = classify_concession(rec.behavior_norm)
             reputation = compute_reputation(rec.stats, self._max_rounds)
             if reputation != rec.reputation:
                 rec.reputation = reputation
                 # Its ads may now pass, or fail, an RFQ's reputation bar.
                 self.repo.mark_advertiser_stale(agent)
+
+    def score_behavior(self) -> None:
+        """Set B and stance from the closed sessions' trails; B feeds no
+        decision, so this runs once, after the run. Ratios are summed in
+        session creation order, so B equals compute_behavior_norm bit for
+        bit. An agent that sent no offer in a closed session keeps the
+        default B of 1.0; one that did already has a record."""
+        ratios: dict[AgentId, list[float]] = {}
+        for session in self.sessions.values():
+            if session.outcome is not _OPEN:
+                for agent, trails in session.trails.items():
+                    ratios.setdefault(agent, []).extend(trail_ratios(trails))
+        for agent, agent_ratios in ratios.items():
+            rec = self.trust.record(agent)
+            rec.behavior_norm = behavior_norm(agent_ratios)
+            rec.stance = classify_concession(rec.behavior_norm)
 
     # -- state queries and export -------------------------------------------
 

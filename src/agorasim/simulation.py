@@ -709,6 +709,7 @@ def run_simulation_with_market(
             # Nothing can happen before the next posting: jump to it.
             now = post_ticks[bisect.bisect_right(post_ticks, now)]
 
+    market.score_behavior()
     report = _build_report(scenario, seed, ticks, market)
     return market.transcript_lines(), report, market
 

@@ -4,6 +4,7 @@ import copy
 import math
 import random
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from agorasim import marketplace
 from agorasim.core import (
+    MARKETPLACE_ID,
     CommenceInfo,
     MessageKind,
     NegotiationMessage,
@@ -297,7 +299,6 @@ def reference_trust_line(rec: TrustRecord) -> str:
     """The trust record built as a dict and encoded whole: what
     export_lines writes out field by field."""
     stats = rec.stats
-    rounds = stats.rounds_to_agreement
     return marketplace._COMPACT_JSON.encode(
         {
             "agent": rec.agent,
@@ -309,7 +310,9 @@ def reference_trust_line(rec: TrustRecord) -> str:
                 "agreements": stats.agreements,
                 "violations": stats.violations,
                 "messages_sent": stats.messages_sent,
-                "mean_rounds_to_agreement": sum(rounds) / len(rounds) if rounds else None,
+                "mean_rounds_to_agreement": (
+                    stats.rounds_total / stats.agreements if stats.agreements else None
+                ),
             },
         }
     )
@@ -878,8 +881,8 @@ def offer_trails(session):
     return count, by_sender
 
 
-def assert_trust_matches_bruteforce(market):
-    """Every registered agent's scores equal a full rescan of closed sessions."""
+def assert_reputation_matches_bruteforce(market):
+    """Every registered agent's R equals a full rescan of closed sessions."""
     closed = [s for s in market.sessions.values() if not s.is_open]
     max_rounds = max(
         (offer_count(s) for s in closed if s.outcome is SessionOutcome.AGREED),
@@ -887,10 +890,23 @@ def assert_trust_matches_bruteforce(market):
     )
     for agent in market.repo.agents():
         rec = market.trust.record(agent)
+        assert rec.reputation == compute_reputation(rec.stats, max_rounds)
+
+
+def assert_behavior_matches_bruteforce(market):
+    """score_behavior sets every registered agent's B and stance to a full
+    rescan of the closed transcripts in creation order; a second pass
+    changes nothing."""
+    market.score_behavior()
+    exported = market.trust.export_lines()
+    market.score_behavior()
+    assert market.trust.export_lines() == exported
+    closed = [s for s in market.sessions.values() if not s.is_open]
+    for agent in market.repo.agents():
+        rec = market.trust.record(agent)
         norm = compute_behavior_norm(closed, agent)
         assert rec.behavior_norm == norm
         assert rec.stance is classify_concession(norm)
-        assert rec.reputation == compute_reputation(rec.stats, max_rounds)
 
 
 class TestWatchdog:
@@ -953,7 +969,7 @@ class TestWatchdog:
     def test_reputation_maximum(self):
         stats = TrustStats(
             sessions_observed=2, agreements=2, violations=0,
-            messages_sent=10, rounds_to_agreement=[0, 0],
+            messages_sent=10, rounds_total=0,
         )
         assert compute_reputation(stats, 8) == 1.0
 
@@ -974,7 +990,7 @@ class TestWatchdog:
                 agreements=agreements,
                 violations=rng.randint(0, messages) if messages else 0,
                 messages_sent=messages,
-                rounds_to_agreement=[rng.randint(1, 12) for _ in range(agreements)],
+                rounds_total=sum(rng.randint(1, 12) for _ in range(agreements)),
             )
             r = compute_reputation(stats, 12)
             assert 0.0 <= r <= 1.0
@@ -1065,12 +1081,13 @@ class TestIncrementalWatchdog:
 
     @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
     def test_scores_equal_bruteforce_after_every_close(self, path, monkeypatch):
+        # R after every close; B and stance once, from the end-of-run pass.
         checked = []
         refresh = Marketplace.recompute_trust
 
         def refresh_and_check(market):
             refresh(market)
-            assert_trust_matches_bruteforce(market)
+            assert_reputation_matches_bruteforce(market)
             checked.append(market)
 
         monkeypatch.setattr(Marketplace, "recompute_trust", refresh_and_check)
@@ -1080,8 +1097,9 @@ class TestIncrementalWatchdog:
         closed = sum(1 for s in market.sessions.values() if not s.is_open)
         assert closed > 0
         assert len(checked) == closed
+        assert_behavior_matches_bruteforce(market)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_out_of_order_closes_equal_bruteforce(self, data):
         market = self.market()
@@ -1093,18 +1111,26 @@ class TestIncrementalWatchdog:
             )
             for i in range(data.draw(st.integers(1, 8)))
         ]
-        # Wide-ranging values make the float sum of B depend on its order.
-        value = st.floats(min_value=0.0, max_value=30.0)
-        for tick, closing in enumerate(
-            data.draw(st.permutations(sessions)), start=1
-        ):
-            open_now = [s for s in sessions if s.is_open]
-            for _ in range(data.draw(st.integers(0, 8))):
-                session = data.draw(st.sampled_from(open_now))
-                # Any agent may try to send; outsiders are rejected.
-                sender = data.draw(st.sampled_from(self.AGENTS))
-                values = {"price": data.draw(value), "memory": data.draw(value)}
-                self.send(market, session, sender, MessageKind.OFFER, tick, values)
+        # Each sender concedes by a drawn step per offer, so its ratios are
+        # positive and B is not floored at 0; wide-ranging steps make the
+        # float sum of B depend on its order.
+        step = st.floats(min_value=0.001, max_value=3.0)
+        standing = {}
+        order = data.draw(st.permutations(sessions))
+        # Tick 1 closes nothing, so the first session to close has offers
+        # too; sessions left open keep offers that B must not count.
+        closes = [None, *order[:data.draw(st.integers(1, len(order)))]]
+        for tick, closing in enumerate(closes, start=1):
+            for session in [s for s in sessions if s.is_open]:
+                for _ in range(data.draw(st.integers(0, 6))):
+                    # Any agent may try to send; outsiders are rejected.
+                    sender = data.draw(st.sampled_from(session.participants() + self.AGENTS))
+                    price, memory = standing.get((session.session, sender), (30.0, 30.0))
+                    values = {"price": price - data.draw(step), "memory": memory - data.draw(step)}
+                    standing[session.session, sender] = (values["price"], values["memory"])
+                    self.send(market, session, sender, MessageKind.OFFER, tick, values)
+            if closing is None:
+                continue
             kind = data.draw(st.sampled_from([MessageKind.ACQUIRE, MessageKind.TERMINATE]))
             sender = data.draw(st.sampled_from(closing.participants()))
             values = {"price": 15.0, "memory": 4.0}
@@ -1118,11 +1144,12 @@ class TestIncrementalWatchdog:
                     values = dict(offered.values)
             self.send(market, closing, sender, kind, tick, values)
             assert not closing.is_open
-            assert_trust_matches_bruteforce(market)
+            assert_reputation_matches_bruteforce(market)
+        assert_behavior_matches_bruteforce(market)
 
     def test_close_folds_only_that_session(self, monkeypatch):
-        # The close reads the trails folded as offers were routed: it walks
-        # no transcript, neither its own nor another session's.
+        # Neither the close nor the end-of-run pass walks a transcript: B is
+        # scored from the trails folded as offers were routed.
         market = self.market()
         sessions = [self.commence(market, i) for i in range(3)]
         for tick in range(1, 5):
@@ -1151,10 +1178,27 @@ class TestIncrementalWatchdog:
         assert not callable(sessions[2].offer_count)
         self.send(market, sessions[2], "s1", MessageKind.TERMINATE, 5)
         assert not sessions[2].is_open
+        market.score_behavior()
         for session in sessions:
             session.transcript = list.copy(session.transcript)
         monkeypatch.undo()
-        assert_trust_matches_bruteforce(market)
+        assert_reputation_matches_bruteforce(market)
+        assert_behavior_matches_bruteforce(market)
+
+    def test_a_run_that_closes_nothing_adds_no_record(self):
+        # Cut off at tick 2, every session is still open. Only routing has
+        # made records: one per agent that sent a message, at the default B
+        # and stance. buyer-01 has sent nothing, so it has no record.
+        scenario = load_scenario(
+            (SCENARIOS[0].parent / "market-10x5.yaml").read_text(encoding="utf-8")
+        )
+        _, _, market = run_simulation_with_market(replace(scenario, t_end=2))
+        assert market.sessions and all(s.is_open for s in market.sessions.values())
+        senders = {msg.sender for msg in market._log} - {MARKETPLACE_ID}
+        assert "buyer-01" in set(market.repo.agents()) - senders
+        assert [rec.agent for rec in market.trust.records()] == sorted(senders)
+        for rec in market.trust.records():
+            assert (rec.behavior_norm, rec.stance) == (1.0, Stance.LINEAR)
 
     def test_offer_trails_match_the_references(self):
         market = self.market()
@@ -1178,8 +1222,7 @@ class TestIncrementalWatchdog:
         # outsider, a routed commence, a send after the close and an acquire
         # of anything but the other side's last offer. None may reach the
         # count or the trails, which must equal a pass over the transcript
-        # while the session is open. The close folds the trails into the
-        # watchdog and releases them; the count stays.
+        # before and after the close, which leaves both as they are.
         market = self.market()
         sessions = [
             self.commence(market, i, buyer=data.draw(st.sampled_from(["b1", "b2"])))
@@ -1199,9 +1242,7 @@ class TestIncrementalWatchdog:
                 offered = session.last_offer(other)
                 values = None if offered is None else dict(offered.values)
             target = data.draw(st.sampled_from([session.session, "s-unknown"]))
-            before = [
-                (s.is_open, s.offer_count, copy.deepcopy(s.trails)) for s in sessions
-            ]
+            before = [(s.offer_count, copy.deepcopy(s.trails)) for s in sessions]
             result = market.route_message(NegotiationMessage(
                 session=target, sender=sender, receiver="b1", round=tick,
                 sent_at=data.draw(st.sampled_from([tick, tick - 1])), kind=kind,
@@ -1209,15 +1250,10 @@ class TestIncrementalWatchdog:
             ))
             event(result.status.value)
             routed = result.status is DeliveryStatus.DELIVERED
-            for s, (was_open, count, trails) in zip(sessions, before):
-                if was_open and not s.is_open:
-                    assert (s.offer_count, s.trails) == (count, {})
-                elif not (routed and s is session and kind is MessageKind.OFFER):
+            for s, (count, trails) in zip(sessions, before):
+                if not (routed and s is session and kind is MessageKind.OFFER):
                     assert (s.offer_count, s.trails) == (count, trails)
-                reference_count, reference_trails = offer_trails(s)
-                assert reference_count == s.offer_count
-                if s.is_open:
-                    assert reference_trails == s.trails
+                assert offer_trails(s) == (s.offer_count, s.trails)
 
 
 class TestIncrementalMatchmaking:

@@ -694,6 +694,7 @@ def _polling_run(scenario):
             break
         else:
             now = post_ticks[bisect.bisect_right(post_ticks, now)]
+    market.score_behavior()
     report = simulation._build_report(scenario, seed, ticks, market)
     return market.transcript_lines(), report, market
 

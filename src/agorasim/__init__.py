@@ -47,7 +47,6 @@ from .agent import (
     PlanLibrary,
     SessionEntry,
     agent_step,
-    mean_lambda,
     proxy_filter,
     resolve_concurrent_agreements,
 )

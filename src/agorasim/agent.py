@@ -12,6 +12,15 @@ agenda, deadlines, round counters), the agent's belief about the opponent
 the agent's desire for the session (the target utility fixed at COMMENCE).
 An entry leaves the DB when its session is acquired or terminated, so the
 agent keeps nothing for a closed session.
+
+An offer that passes `proxy_filter` is answered in agent_step's own frame:
+the belief window shifts, and once it is full the three-point concession
+ratio λ is averaged over the entry's sorted issues; `adapt_tactic` is called
+only for a λ outside [1 - LAMBDA_BAND, 1 + LAMBDA_BAND] (inside the band, or
+NaN, it would return its input). The plan is read from the library's memo;
+the resource level is read only for a projection that can be under pressure
+(`ResourceProjection.pressed_at`); `decide_response` builds the counter, and
+the step emits it as one record.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from .tactics import (
     ResponseKind,
     Stance,
     STANCE_BETA,
+    LAMBDA_BAND,
     TacticParams,
     adapt_tactic,
     aggregate_utility,
@@ -62,6 +72,9 @@ _TERMINATE = MessageKind.TERMINATE
 _BUYER = Perspective.BUYER
 _RESPONSE_ACQUIRE = ResponseKind.ACQUIRE
 _RESPONSE_TERMINATE = ResponseKind.TERMINATE
+# The linear band of adapt_tactic, by its expressions.
+_LAMBDA_LOW = 1.0 - LAMBDA_BAND
+_LAMBDA_HIGH = 1.0 + LAMBDA_BAND
 
 TERMINATE_DEADLINE = "deadline"
 TERMINATE_BETTER_DEAL = "better-deal"
@@ -134,7 +147,7 @@ class SessionEntry:
     t_max_eff_of: Optional[ResourceProjection] = None
     # The belief: the opponent's last BELIEF_WINDOW packages, oldest first.
     recent: tuple[OfferPackage, ...] = ()
-    # Sorted once at COMMENCE; mean_lambda sums the per-issue ratios in this
+    # Sorted once at COMMENCE; agent_step sums the per-issue ratios in this
     # order, so the mean's bits do not depend on the agenda's order.
     issue_ids: tuple[IssueId, ...] = field(init=False)
 
@@ -293,37 +306,6 @@ def proxy_filter(
 
 
 # ---------------------------------------------------------------------------
-# Beliefs
-# ---------------------------------------------------------------------------
-
-def mean_lambda(entry: SessionEntry) -> Optional[float]:
-    """Mean concession ratio across issues; None until BELIEF_WINDOW offers.
-
-    The ratio is a three-point one, so BELIEF_WINDOW is 3. Issues whose ratio
-    is undefined (flat previous step) count as 1, the linear fixed point.
-    """
-    if len(entry.recent) < BELIEF_WINDOW:
-        return None
-    # An OfferPackage is the 1-tuple of its values.
-    (oldest,), (previous,), (latest,) = entry.recent
-    # concession_rate inlined, summed left to right as sum() did before
-    # Python 3.12 compensated its float sums.
-    total = 0.0
-    for issue_id in entry.issue_ids:
-        o_minus2 = oldest[issue_id]
-        o_minus1 = previous[issue_id]
-        o_now = latest[issue_id]
-        denom = o_minus1 - o_minus2
-        if denom == 0.0:
-            total += 1.0
-        else:
-            lam = (o_now - o_minus1) / denom
-            # A NaN ratio is undefined too.
-            total += lam if lam == lam else 1.0
-    return total / len(entry.issue_ids)
-
-
-# ---------------------------------------------------------------------------
 # Plans
 # ---------------------------------------------------------------------------
 
@@ -365,7 +347,10 @@ class PlanLibrary:
 
     `choose` memoises the first match for each combination of the facts
     agent_step computes. The memo fills on first use of a combination, so a
-    library that is never consulted costs nothing.
+    library that is never consulted costs nothing. On the offer path a step
+    reads the memo itself, keyed by (deadline passed, True, False, opening
+    pending), and calls `choose` only on a miss; a library that tests
+    OFFER_MEETS_TARGET is consulted through `_plan`, which scores the offer.
     """
 
     def __init__(self, rules: Sequence[PlanRule]) -> None:
@@ -654,20 +639,50 @@ def agent_step(
 
         # Offer: learn, adapt, recompute the hybrid deadline if the resource
         # projection was replaced, then plan.
-        entry.recent = (*entry.recent, package)[-BELIEF_WINDOW:]
-        entry.offers_received += 1
-        lam = mean_lambda(entry)
-        # Until the window is full there is no ratio; adapt_tactic given the
-        # linear ratio 1 in its place returns its input.
-        if lam is not None:
-            state.tactic = adapt_tactic(state.tactic, lam, entry.offers_received)
+        recent = entry.recent
+        offers = entry.offers_received = entry.offers_received + 1
+        if len(recent) < BELIEF_WINDOW - 1:
+            # Until the window is full there is no ratio.
+            entry.recent = (*recent, package)
+        else:
+            previous_package = recent[-1]
+            oldest_package = recent[-2]
+            entry.recent = (oldest_package, previous_package, package)
+            # An OfferPackage is the 1-tuple of its values.
+            (oldest,) = oldest_package
+            (previous,) = previous_package
+            (latest,) = package
+            # The mean three-point ratio λ, summed left to right over the
+            # sorted issues; a flat previous step or a NaN ratio counts as 1,
+            # the linear fixed point.
+            total = 0.0
+            issue_ids = entry.issue_ids
+            for issue_id in issue_ids:
+                o_minus1 = previous[issue_id]
+                denom = o_minus1 - oldest[issue_id]
+                if denom == 0.0:
+                    total += 1.0
+                else:
+                    lam = (latest[issue_id] - o_minus1) / denom
+                    total += lam if lam == lam else 1.0
+            lam = total / len(issue_ids)
+            if lam > _LAMBDA_HIGH or lam < _LAMBDA_LOW:
+                state.tactic = adapt_tactic(state.tactic, lam, offers)
         resources = state.resources
         if entry.t_max_eff_of is not resources:
             db.set_deadline(
                 entry, effective_deadline(entry.session_t_max, resources.shifted(entry.t0))
             )
             entry.t_max_eff_of = resources
-        plan = _plan(state, entry, now)
+        deadline = entry.t0 + entry.t_max_eff
+        plans = state.plans
+        if plans.tests_target:
+            plan = _plan(state, entry, now)
+        else:
+            key = (now > deadline, True, False, entry.initiator and not entry.opened)
+            plan = plans._memo.get(key)
+            if plan is None:
+                plan = plans.choose(*key)
         if plan is _PLAN_TERMINATE:
             outbox.append(
                 _emit(state, entry, now, _TERMINATE, reason=TERMINATE_DEADLINE)
@@ -679,11 +694,11 @@ def agent_step(
             acquire_products.add(entry.product)
         elif plan is _PLAN_COUNTER or plan is _PLAN_OFFER:
             if aggressive is None:
-                aggressive = resources.level_at(now) <= resources.r_threshold
+                aggressive = resources.pressed_at(now)
             response_kind, response_package = decide_response(
                 entry.agenda, entry.role, msg, now - entry.t0, entry.t_max_eff,
                 _effective_params(state, True) if aggressive else state.tactic,
-                entry.t0 + entry.t_max_eff,
+                deadline,
             )
             if response_kind is _RESPONSE_TERMINATE:
                 outbox.append(
@@ -696,7 +711,13 @@ def agent_step(
                 acquire_products.add(entry.product)
             else:
                 db.mark_opened(entry)
-                outbox.append(_emit(state, entry, now, _OFFER, package=response_package))
+                # _emit's record, built here.
+                round_ = entry.next_round
+                entry.next_round = round_ + 1
+                outbox.append(new_record(NegotiationMessage, (
+                    session, state.agent_id, entry.opponent, round_, now, _OFFER,
+                    response_package, None, None,
+                )))
 
     # Opening offers for sessions this agent initiates, in session-id order
     # because jitter draws from rng.
@@ -709,7 +730,7 @@ def agent_step(
                 continue
             if aggressive is None:
                 resources = state.resources
-                aggressive = resources.level_at(now) <= resources.r_threshold
+                aggressive = resources.pressed_at(now)
             package = generate_offer_package(
                 entry.agenda, now - entry.t0, entry.t_max_eff,
                 _effective_params(state, True) if aggressive else state.tactic,
@@ -770,7 +791,7 @@ def wake_threshold(state: AgentState) -> Optional[float]:
     answer is read off the DB.
     """
     db = state.agenda_db
-    if not db:
+    if not db._entries:
         return None
     if db.unopened:
         for entry in db:

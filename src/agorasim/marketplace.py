@@ -826,7 +826,9 @@ class Marketplace:
         self._session_seq = 0
         # Sessions commenced and not yet closed.
         self.open_count = 0
-        self._pending: dict[int, list[NegotiationMessage]] = {}
+        # Queued messages by delivery tick, then by receiver, in the order
+        # they were queued; no inbox is empty.
+        self._pending: dict[int, dict[AgentId, list[NegotiationMessage]]] = {}
         self._log: list[NegotiationMessage] = []
         # Watchdog state: the running max of rounds to agreement; agents
         # whose inputs changed since the last pass; and the (max rounds,
@@ -921,20 +923,28 @@ class Marketplace:
     # -- routing -----------------------------------------------------------
 
     def _enqueue(self, msg: NegotiationMessage) -> None:
+        """File the message under its receiver for delivery at the next tick."""
         # No setdefault: it would build a fresh list for every message.
-        due = self._pending.get(msg.sent_at + 1)
+        tick = msg.sent_at + 1
+        due = self._pending.get(tick)
         if due is None:
-            self._pending[msg.sent_at + 1] = [msg]
+            self._pending[tick] = {msg.receiver: [msg]}
+            return
+        inbox = due.get(msg.receiver)
+        if inbox is None:
+            due[msg.receiver] = [msg]
         else:
-            due.append(msg)
+            inbox.append(msg)
 
     def due_messages(self, now: int) -> dict[AgentId, list[NegotiationMessage]]:
-        """Pop messages due for delivery this tick, per receiver, in order."""
-        due = self._pending.pop(now, [])
-        due.sort(key=DELIVERY_ORDER)
-        inboxes: dict[AgentId, list[NegotiationMessage]] = {}
-        for msg in due:
-            inboxes.setdefault(msg.receiver, []).append(msg)
+        """Pop messages due for delivery this tick, per receiver, each inbox
+        in DELIVERY_ORDER."""
+        inboxes = self._pending.pop(now, None)
+        if inboxes is None:
+            return {}
+        for inbox in inboxes.values():
+            if len(inbox) > 1:
+                inbox.sort(key=DELIVERY_ORDER)
         return inboxes
 
     def route_message(self, msg: NegotiationMessage) -> DeliveryResult:
@@ -944,10 +954,16 @@ class Marketplace:
         unknown or closed sessions, messages from anyone but the session's
         buyer and seller, a commence (only the marketplace sends one, and it
         does not route it) and an acquire of anything but the other side's
-        last offer are counted against the sender and dropped. An offer that
-        enters the transcript is folded into the session's offer count and
-        trails. A delivery without compliance violations returns one shared
-        result.
+        last offer are counted against the sender and dropped.
+
+        A delivered message is held to sender-side compliance: any but a
+        terminate is past the deadline once sent more than t_max after
+        COMMENCE (a terminate then is the protocol-required teardown), and an
+        offer is held to the sender's own declared ranges as captured at
+        COMMENCE (the receiver's space is the receiver's filter). An offer
+        that enters the transcript is folded into the session's offer count
+        and trails. A delivery without compliance violations returns one
+        shared result.
         """
         session_id, sender, _, _, sent_at, kind, package, reason, _ = msg
         session = self.sessions.get(session_id)
@@ -971,7 +987,26 @@ class Marketplace:
             if offered is None or package != offered:
                 return self._reject(sender, DeliveryStatus.NOT_LAST_OFFER)
 
-        violations = self._compliance_violations(session, msg)
+        violations: tuple[str, ...] = ()
+        if kind is not _TERMINATE and sent_at - session.commence_at > session.t_max:
+            violations = ("past-deadline",)
+        if kind is _OFFER:
+            session.offer_count += 1
+            if package is not None:
+                values = package.values
+                for issue_id, lo, hi in session.bounds.get(sender, ()):
+                    offered = values.get(issue_id)
+                    if offered is None or not lo <= offered <= hi:
+                        violations += (f"out-of-space:{issue_id}",)
+                trails = session.trails.get(sender)
+                if trails is None:
+                    trails = session.trails[sender] = {}
+                for issue_id, value in values.items():
+                    trail = trails.get(issue_id)
+                    if trail is None:
+                        trails[issue_id] = [value]
+                    else:
+                        trail.append(value)
         stats = self.trust.record(sender).stats
         stats.messages_sent += 1
         stats.violations += len(violations)
@@ -980,19 +1015,7 @@ class Marketplace:
         session.transcript.append(msg)
         self._log.append(msg)
         self._enqueue(msg)
-        if kind is _OFFER:
-            session.offer_count += 1
-            if package is not None:
-                trails = session.trails.get(sender)
-                if trails is None:
-                    trails = session.trails[sender] = {}
-                for issue_id, value in package.values.items():
-                    trail = trails.get(issue_id)
-                    if trail is None:
-                        trails[issue_id] = [value]
-                    else:
-                        trail.append(value)
-        elif kind is _ACQUIRE:
+        if kind is _ACQUIRE:
             session.outcome = _AGREED
             session.final_package = package
             session.closed_at = sent_at
@@ -1013,25 +1036,6 @@ class Marketplace:
         self.trust.record(sender).stats.violations += 1
         self._dirty.add(sender)
         return DeliveryResult(status, (status.value,))
-
-    def _compliance_violations(
-        self, session: SessionState, msg: NegotiationMessage
-    ) -> tuple[str, ...]:
-        """Sender-side compliance: a terminate past the deadline is the
-        protocol-required teardown, and offers are held to the sender's own
-        declared ranges as captured at COMMENCE (the receiver's space is the
-        receiver's filter). Builds nothing when neither check can fire."""
-        _, sender, _, _, sent_at, kind, package, _, _ = msg
-        found: tuple[str, ...] = ()
-        if kind is not _TERMINATE and sent_at - session.commence_at > session.t_max:
-            found = ("past-deadline",)
-        if kind is _OFFER and package is not None:
-            values = package.values
-            for issue_id, lo, hi in session.bounds.get(sender, ()):
-                offered = values.get(issue_id)
-                if offered is None or not lo <= offered <= hi:
-                    found += (f"out-of-space:{issue_id}",)
-        return found
 
     # -- watchdog ----------------------------------------------------------
 
@@ -1101,7 +1105,7 @@ class Marketplace:
         return self._matches(self.repo.stale_products())[1]
 
     def has_pending_messages(self) -> bool:
-        return any(self._pending.values())
+        return bool(self._pending)
 
     def transcript_lines(self) -> list[str]:
         """Render every line of the transcript; emission starts here."""

@@ -12,7 +12,10 @@ count), no agent holds a live entry and no mail is pending. Then no product
 is stale either: matchmaking emptied the stale set this tick, and only a
 close refills it, after queueing its closing message. An idle tick at or
 after the last posting ends the run; an earlier one skips to the next
-posting. Two runs with the same scenario and seed produce byte-identical
+posting. While sessions are open but no mail is pending and no product is
+stale, the loop skips to the next posting, the first tick past the lowest
+wake threshold or t_end, whichever comes first: no tick between does
+anything. Two runs with the same scenario and seed produce byte-identical
 transcripts and reports.
 """
 
@@ -631,6 +634,31 @@ def build_agent_states(scenario: Scenario, seed: int) -> dict[AgentId, AgentStat
     return states
 
 
+def _next_busy_tick(
+    now: int, post_ticks: list[int], wake: dict[AgentId, float], t_end: int
+) -> int:
+    """The next tick at which a run with no mail pending and no stale product
+    can do anything: the earliest of the next posting, the first integer tick
+    past the lowest wake threshold, and t_end, or now + 1 if that is later.
+
+    Every tick before it would post nothing, match nothing, deliver nothing
+    and step no agent. It is at most t_end unless now is t_end, so the last
+    tick visited, the report's `ticks`, is the same as stepping tick by tick.
+    """
+    target = t_end
+    i = bisect.bisect_right(post_ticks, now)
+    if i < len(post_ticks) and post_ticks[i] < target:
+        target = post_ticks[i]
+    if wake:
+        lowest = min(wake.values())
+        # Thresholds are floats, never NaN: they can be -inf or +inf, and
+        # past 2**53 not every integer is one. Python compares an int with a
+        # float exactly, and floor() of a finite float is an exact int.
+        if lowest < target:
+            target = now + 1 if lowest < now else math.floor(lowest) + 1
+    return target if target > now else now + 1
+
+
 def run_simulation(
     scenario: Scenario, seed_override: Optional[int] = None
 ) -> tuple[list[str], SimulationReport]:
@@ -701,7 +729,13 @@ def run_simulation_with_market(
         outgoing.sort(key=DELIVERY_ORDER)
         for msg in outgoing:
             market.route_message(msg)
-        if market.open_count or wake or market.has_pending_messages():
+        if market.open_count or wake:
+            if market.has_pending_messages() or market.repo.stale_products():
+                now += 1
+            else:
+                # Every open session idles: skip to the next tick with work.
+                now = _next_busy_tick(now, post_ticks, wake, scenario.t_end)
+        elif market.has_pending_messages():
             now += 1
         elif now >= last_post:
             break

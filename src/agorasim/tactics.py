@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from . import kernels
@@ -85,13 +86,33 @@ class ResourceProjection:
     `points` are (tick, level) breakpoints with levels in [0, 1]; outside the
     breakpoint span the level is held constant. `r_threshold` is the depletion
     level below which the agent must have concluded its negotiations.
+
+    `never_pressed` holds when every breakpoint has one level and that level
+    is above `r_threshold`. Then `level_at` is never at or below the
+    threshold, at any tick: kernels.piecewise_level returns a breakpoint's
+    level or y0 + (y1 - y0) * r with y1 = y0, which is the level exactly, or
+    NaN where the level or r is not finite. So `pressed_at` skips
+    `level_at` for such a projection. Two or more levels are evaluated,
+    because interpolation between them can round below the lower one; a
+    level equal to the threshold, or NaN, is not above it.
     """
 
     points: tuple[tuple[float, float], ...] = ((0.0, 1.0),)
     r_threshold: float = 0.1
 
+    @cached_property
+    def never_pressed(self) -> bool:
+        """Whether every breakpoint has one level, above r_threshold; worked
+        out on first use, so a projection never asked costs nothing."""
+        levels = {y for _, y in self.points}
+        return len(levels) == 1 and levels.pop() > self.r_threshold
+
     def level_at(self, t: float) -> float:
         return kernels.piecewise_level(self.points, t)
+
+    def pressed_at(self, t: float) -> bool:
+        """Whether the level at t is at or below r_threshold."""
+        return not self.never_pressed and self.level_at(t) <= self.r_threshold
 
     def shifted(self, offset: float) -> "ResourceProjection":
         """View of the projection in session-relative time (t=0 at offset)."""

@@ -23,7 +23,6 @@ from agorasim.agent import (
     RejectReason,
     _plan,
     agent_step,
-    mean_lambda,
     proxy_filter,
     resolve_concurrent_agreements,
     wake_threshold,
@@ -40,9 +39,11 @@ from agorasim.core import (
 )
 from agorasim.marketplace import transcript_line
 from agorasim.tactics import (
+    LAMBDA_BAND,
     ResourceProjection,
     Stance,
     TacticParams,
+    adapt_tactic,
     aggregate_utility,
     classify_concession,
     concession_rate,
@@ -127,6 +128,34 @@ class TestProxyFilter:
         verdict = proxy_filter(make_offer(), make_entry(), now=2)
         assert verdict is FilterVerdict.passed()
         assert verdict.reason is None
+
+
+def mean_lambda(entry):
+    """Mean concession ratio across issues; None until BELIEF_WINDOW offers.
+
+    The reference for the ratio agent_step folds inline, bit for bit. The
+    ratio is a three-point one, so BELIEF_WINDOW is 3. Issues whose ratio is
+    undefined (flat previous step) count as 1, the linear fixed point.
+    """
+    if len(entry.recent) < BELIEF_WINDOW:
+        return None
+    # An OfferPackage is the 1-tuple of its values.
+    (oldest,), (previous,), (latest,) = entry.recent
+    # concession_rate inlined, summed left to right as sum() did before
+    # Python 3.12 compensated its float sums.
+    total = 0.0
+    for issue_id in entry.issue_ids:
+        o_minus2 = oldest[issue_id]
+        o_minus1 = previous[issue_id]
+        o_now = latest[issue_id]
+        denom = o_minus1 - o_minus2
+        if denom == 0.0:
+            total += 1.0
+        else:
+            lam = (o_now - o_minus1) / denom
+            # A NaN ratio is undefined too.
+            total += lam if lam == lam else 1.0
+    return total / len(entry.issue_ids)
 
 
 def reference_mean_lambda(packages):
@@ -246,6 +275,90 @@ class TestBeliefs:
             OfferPackage({"a": 1.0 + 1e16, "b": 2.0, "c": 1.0 - 1e16}),
         )
         assert mean_lambda(entry) == 0.0
+
+
+#: Per issue, values whose steps are flat (ratio 1), subnormal (a ratio of
+#: ±inf; one issue at +inf and one at -inf make the mean NaN) or ordinary.
+ADAPTING_VALUES = st.sampled_from((0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5)) | st.floats(-1.0, 1.0)
+
+
+class TestAdaptation:
+    """agent_step folds λ inline and calls adapt_tactic only outside the
+    linear band; the tactic after each step must equal, bit for bit, that of
+    mean_lambda and adapt_tactic called on every offer."""
+
+    @staticmethod
+    def check(plans, tactic, packages, agenda=None):
+        if agenda is None:
+            agenda = make_agenda(
+                make_issue("price", weight=0.5, lo=-1.0, hi=1.0),
+                make_issue("cpu", weight=0.5, lo=-1.0, hi=1.0),
+            )
+        agent = make_agent(tactic=tactic, plans=plans)
+        agent.agenda_db.add(make_entry(agenda=agenda, session_t_max=100))
+        reference = make_entry(agenda=agenda, session_t_max=100)
+        expected = tactic
+        bits = struct.Struct("<dd").pack
+        for i, values in enumerate(packages):
+            if "s-1" not in agent.agenda_db:
+                break  # acquired or terminated
+            agent_step(agent, [make_offer(values=values, round=i, sent_at=i + 1)], now=i + 1)
+            reference.recent = (*reference.recent, OfferPackage(values))[-BELIEF_WINDOW:]
+            lam = mean_lambda(reference)
+            if lam is not None:
+                expected = adapt_tactic(expected, lam, i + 1)
+            assert agent.tactic == expected
+            assert bits(agent.tactic.k, agent.tactic.beta) == bits(expected.k, expected.beta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        packages=st.lists(
+            st.fixed_dictionaries({"price": ADAPTING_VALUES, "cpu": ADAPTING_VALUES}),
+            min_size=1, max_size=7,
+        ),
+        beta=st.sampled_from((0.2, 1.0, 5.0, 20.0)),
+        counter=st.booleans(),
+    )
+    def test_tactic_equals_adapt_tactic_on_every_offer(self, packages, beta, counter):
+        # A library that answers each offer, or one that lets it stand and
+        # keeps the session open for every offer drawn.
+        plans = PlanLibrary.default() if counter else PlanLibrary((
+            PlanRule(PlanCondition.DEADLINE_PASSED, PlanKind.TERMINATE),
+            PlanRule(PlanCondition.ALWAYS, PlanKind.IDLE),
+        ))
+        self.check(plans, TacticParams(k=0.0, beta=beta), packages)
+
+    @pytest.mark.parametrize("price, cpu", [
+        pytest.param((0.5, 0.5, 0.0), (0.2, 0.2, 0.9), id="flat"),
+        pytest.param((0.0, 5e-324, 1.0), (0.0, 5e-324, 0.5), id="inf"),
+        pytest.param((0.0, -5e-324, 1.0), (0.0, -5e-324, 0.5), id="minus-inf"),
+        pytest.param((0.0, 5e-324, 1.0), (0.0, 5e-324, -1.0), id="nan"),
+        pytest.param((0.0, 0.5, 1.0), (0.0, 0.25, 0.5), id="in-band"),
+    ])
+    def test_every_kind_of_ratio(self, price, cpu):
+        packages = [{"price": p, "cpu": c} for p, c in zip(price, cpu)]
+        idle = PlanLibrary((PlanRule(PlanCondition.ALWAYS, PlanKind.IDLE),))
+        self.check(idle, TacticParams(k=0.0, beta=1.0), packages * 2)
+
+    def test_ratios_sum_left_to_right_in_issue_order(self):
+        # Ratios 1e16, 3 and -1e16 in sorted issue order: left to right the
+        # sum rounds 1e16 + 3 and the mean leaves the band; summed as a, c, b
+        # it would be exactly 1, inside the band.
+        agenda = make_agenda(
+            make_issue("c", weight=0.25, lo=-2e16, hi=2.0),
+            make_issue("a", weight=0.5, lo=0.0, hi=2e16),
+            make_issue("b", weight=0.25, lo=0.0, hi=4.0),
+        )
+        packages = [
+            {"a": 0.0, "b": 0.0, "c": 0.0},
+            {"a": 1.0, "b": 1.0, "c": 1.0},
+            {"a": 1.0 + 1e16, "b": 4.0, "c": 1.0 - 1e16},
+        ]
+        idle = PlanLibrary((PlanRule(PlanCondition.ALWAYS, PlanKind.IDLE),))
+        self.check(idle, TacticParams(k=0.0, beta=1.0), packages, agenda)
+        reference = make_entry(agenda=agenda)
+        reference.recent = tuple(OfferPackage(values) for values in packages)
+        assert not 1.0 - LAMBDA_BAND <= mean_lambda(reference) <= 1.0 + LAMBDA_BAND
 
 
 class TestPlans:

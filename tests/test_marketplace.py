@@ -12,6 +12,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from agorasim import marketplace
 from agorasim.core import (
+    DELIVERY_ORDER,
     MARKETPLACE_ID,
     CommenceInfo,
     MessageKind,
@@ -907,6 +908,78 @@ def assert_behavior_matches_bruteforce(market):
         norm = compute_behavior_norm(closed, agent)
         assert rec.behavior_norm == norm
         assert rec.stance is classify_concession(norm)
+
+
+def reference_due_messages(queued, now):
+    """Delivery as it was made from one list per tick: the messages queued
+    for `now` (sent at now - 1) sorted by DELIVERY_ORDER, then split by
+    receiver."""
+    due = sorted((m for m in queued if m.sent_at + 1 == now), key=DELIVERY_ORDER)
+    inboxes = {}
+    for msg in due:
+        inboxes.setdefault(msg.receiver, []).append(msg)
+    return inboxes
+
+
+#: One step of a delivery interleaving: commence the next session, or have
+#: a sender send an offer or a terminate in one of the two sessions at a tick
+#: and round. A send in a session not yet commenced or closed, or from an
+#: outsider, is rejected and queues nothing.
+DELIVERY_STEPS = st.one_of(
+    st.just(("commence",)),
+    st.tuples(
+        st.just("send"),
+        st.sampled_from(("s-9", "s-10")),
+        st.sampled_from(("buyer-1", "seller-1", "seller-2", "outsider")),
+        st.sampled_from((MessageKind.OFFER, MessageKind.OFFER, MessageKind.TERMINATE)),
+        st.integers(0, 2),
+        st.integers(0, 3),
+    ),
+)
+
+
+class TestDelivery:
+    """The queue files each message under its receiver; due_messages sorts
+    only inboxes of two or more and must deliver what one sorted list per
+    tick, split by receiver, did."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(DELIVERY_STEPS, max_size=14))
+    def test_due_messages_equals_the_sorted_split(self, steps):
+        market = Marketplace()
+        market.repo = repo_with(
+            ("buyer-1", Perspective.BUYER, "vm", {"price": (10, 20)}),
+            ("seller-1", Perspective.SELLER, "vm", {"price": (10, 20)}),
+            ("seller-2", Perspective.SELLER, "vm", {"price": (10, 20)}),
+            ("outsider", Perspective.BUYER, "vm", {"price": (10, 20)}),
+        )
+        # s-9 is created before s-10, which sorts first.
+        market._session_seq = 8
+        sellers = iter(("seller-1", "seller-2"))
+        for step in steps:
+            if step[0] == "commence":
+                seller = next(sellers, None)
+                if seller is not None:
+                    match = Match(f"rfq-{seller}", f"ad-{seller}", "vm", "buyer-1",
+                                  seller, ("price",))
+                    market.commence_negotiation(match, now=0)
+                continue
+            _, session, sender, kind, sent_at, round_ = step
+            receiver = "buyer-1" if sender != "buyer-1" else (
+                "seller-1" if session == "s-9" else "seller-2"
+            )
+            market.route_message(NegotiationMessage(
+                session=session, sender=sender, receiver=receiver, round=round_,
+                sent_at=sent_at, kind=kind,
+                package=OfferPackage({"price": 15.0}) if kind is MessageKind.OFFER else None,
+                reason="deadline" if kind is MessageKind.TERMINATE else None,
+            ))
+        queued = list(market._log)
+        for now in range(5):
+            expected = reference_due_messages(queued, now)
+            got = market.due_messages(now)
+            assert got == expected
+        assert not market.has_pending_messages()
 
 
 class TestWatchdog:

@@ -824,6 +824,83 @@ class TestWakeUps:
         assert steps
 
 
+#: Both parties of bilateral.yaml on a library that never acts: once
+#: commenced, each session idles until its deadline sweep.
+IDLE_RULES = (PlanRule(PlanCondition.ALWAYS, PlanKind.IDLE),)
+
+
+def _idle_bilateral(t_max, t_end):
+    text = (SCENARIOS_DIR / "bilateral.yaml").read_text(encoding="utf-8")
+    text = text.replace("t_end: 64", f"t_end: {t_end}").replace("t_max: 20", f"t_max: {t_max}")
+    return _with_rules(load_scenario(text), IDLE_RULES)
+
+
+class TestIdleSessions:
+    """While every open session idles, the tick loop skips to the next tick
+    that can do anything instead of visiting each tick in between."""
+
+    @pytest.mark.parametrize("t_max, t_end", [(300, 300), (40, 300), (0, 5)])
+    def test_idle_sessions_match_polling(self, t_max, t_end):
+        scenario = _idle_bilateral(t_max, t_end)
+        expected = _outputs(_polling_run(scenario))
+        assert _outputs(simulation.run_simulation_with_market(scenario)) == expected
+
+    def test_the_run_past_the_deadline_sweep_ignores_t_end(self):
+        # The sweep closes both sessions at tick 42 and the run ends at 43,
+        # whatever t_end lies past it.
+        expected = _outputs(_polling_run(_idle_bilateral(40, 300)))
+        far = simulation.run_simulation_with_market(_idle_bilateral(40, 2**53))
+        assert _outputs(far) == expected
+        assert far[1].ticks == 43
+
+    def test_sessions_open_up_to_the_float_limit(self, monkeypatch):
+        # The deadline lies past t_end: both sessions stay open for the whole
+        # run, whose last tick is t_end itself, as with a visit to every tick.
+        visited = []
+        original = simulation.Marketplace.due_messages
+
+        def counting(market, now):
+            visited.append(now)
+            return original(market, now)
+
+        monkeypatch.setattr(simulation.Marketplace, "due_messages", counting)
+        lines, report = run_simulation(_idle_bilateral(2**53, 2**53))
+        assert visited == [0, 1, 2**53]
+        assert report.ticks == 2**53
+        assert [s.outcome for s in report.sessions] == ["open"]
+        assert [json.loads(line)["kind"] for line in lines] == ["commence", "commence"]
+
+
+class TestTracedCallCounts:
+    """The names the benchmark's tracer wraps on the message path are called
+    once per message or step: on long-negotiation at seed 1, 11 697 messages
+    are routed (11 691 offers and 6 acquires), each is filtered once by its
+    receiver, and each offer is answered by one decide_response. An inlined
+    copy that bypassed a name would zero its per-layer metrics
+    (`agent.filter`, `agent.reject.*`, `tactics.decide`); the counts are
+    exact at this seed."""
+
+    def test_long_negotiation_seed_1(self, monkeypatch):
+        from agorasim import agent
+
+        counts = dict.fromkeys(("filter", "decide", "step", "route"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(agent, "proxy_filter", counting("filter", agent.proxy_filter))
+        monkeypatch.setattr(agent, "decide_response", counting("decide", agent.decide_response))
+        monkeypatch.setattr(simulation, "agent_step", counting("step", simulation.agent_step))
+        monkeypatch.setattr(
+            Marketplace, "route_message", counting("route", Marketplace.route_message)
+        )
+        run_simulation(load_scenario(_marketgen().generate("long-negotiation", 1)))
+        assert counts == {"filter": 11_697, "decide": 11_691, "step": 7_824, "route": 11_697}
+
+
 class TestSessionOpenCounts:
     """On dense-market at seed 1 (432 opens of 216 sessions) the restriction
     and the opening are derived once per (agent, product, issue set), not

@@ -375,6 +375,60 @@ class TestAdaptTactic:
             assert BETA_MIN <= params.beta <= BETA_MAX
 
 
+class TestPressureShortcut:
+    """A projection with one level above its threshold is never under
+    pressure, so pressed_at skips level_at for it; any other projection is
+    evaluated."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        level=st.floats(allow_nan=False),
+        threshold=st.floats(allow_nan=False),
+        ticks=st.lists(st.floats(allow_nan=False), min_size=1, max_size=4),
+        at=st.lists(st.floats() | st.sampled_from((math.inf, -math.inf)), max_size=8),
+    )
+    def test_a_single_level_above_the_threshold_is_never_at_or_below_it(
+        self, level, threshold, ticks, at
+    ):
+        projection = ResourceProjection(
+            points=tuple((x, level) for x in sorted(ticks)), r_threshold=threshold
+        )
+        assert projection.never_pressed is (level > threshold)
+        if projection.never_pressed:
+            for t in at:
+                read = projection.level_at(t)
+                # The level itself, or NaN where the level or the span is
+                # infinite: neither is at or below the threshold.
+                assert read == level or math.isnan(read)
+                assert not read <= threshold
+                assert not projection.pressed_at(t)
+
+    @pytest.mark.parametrize("points, threshold", [
+        pytest.param(((0.0, 0.1),), 0.1, id="at-threshold"),
+        pytest.param(((0.0, math.nan),), 0.1, id="nan-level"),
+        pytest.param(((0.0, 0.5),), math.nan, id="nan-threshold"),
+        pytest.param(
+            ((0.0, 1.0), (10.0, math.nextafter(0.1, math.inf))), 0.1, id="two-levels"
+        ),
+    ])
+    def test_the_shortcut_does_not_apply(self, points, threshold):
+        projection = ResourceProjection(points=points, r_threshold=threshold)
+        assert not projection.never_pressed
+        for t in (-1.0, 0.0, 5.0, 10.0, 11.0):
+            assert projection.pressed_at(t) is (projection.level_at(t) <= threshold)
+
+    def test_interpolation_can_round_below_both_levels(self):
+        # Both levels lie above the threshold, yet the interpolation at the
+        # first segment's end rounds below it.
+        threshold = math.nextafter(0.1, -math.inf)
+        projection = ResourceProjection(
+            points=((0.0, 1.0), (10.0, 0.1), (20.0, 0.1)), r_threshold=threshold
+        )
+        assert not projection.never_pressed
+        assert projection.level_at(10.0) == math.nextafter(threshold, -math.inf)
+        assert projection.pressed_at(10.0)
+
+
 class TestClassifyConcession:
     @pytest.mark.parametrize(
         "value,expected",

@@ -7,20 +7,20 @@ messages.
 
 Each live negotiation is one `SessionEntry` in the agent's `AgendaDB`. The
 entry holds the session's metadata (opponent, product, role, restricted
-agenda, deadlines, round counters), the agent's belief about the opponent
-(its last `BELIEF_WINDOW` packages, the newest being the standing offer) and
-the agent's desire for the session (the target utility fixed at COMMENCE).
-An entry leaves the DB when its session is acquired or terminated, so the
-agent keeps nothing for a closed session.
+agenda, the hybrid deadline fixed at COMMENCE, round counters), the agent's
+belief about the opponent (its last `BELIEF_WINDOW` packages, the newest
+being the standing offer) and the agent's desire for the session (the target
+utility fixed at COMMENCE). An entry leaves the DB when its session is
+acquired or terminated, so the agent keeps nothing for a closed session.
 
 An offer that passes `proxy_filter` is answered in agent_step's own frame:
 the belief window shifts, and once it is full the three-point concession
-ratio λ is averaged over the entry's sorted issues; `adapt_tactic` is called
-only for a λ outside [1 - LAMBDA_BAND, 1 + LAMBDA_BAND] (inside the band, or
-NaN, it would return its input). The plan is read from the library's memo;
-the resource level is read only for a projection that can be under pressure
-(`ResourceProjection.pressed_at`); `decide_response` builds the counter, and
-the step emits it as one record.
+ratio λ is averaged over the agenda's sorted issue ids; `adapt_tactic` is
+called only for a λ outside [1 - LAMBDA_BAND, 1 + LAMBDA_BAND] (inside the
+band, or NaN, it would return its input). The plan is read from the
+library's memo; the resource level is read only for a projection that can be
+under pressure (`ResourceProjection.pressed_at`); `decide_response` builds
+the counter, and the step emits it as one record.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .core import (
     DELIVERY_ORDER,
     AgentId,
-    IssueId,
     MessageKind,
     NegotiationMessage,
     OfferPackage,
@@ -133,7 +132,6 @@ class SessionEntry:
     product: ProductId
     role: Perspective
     agenda: ValidatedAgenda
-    session_t_max: int
     t0: int
     t_max_eff: float
     initiator: bool
@@ -143,16 +141,8 @@ class SessionEntry:
     next_round: int = 0
     last_seen_round: int = -1
     offers_received: int = 0
-    # The resource projection t_max_eff was computed from; None until then.
-    t_max_eff_of: Optional[ResourceProjection] = None
     # The belief: the opponent's last BELIEF_WINDOW packages, oldest first.
     recent: tuple[OfferPackage, ...] = ()
-    # Sorted once at COMMENCE; agent_step sums the per-issue ratios in this
-    # order, so the mean's bits do not depend on the agenda's order.
-    issue_ids: tuple[IssueId, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.issue_ids = tuple(sorted(spec.issue_id for spec in self.agenda.issues))
 
     @property
     def standing(self) -> Optional[OfferPackage]:
@@ -171,14 +161,14 @@ class AgendaDB:
       uncount it.
     - `due`: the earliest entry deadline (t0 + t_max_eff), exactly, or inf
       when no entry has one; a NaN deadline never passes and is not counted.
-      `add` and `set_deadline` lower it to the entry's deadline. When the
-      entry that holds it leaves (`remove`) or moves later (`set_deadline`),
-      a walk over the entries finds it again; `expired` finds it over the
-      entries it keeps. No entry has passed its deadline at a tick not past
-      `due`, and one has at every tick past it.
+      `add` lowers it to the entry's deadline. When the entry that holds it
+      leaves (`remove`), a walk over the entries finds it again; `expired`
+      finds it over the entries it keeps. No entry has passed its deadline
+      at a tick not past `due`, and one has at every tick past it.
 
-    Both stay true while an entry's `initiator`, `opened`, `t0` and
-    `t_max_eff` change only through these methods once it is in the DB.
+    Both stay true while an entry's `initiator` and `opened` change only
+    through these methods once it is in the DB, and its `t0` and
+    `t_max_eff` not at all: a session's deadline is fixed at COMMENCE.
     """
 
     def __init__(self) -> None:
@@ -214,16 +204,6 @@ class AgendaDB:
             entry.opened = True
             if entry.initiator:
                 self.unopened -= 1
-
-    def set_deadline(self, entry: SessionEntry, t_max_eff: float) -> None:
-        """Give the entry, which is in the DB, a new effective deadline."""
-        held = entry.t0 + entry.t_max_eff == self.due
-        entry.t_max_eff = t_max_eff
-        deadline = entry.t0 + t_max_eff
-        if deadline < self.due:
-            self.due = deadline
-        elif held and deadline != self.due:
-            self.due = self._earliest()
 
     def _earliest(self) -> float:
         due = math.inf
@@ -431,10 +411,11 @@ class AgentState:
     # draws, and one without a stream of its own is given Random(0).
     rng: Optional[random.Random] = None
     # What earlier opens derived, reused by later ones: the schedule shifted
-    # to the tick of the last open, as (tick, resources, shifted), and each
-    # opening's (agenda, target utility) by (id of that restricted agenda,
-    # role, k). Each entry holds its agenda, so the id is not reused.
-    shifted: Optional[tuple[int, ResourceProjection, ResourceProjection]] = None
+    # to the tick of the last open, as (tick, shifted), and each opening's
+    # (agenda, target utility) by (id of that restricted agenda, role, k).
+    # Each entry holds its agenda, so the id is not reused. The schedule is
+    # fixed for the run, so the tick alone names its shift.
+    shifted: Optional[tuple[int, ResourceProjection]] = None
     openings: dict[tuple[int, Perspective, float], tuple[ValidatedAgenda, float]] = field(
         default_factory=dict
     )
@@ -528,12 +509,12 @@ def _open_session(state: AgentState, msg: NegotiationMessage, now: int) -> None:
             f"agent {state.agent_id!r} has no declared agenda for {info.product!r}"
         )
     agenda = restrict_agenda(declared, info.issue_ids)
-    session_t_max = min(info.t_max, agenda.t_max)
-    resources = state.resources
+    # The hybrid deadline, fixed for the session: the earlier of its time
+    # limit and the schedule's depletion, shifted to the tick of COMMENCE.
     shifted = state.shifted
-    if shifted is None or shifted[0] != now or shifted[1] is not resources:
-        shifted = state.shifted = (now, resources, resources.shifted(now))
-    t_max_eff = effective_deadline(session_t_max, shifted[2])
+    if shifted is None or shifted[0] != now:
+        shifted = state.shifted = (now, state.resources.shifted(now))
+    t_max_eff = effective_deadline(min(info.t_max, agenda.t_max), shifted[1])
     role = Perspective.BUYER if info.buyer == state.agent_id else Perspective.SELLER
     # At t = 0 under a positive deadline every issue's concession fraction is
     # exactly k, whatever its exponent, so the opening is derived once per
@@ -552,12 +533,10 @@ def _open_session(state: AgentState, msg: NegotiationMessage, now: int) -> None:
         product=info.product,
         role=role,
         agenda=agenda,
-        session_t_max=session_t_max,
         t0=now,
         t_max_eff=t_max_eff,
         initiator=info.initiator == state.agent_id,
         target_utility=opening[1],
-        t_max_eff_of=resources,
     )
     state.agenda_db.add(entry)
 
@@ -637,8 +616,7 @@ def agent_step(
             db.remove(session)
             continue
 
-        # Offer: learn, adapt, recompute the hybrid deadline if the resource
-        # projection was replaced, then plan.
+        # Offer: learn, adapt, then plan.
         recent = entry.recent
         offers = entry.offers_received = entry.offers_received + 1
         if len(recent) < BELIEF_WINDOW - 1:
@@ -653,10 +631,11 @@ def agent_step(
             (previous,) = previous_package
             (latest,) = package
             # The mean three-point ratio λ, summed left to right over the
-            # sorted issues; a flat previous step or a NaN ratio counts as 1,
-            # the linear fixed point.
+            # sorted issue ids, so its bits do not depend on the agenda's
+            # order; a flat previous step or a NaN ratio counts as 1, the
+            # linear fixed point.
             total = 0.0
-            issue_ids = entry.issue_ids
+            issue_ids = entry.agenda.sorted_issue_ids
             for issue_id in issue_ids:
                 o_minus1 = previous[issue_id]
                 denom = o_minus1 - oldest[issue_id]
@@ -668,12 +647,6 @@ def agent_step(
             lam = total / len(issue_ids)
             if lam > _LAMBDA_HIGH or lam < _LAMBDA_LOW:
                 state.tactic = adapt_tactic(state.tactic, lam, offers)
-        resources = state.resources
-        if entry.t_max_eff_of is not resources:
-            db.set_deadline(
-                entry, effective_deadline(entry.session_t_max, resources.shifted(entry.t0))
-            )
-            entry.t_max_eff_of = resources
         deadline = entry.t0 + entry.t_max_eff
         plans = state.plans
         if plans.tests_target:
@@ -694,7 +667,7 @@ def agent_step(
             acquire_products.add(entry.product)
         elif plan is _PLAN_COUNTER or plan is _PLAN_OFFER:
             if aggressive is None:
-                aggressive = resources.pressed_at(now)
+                aggressive = state.resources.pressed_at(now)
             response_kind, response_package = decide_response(
                 entry.agenda, entry.role, msg, now - entry.t0, entry.t_max_eff,
                 _effective_params(state, True) if aggressive else state.tactic,
@@ -729,8 +702,7 @@ def agent_step(
             if _plan(state, entry, now) is not _PLAN_OFFER:
                 continue
             if aggressive is None:
-                resources = state.resources
-                aggressive = resources.pressed_at(now)
+                aggressive = state.resources.pressed_at(now)
             package = generate_offer_package(
                 entry.agenda, now - entry.t0, entry.t_max_eff,
                 _effective_params(state, True) if aggressive else state.tactic,

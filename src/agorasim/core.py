@@ -4,9 +4,10 @@ All types are immutable values; agents and the marketplace exchange them
 without copying or locking. Invariants are enforced by validate_agenda rather
 than in constructors so tests can build deliberately broken agendas. One
 exception: an `Agenda` caches its restrictions (see restrict_agenda), its
-issue rows (`Agenda.rows`, built on first use) and, in one slot, its
-concession rows for the last base β asked for (`tactics.concession_rows`).
-These caches are excluded from equality, hash and repr.
+issue rows (`Agenda.rows`, built on first use), its sorted issue ids
+(`Agenda.sorted_issue_ids`, likewise) and, in one slot, its concession rows
+for the last base β asked for (`tactics.concession_rows`). These caches are
+excluded from equality, hash and repr.
 
 `issue_score` and `check_in_range` work on one issue. The package-level
 functions in `tactics` (offer generation, utility and the response to an
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -156,6 +158,12 @@ class Agenda:
             object.__setattr__(self, "_rows", rows)
         return rows
 
+    @cached_property
+    def sorted_issue_ids(self) -> tuple[IssueId, ...]:
+        """The issue ids in sorted order, built on first use; not a field, so
+        left out of equality, hash and repr."""
+        return tuple(sorted(spec.issue_id for spec in self.issues))
+
     def issue_ids(self) -> tuple[IssueId, ...]:
         return tuple(spec.issue_id for spec in self.issues)
 
@@ -220,8 +228,8 @@ new_record = tuple.__new__
 
 
 #: Sort key of the delivery order: send tick, session, sender, round. The
-#: marketplace queues, the tick loop routes and an agent reads its inbox in
-#: this order.
+#: tick loop routes and an agent reads its inbox in this order; the
+#: marketplace hands each inbox over in the order it was queued.
 DELIVERY_ORDER = attrgetter("sent_at", "session", "sender", "round")
 
 

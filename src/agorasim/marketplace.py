@@ -21,8 +21,9 @@ Each transcript line equals _COMPACT_JSON.encode of its message's record
 render_transcript writes the lines of one transcript from one %-pattern per
 message shape; a message the patterns do not cover (a bool tick or round, a
 key that is not an exact str, a value that is not an exact finite float, a
-package whose values are not a dict) goes to transcript_line, which renders
-any single message.
+package whose values are not a dict) goes to transcript_line, which encodes
+the record whole. Each receiver's inbox is handed over in the order its
+messages were queued; the agent reading it sorts it.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ from enum import Enum
 from itertools import chain
 from math import isfinite
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
-    DELIVERY_ORDER,
     AgentId,
     CommenceInfo,
     IssueId,
@@ -464,55 +464,23 @@ def _json(value: object, encoded: dict[str, str]) -> str:
     return _COMPACT_JSON.encode(value)
 
 
-def _package_json(offered: Mapping[IssueId, float], encoded: dict[str, str]) -> str:
-    """A package's values as a JSON object, issues in sorted order."""
-    keys = sorted(offered)
-    parts = []
-    for key in keys:
-        if type(key) is not str:
-            return _COMPACT_JSON.encode({key: offered[key] for key in keys})
-        value = offered[key]
-        if type(value) is float and isfinite(value):
-            text = float.__repr__(value)
-        else:
-            text = _json(value, encoded)
-        parts.append(f"{encoded.get(key) or _json(key, encoded)}:{text}")
-    return "{" + ",".join(parts) + "}"
+def transcript_line(msg: NegotiationMessage) -> str:
+    """One message as a transcript line: _COMPACT_JSON.encode of the record
+    {tick, session, sender, receiver, round, kind, values, reason}, `values`
+    holding the package's issues in sorted key order, or null.
 
-
-def transcript_line(
-    msg: NegotiationMessage, encoded: Optional[dict[str, str]] = None
-) -> str:
-    """One message as a stable-field-order JSON line.
-
-    The line equals _COMPACT_JSON.encode of the record {tick, session,
-    sender, receiver, round, kind, values, reason}, `values` holding the
-    package's issues in sorted order (or null), written out by one format
-    string. Strings go through _COMPACT_JSON once each and are kept in
-    `encoded`, which callers rendering many lines pass to every call. Finite
-    floats and ints are written by float.__repr__ and int.__repr__, as json
-    writes them. Any other value (NaN, an infinity, a bool) and a package
-    with a key that is not a string go to _COMPACT_JSON. This renders any
-    message; render_transcript sends it every message its patterns do not
-    cover, and it is the one-message reference for them.
+    It renders any message, and render_transcript sends it each message its
+    patterns do not cover.
     """
-    if encoded is None:
-        encoded = {}
-    # One unpack reads every field; a NamedTuple field read by name is a
-    # descriptor call each.
     session, sender, receiver, round_, tick, kind, package, reason, _ = msg
-    values = "null" if package is None else _package_json(package.values, encoded)
-    kind = kind.value
-    return (
-        f'{{"tick":{int.__repr__(tick) if type(tick) is int else _json(tick, encoded)},'
-        f'"session":{encoded.get(session) or _json(session, encoded)},'
-        f'"sender":{encoded.get(sender) or _json(sender, encoded)},'
-        f'"receiver":{encoded.get(receiver) or _json(receiver, encoded)},'
-        f'"round":{int.__repr__(round_) if type(round_) is int else _json(round_, encoded)},'
-        f'"kind":{encoded.get(kind) or _json(kind, encoded)},'
-        f'"values":{values},'
-        f'"reason":{"null" if reason is None else _json(reason, encoded)}}}'
-    )
+    values = None
+    if package is not None:
+        offered = package.values
+        values = {key: offered[key] for key in sorted(offered)}
+    return _COMPACT_JSON.encode({
+        "tick": tick, "session": session, "sender": sender, "receiver": receiver,
+        "round": round_, "kind": kind.value, "values": values, "reason": reason,
+    })
 
 
 def _shape_pattern(
@@ -570,8 +538,7 @@ def render_transcript(messages: Iterable[NegotiationMessage]) -> list[str]:
     value an exact, finite float. Every other message goes to
     transcript_line: a bool tick or round, a key of any other type (a str
     subclass too), an int, bool, NaN, infinity or float-subclass value, and
-    a package whose values are not a dict. Both paths share one cache of
-    encoded strings.
+    a package whose values are not a dict.
     """
     encoded = _EncodedText()
     # (id(kind), no reason, keys) -> (pattern, getter, kind); holding the
@@ -620,7 +587,7 @@ def render_transcript(messages: Iterable[NegotiationMessage]) -> list[str]:
                         args += (_json(reason, encoded),)
                     append(pattern % args)
                     continue
-        append(transcript_line(msg, encoded))
+        append(transcript_line(msg))
     return lines
 
 
@@ -769,8 +736,8 @@ class TrustArchive:
         behavior_norm, stance, reputation, stats: {sessions_observed,
         agreements, violations, messages_sent, mean_rounds_to_agreement}},
         the mean being rounds_total / agreements or null. One format string
-        writes it out and each value goes through _json, as in
-        transcript_line, so the bytes are those of the encoded record.
+        writes it out and each value goes through _json, so the bytes are
+        those of the encoded record.
         """
         encoded: dict[str, str] = {}
         lines = []
@@ -938,14 +905,9 @@ class Marketplace:
 
     def due_messages(self, now: int) -> dict[AgentId, list[NegotiationMessage]]:
         """Pop messages due for delivery this tick, per receiver, each inbox
-        in DELIVERY_ORDER."""
-        inboxes = self._pending.pop(now, None)
-        if inboxes is None:
-            return {}
-        for inbox in inboxes.values():
-            if len(inbox) > 1:
-                inbox.sort(key=DELIVERY_ORDER)
-        return inboxes
+        in the order its messages were queued (agent_step reads an inbox in
+        DELIVERY_ORDER, whatever order it is given)."""
+        return self._pending.pop(now, {})
 
     def route_message(self, msg: NegotiationMessage) -> DeliveryResult:
         """Append a message to its session transcript and queue delivery.

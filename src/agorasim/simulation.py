@@ -4,7 +4,7 @@ One tick runs: post ads/RFQs due, matchmake the products whose matches may
 have changed, deliver due messages, step in id order the agents that have
 mail or are past their wake threshold (`agent.wake_threshold`: an opening
 is due or an entry's deadline has passed), and route their outboxes.
-Delivery, each agent's inbox and routing all follow one order,
+Each agent reads its inbox, and the loop routes, in one order,
 `core.DELIVERY_ORDER` (send tick, session, sender, round). Stepping any
 other agent would do nothing, so the run is the same as stepping every
 agent. The tick is idle when no session is open (the marketplace keeps the

@@ -122,9 +122,8 @@ def make_entry(
     product: str = "vm",
     role: Perspective = Perspective.BUYER,
     agenda: Agenda | None = None,
-    session_t_max: int = 20,
     t0: int = 0,
-    t_max_eff: float | None = None,
+    t_max_eff: float = 20.0,
     initiator: bool = False,
     target_utility: float = 0.9,
 ) -> SessionEntry:
@@ -134,9 +133,8 @@ def make_entry(
         product=product,
         role=role,
         agenda=agenda if agenda is not None else make_agenda(),
-        session_t_max=session_t_max,
         t0=t0,
-        t_max_eff=float(session_t_max) if t_max_eff is None else t_max_eff,
+        t_max_eff=t_max_eff,
         initiator=initiator,
         target_utility=target_utility,
     )

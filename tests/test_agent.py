@@ -144,7 +144,7 @@ def mean_lambda(entry):
     # concession_rate inlined, summed left to right as sum() did before
     # Python 3.12 compensated its float sums.
     total = 0.0
-    for issue_id in entry.issue_ids:
+    for issue_id in entry.agenda.sorted_issue_ids:
         o_minus2 = oldest[issue_id]
         o_minus1 = previous[issue_id]
         o_now = latest[issue_id]
@@ -155,7 +155,7 @@ def mean_lambda(entry):
             lam = (o_now - o_minus1) / denom
             # A NaN ratio is undefined too.
             total += lam if lam == lam else 1.0
-    return total / len(entry.issue_ids)
+    return total / len(entry.agenda.sorted_issue_ids)
 
 
 def reference_mean_lambda(packages):
@@ -189,7 +189,7 @@ class TestBeliefs:
         """A buyer's entry after one opponent offer per price, one per tick."""
         agent = make_agent(tactic=TacticParams(k=0.0, beta=1.0))
         agent.declared_agendas["vm"] = make_agenda()
-        entry = make_entry(t0=0, session_t_max=40, t_max_eff=40.0)
+        entry = make_entry(t0=0, t_max_eff=40.0)
         agent.agenda_db.add(entry)
         for i, price in enumerate(prices):
             agent_step(
@@ -295,8 +295,8 @@ class TestAdaptation:
                 make_issue("cpu", weight=0.5, lo=-1.0, hi=1.0),
             )
         agent = make_agent(tactic=tactic, plans=plans)
-        agent.agenda_db.add(make_entry(agenda=agenda, session_t_max=100))
-        reference = make_entry(agenda=agenda, session_t_max=100)
+        agent.agenda_db.add(make_entry(agenda=agenda, t_max_eff=100.0))
+        reference = make_entry(agenda=agenda, t_max_eff=100.0)
         expected = tactic
         bits = struct.Struct("<dd").pack
         for i, values in enumerate(packages):
@@ -602,7 +602,7 @@ class TestAgentStep:
 
     def test_late_offer_terminates_and_removes_session(self):
         agent = self.buyer()
-        agent.agenda_db.add(make_entry(t0=0, session_t_max=5, t_max_eff=5.0))
+        agent.agenda_db.add(make_entry(t0=0, t_max_eff=5.0))
         outbox = agent_step(
             agent, [make_offer(values={"price": 15.0}, sent_at=6, round=2)], now=6
         )
@@ -611,7 +611,7 @@ class TestAgentStep:
 
     def test_deadline_sweep_without_messages(self):
         agent = self.buyer()
-        agent.agenda_db.add(make_entry(t0=0, session_t_max=5, t_max_eff=5.0))
+        agent.agenda_db.add(make_entry(t0=0, t_max_eff=5.0))
         outbox = agent_step(agent, [], now=6)
         assert [m.kind for m in outbox] == [MessageKind.TERMINATE]
         assert len(agent.agenda_db) == 0
@@ -621,8 +621,7 @@ class TestAgentStep:
         # Stored out of session-id order: the outbox is sorted regardless.
         for sid, deadline in (("s-3", 3), ("s-2", 30), ("s-1", 2)):
             agent.agenda_db.add(
-                make_entry(session=sid, t0=0, session_t_max=deadline,
-                           t_max_eff=float(deadline))
+                make_entry(session=sid, t0=0, t_max_eff=float(deadline))
             )
         outbox = agent_step(agent, [], now=10)
         assert [e.session for e in agent.agenda_db] == ["s-2"]
@@ -632,7 +631,7 @@ class TestAgentStep:
 
     def test_belief_window_bounded_after_many_offers(self):
         agent = self.buyer()
-        entry = make_entry(t0=0, session_t_max=40, t_max_eff=40.0)
+        entry = make_entry(t0=0, t_max_eff=40.0)
         agent.agenda_db.add(entry)
         prices = [19.0 - 0.25 * i for i in range(6)]
         for i, price in enumerate(prices):
@@ -661,9 +660,9 @@ class TestAgentStep:
     def test_inbox_may_be_any_iterable_in_any_order(self):
         def fresh():
             agent = self.buyer(beta=2.0)
-            agent.agenda_db.add(make_entry(t0=0, session_t_max=40, t_max_eff=40.0))
+            agent.agenda_db.add(make_entry(t0=0, t_max_eff=40.0))
             agent.agenda_db.add(make_entry(
-                session="s-2", opponent="seller-2", t0=0, session_t_max=40, t_max_eff=40.0
+                session="s-2", opponent="seller-2", t0=0, t_max_eff=40.0
             ))
             return agent
 
@@ -751,45 +750,42 @@ class TestAgentStep:
         assert "s-1" not in agent.agenda_db
 
     def test_depleted_resources_collapse_the_deadline(self):
-        # The hybrid deadline recomputes to the crossing time, so a session
-        # whose resources are gone terminates on the next incoming message.
+        # The hybrid deadline is the crossing time, fixed at COMMENCE: a
+        # session opened with the resources gone has a zero deadline and
+        # terminates on the next incoming message.
         depleted = ResourceProjection(points=((0, 0.05),), r_threshold=0.2)
-        agent = self.buyer()
-        agent.resources = depleted
-        agent.agenda_db.add(make_entry(t0=0, t_max_eff=20.0))
+        agent = make_agent(tactic=TacticParams(k=0.0, beta=1.0), resources=depleted)
+        agent.declared_agendas["vm"] = make_agenda()
+        assert agent_step(agent, [commence(receiver="buyer-1")], now=1) == []
+        assert agent.agenda_db.get("s-1").t_max_eff == 0.0
         outbox = agent_step(
             agent, [make_offer(values={"price": 19.5}, sent_at=1)], now=2
         )
-        assert [m.kind for m in outbox] == [MessageKind.TERMINATE]
+        assert [(m.kind, m.reason) for m in outbox] == [(MessageKind.TERMINATE, "deadline")]
         assert "s-1" not in agent.agenda_db
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_deadline_is_fresh_after_every_step(self, data):
-        # The hybrid deadline is recomputed only when the projection object
-        # is replaced; it must always equal a fresh computation.
-        def projection():
-            ticks = sorted(data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=4)))
-            levels = st.floats(0.0, 1.0)
-            return ResourceProjection(
-                points=tuple((float(t), data.draw(levels)) for t in ticks),
-                r_threshold=data.draw(st.floats(0.0, 0.5)),
-            )
+        # The hybrid deadline is computed once, at COMMENCE, from the fixed
+        # schedule; after every step it must equal a fresh computation.
+        ticks = sorted(data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=4)))
+        levels = st.floats(0.0, 1.0)
+        resources = ResourceProjection(
+            points=tuple((float(t), data.draw(levels)) for t in ticks),
+            r_threshold=data.draw(st.floats(0.0, 0.5)),
+        )
 
         def assert_fresh(agent):
             for entry in agent.agenda_db:
-                assert entry.t_max_eff == effective_deadline(
-                    entry.session_t_max, agent.resources.shifted(entry.t0)
-                )
+                assert entry.t_max_eff == effective_deadline(40, resources.shifted(entry.t0))
 
-        agent = make_agent(resources=projection())
+        agent = make_agent(resources=resources)
         agent.declared_agendas["vm"] = make_agenda(t_max=40)
         now = data.draw(st.integers(0, 10))
         agent_step(agent, [commence(sent_at=now, t_max=40, receiver="buyer-1")], now)
         assert_fresh(agent)
         for round_ in range(data.draw(st.integers(1, 8))):
-            if data.draw(st.booleans()):
-                agent.resources = projection()
             now += data.draw(st.integers(1, 6))
             price = data.draw(st.floats(10.0, 20.0))
             offer = make_offer(values={"price": price}, round=round_, sent_at=now - 1)
@@ -899,9 +895,7 @@ class TestAgendaDBFacts:
         agent = make_agent(plans=self.PLANS[data.draw(st.sampled_from(sorted(self.PLANS)))])
         agent.agenda_db = db
         for _ in range(data.draw(st.integers(1, 30))):
-            op = data.draw(st.sampled_from(
-                ["add", "remove", "mark_opened", "set_deadline", "expired"]
-            ))
+            op = data.draw(st.sampled_from(["add", "remove", "mark_opened", "expired"]))
             live = list(db)
             if op == "add":
                 entry = make_entry(
@@ -925,11 +919,6 @@ class TestAgendaDBFacts:
                 entry = data.draw(st.sampled_from(live))
                 db.mark_opened(entry)
                 assert entry.opened
-            elif op == "set_deadline" and live:
-                entry = data.draw(st.sampled_from(live))
-                t_max_eff = data.draw(self.DEADLINES)
-                db.set_deadline(entry, t_max_eff)
-                assert entry.t_max_eff is t_max_eff
             elif op == "expired":
                 now = data.draw(st.integers(-50, 120))
                 expected = [e for e in db if now > e.t0 + e.t_max_eff]
@@ -940,25 +929,6 @@ class TestAgendaDBFacts:
             self.assert_facts(db)
             assert wake_threshold(agent) == reference_wake_threshold(agent)
 
-    def test_replaced_resources_move_the_sweep_to_the_new_deadline(self):
-        # The projection is replaced mid-session; the next offer recomputes
-        # the deadline from 40 down to 10, and the sweep ends the session at
-        # the first tick past it, with no mail in between.
-        agent = make_agent(tactic=TacticParams(k=0.0, beta=1.0))
-        entry = make_entry(t0=0, session_t_max=40, t_max_eff=40.0)
-        entry.t_max_eff_of = agent.resources
-        agent.agenda_db.add(entry)
-        agent.resources = ResourceProjection(points=((0.0, 1.0), (10.0, 0.1)), r_threshold=0.1)
-        outbox = agent_step(agent, [make_offer(values={"price": 19.0}, sent_at=1)], now=2)
-        assert [m.kind for m in outbox] == [MessageKind.OFFER]
-        assert entry.t_max_eff == 10.0
-        assert wake_threshold(agent) == 10.0
-        for now in range(3, 11):
-            assert agent_step(agent, [], now) == []
-        outbox = agent_step(agent, [], 11)
-        assert [(m.kind, m.reason) for m in outbox] == [(MessageKind.TERMINATE, "deadline")]
-        assert "s-1" not in agent.agenda_db
-
 
 class TestSessionOpen:
     """Opening a session reuses what earlier opens derived: the restricted
@@ -966,36 +936,34 @@ class TestSessionOpen:
     Each entry must still hold exactly what a fresh derivation gives."""
 
     def test_deadline_is_fresh_with_the_projection_shared_within_a_tick(self):
-        def projection(depleted_at):
-            return ResourceProjection(
-                points=((0, 1.0), (12, 0.7), (depleted_at, 0.0)), r_threshold=0.2
-            )
-
-        agent = make_agent(resources=projection(30))
+        resources = ResourceProjection(
+            points=((0, 1.0), (12, 0.7), (30, 0.0)), r_threshold=0.2
+        )
+        agent = make_agent(resources=resources)
         agent.declared_agendas["vm"] = make_agenda(t_max=40)
-        # (tick, sessions with their t_max, a new schedule before the step)
+        # (tick, sessions with their t_max)
         steps = [
-            (3, [("s-1", 40), ("s-2", 9)], None),
-            (7, [("s-3", 40)], None),
-            (7, [("s-4", 40)], projection(50)),
+            (3, [("s-1", 40), ("s-2", 9)]),
+            (7, [("s-3", 40)]),
+            (7, [("s-4", 40)]),
         ]
-        seen = {}
-        for now, sessions, resources in steps:
-            if resources is not None:
-                agent.resources = resources
+        seen, shifts = {}, []
+        for now, sessions in steps:
             inbox = [commence(sid, t_max=t_max, sent_at=now - 1, receiver="buyer-1")
                      for sid, t_max in sessions]
             agent_step(agent, inbox, now)
+            shifts.append(agent.shifted)
             for sid, t_max in sessions:
                 entry = agent.agenda_db.get(sid)
                 expected = effective_deadline(
-                    min(t_max, entry.agenda.t_max), agent.resources.shifted(now)
+                    min(t_max, entry.agenda.t_max), resources.shifted(now)
                 )
                 assert entry.t_max_eff == expected
                 seen[sid] = entry.t_max_eff
-        # Another tick's shift or the replaced schedule would have given
-        # another deadline.
-        assert len({seen["s-1"], seen["s-3"], seen["s-4"]}) == 3
+        # Another tick's shift gives another deadline; two steps at one tick
+        # share one shifted projection.
+        assert seen["s-1"] != seen["s-3"]
+        assert shifts[0] is not shifts[1] and shifts[1] is shifts[2]
 
     def opening_target(self, agent, entry):
         package = generate_offer_package(entry.agenda, 0.0, entry.t_max_eff, agent.tactic)

@@ -12,7 +12,6 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from agorasim import marketplace
 from agorasim.core import (
-    DELIVERY_ORDER,
     MARKETPLACE_ID,
     CommenceInfo,
     MessageKind,
@@ -123,9 +122,6 @@ class TestTranscriptLine:
     def test_equals_the_encoded_record(self, msgs):
         expected = [reference_transcript_line(msg) for msg in msgs]
         assert [transcript_line(msg) for msg in msgs] == expected
-        # As render_transcript falls back: one string cache for every line.
-        encoded: dict[str, str] = {}
-        assert [transcript_line(msg, encoded) for msg in msgs] == expected
         assert render_transcript(msgs) == expected
 
 
@@ -911,13 +907,12 @@ def assert_behavior_matches_bruteforce(market):
 
 
 def reference_due_messages(queued, now):
-    """Delivery as it was made from one list per tick: the messages queued
-    for `now` (sent at now - 1) sorted by DELIVERY_ORDER, then split by
-    receiver."""
-    due = sorted((m for m in queued if m.sent_at + 1 == now), key=DELIVERY_ORDER)
+    """Delivery from one list per tick: the messages queued for `now` (sent
+    at now - 1), in the order they were queued, split by receiver."""
     inboxes = {}
-    for msg in due:
-        inboxes.setdefault(msg.receiver, []).append(msg)
+    for msg in queued:
+        if msg.sent_at + 1 == now:
+            inboxes.setdefault(msg.receiver, []).append(msg)
     return inboxes
 
 
@@ -939,13 +934,13 @@ DELIVERY_STEPS = st.one_of(
 
 
 class TestDelivery:
-    """The queue files each message under its receiver; due_messages sorts
-    only inboxes of two or more and must deliver what one sorted list per
-    tick, split by receiver, did."""
+    """The queue files each message under its receiver; due_messages must
+    hand the same messages to the same receivers, in queue order, as one
+    list per tick split by receiver. Each agent sorts its own inbox."""
 
     @settings(max_examples=200, deadline=None)
     @given(steps=st.lists(DELIVERY_STEPS, max_size=14))
-    def test_due_messages_equals_the_sorted_split(self, steps):
+    def test_due_messages_equals_the_queued_split(self, steps):
         market = Marketplace()
         market.repo = repo_with(
             ("buyer-1", Perspective.BUYER, "vm", {"price": (10, 20)}),

@@ -24,7 +24,7 @@ from agorasim.agent import (
 )
 from agorasim.core import DELIVERY_ORDER, Perspective
 from agorasim.marketplace import Marketplace
-from agorasim.tactics import ResourceProjection, TacticParams
+from agorasim.tactics import TacticParams
 from agorasim.simulation import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -757,36 +757,6 @@ class TestWakeUps:
         expected = _outputs(_polling_run(scenario))
         assert _outputs(simulation.run_simulation_with_market(scenario)) == expected
 
-    def test_replaced_resources_expire_at_the_new_deadline(self, monkeypatch):
-        # The buyer's projection is replaced before it answers the opening
-        # offer at tick 2, so that offer recomputes its deadline from 21 down
-        # to 8.5. The seller never counters, so no mail comes after: only the
-        # deadline sweep can end the session, at tick 9. The polling oracle
-        # steps every tick and walks every entry at every step.
-        depleting = ResourceProjection(points=((0.0, 1.0), (10.0, 0.0)), r_threshold=0.15)
-        silent = (_DEADLINE, PlanRule(PlanCondition.OFFER_STANDING, PlanKind.IDLE),
-                  _OPENING, _IDLE)
-        scenario = load_scenario((SCENARIOS_DIR / "bilateral.yaml").read_text(encoding="utf-8"))
-        scenario = replace(scenario, agents=tuple(
-            replace(a, plan_rules=silent) if a.agent_id == "seller-1" else a
-            for a in scenario.agents
-        ))
-        original = simulation.agent_step
-
-        def replacing(state, inbox, now):
-            if state.agent_id == "buyer-1" and now == 2:
-                state.resources = depleting
-            return original(state, inbox, now)
-
-        monkeypatch.setattr(simulation, "agent_step", replacing)
-        expected = _outputs(_polling_run(scenario))
-        got = _outputs(simulation.run_simulation_with_market(scenario))
-        assert got == expected
-        last = json.loads(got[0][-1])
-        assert (last["tick"], last["sender"], last["kind"], last["reason"]) == (
-            9, "buyer-1", "terminate", "deadline"
-        )
-
     @pytest.mark.parametrize("source, variant", [
         pytest.param(source, variant, id=f"{source}-{variant}".removesuffix("-default"))
         for variant in ("default", "opening-idle")
@@ -875,15 +845,17 @@ class TestTracedCallCounts:
     """The names the benchmark's tracer wraps on the message path are called
     once per message or step: on long-negotiation at seed 1, 11 697 messages
     are routed (11 691 offers and 6 acquires), each is filtered once by its
-    receiver, and each offer is answered by one decide_response. An inlined
-    copy that bypassed a name would zero its per-layer metrics
-    (`agent.filter`, `agent.reject.*`, `tactics.decide`); the counts are
+    receiver, and each offer is answered by one decide_response. The hybrid
+    deadline is computed once per COMMENCE received, 6 sessions times 2
+    parties, and never again on the offer path. An inlined copy that
+    bypassed a name would zero its per-layer metrics (`agent.filter`,
+    `agent.reject.*`, `tactics.decide`, `tactics.deadline`); the counts are
     exact at this seed."""
 
     def test_long_negotiation_seed_1(self, monkeypatch):
         from agorasim import agent
 
-        counts = dict.fromkeys(("filter", "decide", "step", "route"), 0)
+        counts = dict.fromkeys(("filter", "decide", "deadline", "step", "route"), 0)
 
         def counting(name, fn):
             def wrapper(*args):
@@ -893,12 +865,17 @@ class TestTracedCallCounts:
 
         monkeypatch.setattr(agent, "proxy_filter", counting("filter", agent.proxy_filter))
         monkeypatch.setattr(agent, "decide_response", counting("decide", agent.decide_response))
+        monkeypatch.setattr(
+            agent, "effective_deadline", counting("deadline", agent.effective_deadline)
+        )
         monkeypatch.setattr(simulation, "agent_step", counting("step", simulation.agent_step))
         monkeypatch.setattr(
             Marketplace, "route_message", counting("route", Marketplace.route_message)
         )
         run_simulation(load_scenario(_marketgen().generate("long-negotiation", 1)))
-        assert counts == {"filter": 11_697, "decide": 11_691, "step": 7_824, "route": 11_697}
+        assert counts == {
+            "filter": 11_697, "decide": 11_691, "deadline": 12, "step": 7_824, "route": 11_697,
+        }
 
 
 class TestSessionOpenCounts:

@@ -13,6 +13,9 @@ being the standing offer) and the agent's desire for the session (the target
 utility fixed at COMMENCE). An entry leaves the DB when its session is
 acquired or terminated, so the agent keeps nothing for a closed session.
 
+The sweep that opens each step (`AgendaDB.expired`) is the only deadline
+check: no message read after it is late for its session.
+
 An offer that passes `proxy_filter` is answered in agent_step's own frame:
 the belief window shifts, and once it is full the three-point concession
 ratio λ is averaged over the agenda's sorted issue ids; `adapt_tactic` is
@@ -70,7 +73,6 @@ _ACQUIRE = MessageKind.ACQUIRE
 _TERMINATE = MessageKind.TERMINATE
 _BUYER = Perspective.BUYER
 _RESPONSE_ACQUIRE = ResponseKind.ACQUIRE
-_RESPONSE_TERMINATE = ResponseKind.TERMINATE
 # The linear band of adapt_tactic, by its expressions.
 _LAMBDA_LOW = 1.0 - LAMBDA_BAND
 _LAMBDA_HIGH = 1.0 + LAMBDA_BAND
@@ -89,7 +91,6 @@ class EmptyCandidatesError(ValueError):
 
 class RejectReason(Enum):
     UNKNOWN_SESSION = "unknown-session"
-    DEADLINE_EXCEEDED = "deadline-exceeded"
     OUT_OF_SPACE = "out-of-space"
     STALE_ROUND = "stale-round"
 
@@ -111,7 +112,6 @@ class FilterVerdict:
 _PASSED = FilterVerdict(ok=True)
 _REJECTED = {reason: FilterVerdict(ok=False, reason=reason) for reason in RejectReason}
 _UNKNOWN_SESSION = _REJECTED[RejectReason.UNKNOWN_SESSION]
-_DEADLINE_EXCEEDED = _REJECTED[RejectReason.DEADLINE_EXCEEDED]
 _OUT_OF_SPACE = _REJECTED[RejectReason.OUT_OF_SPACE]
 _STALE_ROUND = _REJECTED[RejectReason.STALE_ROUND]
 
@@ -256,16 +256,13 @@ def proxy_filter(
 ) -> FilterVerdict:
     """Screen an inbound message against the agent's view of the session.
 
-    Rejections are verdicts, not faults: unknown session, past-deadline
-    arrival, offered values outside the negotiation space, or a stale or
-    replayed round number.
+    Rejections are verdicts, not faults: unknown session, offered values
+    outside the negotiation space, or a stale or replayed round number. The
+    step's deadline sweep has run before, so a known session is live.
     """
     if entry is None:
         return _UNKNOWN_SESSION
-    _, _, _, round_, sent_at, kind, package, _, _ = msg
-    if kind is not _TERMINATE:
-        if sent_at - entry.t0 > entry.t_max_eff:
-            return _DEADLINE_EXCEEDED
+    _, _, _, round_, _, kind, package, _, _ = msg
     if package is None:
         if kind is _OFFER:
             return _OUT_OF_SPACE
@@ -497,12 +494,6 @@ def _jittered(
 
 def _open_session(state: AgentState, msg: NegotiationMessage, now: int) -> None:
     info = msg.commence
-    if info is None:
-        logger.warning("%s: commence without payload for %s", state.agent_id, msg.session)
-        return
-    if msg.session in state.agenda_db:
-        logger.debug("%s: duplicate commence for %s", state.agent_id, msg.session)
-        return
     declared = state.declared_agendas.get(info.product)
     if declared is None:
         raise KeyError(
@@ -566,10 +557,15 @@ def _plan(state: AgentState, entry: SessionEntry, now: int) -> PlanKind:
 def agent_step(
     state: AgentState, inbox: Iterable[NegotiationMessage], now: int
 ) -> list[NegotiationMessage]:
-    """One deliberation tick: filter, learn, adapt, plan, respond.
+    """One deliberation tick: sweep, filter, learn, adapt, plan, respond.
 
     Deterministic in (state, inbox, now). Mutates the state in place and
     returns the ordered outbox; rejected messages are logged, never raised.
+
+    Delivery contract: every inbox message was sent at `now - 1`, and only
+    the marketplace sends a COMMENCE, with its payload, once per party (a
+    second fails in `AgendaDB.add`). So the sweep, run before the inbox is
+    read, is the step's only deadline check.
     """
     outbox: list[NegotiationMessage] = []
     db = state.agenda_db
@@ -604,11 +600,6 @@ def agent_step(
                     "%s: rejected %s on %s (%s)",
                     state.agent_id, kind.value, session, verdict.reason.value,
                 )
-            if verdict.reason is RejectReason.DEADLINE_EXCEEDED:
-                outbox.append(
-                    _emit(state, entry, now, _TERMINATE, reason=TERMINATE_DEADLINE)
-                )
-                db.remove(session)
             continue
         entry.last_seen_round = round_
         if kind is not _OFFER:
@@ -647,12 +638,12 @@ def agent_step(
             lam = total / len(issue_ids)
             if lam > _LAMBDA_HIGH or lam < _LAMBDA_LOW:
                 state.tactic = adapt_tactic(state.tactic, lam, offers)
-        deadline = entry.t0 + entry.t_max_eff
         plans = state.plans
         if plans.tests_target:
             plan = _plan(state, entry, now)
         else:
-            key = (now > deadline, True, False, entry.initiator and not entry.opened)
+            key = (now > entry.t0 + entry.t_max_eff, True, False,
+                   entry.initiator and not entry.opened)
             plan = plans._memo.get(key)
             if plan is None:
                 plan = plans.choose(*key)
@@ -671,14 +662,8 @@ def agent_step(
             response_kind, response_package = decide_response(
                 entry.agenda, entry.role, msg, now - entry.t0, entry.t_max_eff,
                 _effective_params(state, True) if aggressive else state.tactic,
-                deadline,
             )
-            if response_kind is _RESPONSE_TERMINATE:
-                outbox.append(
-                    _emit(state, entry, now, _TERMINATE, reason=TERMINATE_DEADLINE)
-                )
-                db.remove(session)
-            elif response_kind is _RESPONSE_ACQUIRE:
+            if response_kind is _RESPONSE_ACQUIRE:
                 if acquire_products is None:
                     acquire_products = set()
                 acquire_products.add(entry.product)

@@ -7,16 +7,15 @@ is due or an entry's deadline has passed), and route their outboxes.
 Each agent reads its inbox, and the loop routes, in one order,
 `core.DELIVERY_ORDER` (send tick, session, sender, round). Stepping any
 other agent would do nothing, so the run is the same as stepping every
-agent. The tick is idle when no session is open (the marketplace keeps the
-count), no agent holds a live entry and no mail is pending. Then no product
-is stale either: matchmaking emptied the stale set this tick, and only a
-close refills it, after queueing its closing message. An idle tick at or
-after the last posting ends the run; an earlier one skips to the next
-posting. While sessions are open but no mail is pending and no product is
-stale, the loop skips to the next posting, the first tick past the lowest
-wake threshold or t_end, whichever comes first: no tick between does
-anything. Two runs with the same scenario and seed produce byte-identical
-transcripts and reports.
+agent. After a tick with mail pending or a stale product the loop goes to
+the next tick. Otherwise it skips to the next posting, the first tick past
+the lowest wake threshold or t_end, whichever comes first: no tick between
+does anything. The run ends at a tick at or after the last posting when
+no session is open (the marketplace keeps the count), no agent holds a
+live entry and no mail is pending. Then no product is stale either:
+matchmaking emptied the stale set this tick, and only a close refills it,
+after queueing its closing message. Two runs with the same scenario and
+seed produce byte-identical transcripts and reports.
 """
 
 from __future__ import annotations
@@ -729,19 +728,12 @@ def run_simulation_with_market(
         outgoing.sort(key=DELIVERY_ORDER)
         for msg in outgoing:
             market.route_message(msg)
-        if market.open_count or wake:
-            if market.has_pending_messages() or market.repo.stale_products():
-                now += 1
-            else:
-                # Every open session idles: skip to the next tick with work.
-                now = _next_busy_tick(now, post_ticks, wake, scenario.t_end)
-        elif market.has_pending_messages():
+        if market.has_pending_messages() or market.repo.stale_products():
             now += 1
-        elif now >= last_post:
-            break
+        elif market.open_count or wake or now < last_post:
+            now = _next_busy_tick(now, post_ticks, wake, scenario.t_end)
         else:
-            # Nothing can happen before the next posting: jump to it.
-            now = post_ticks[bisect.bisect_right(post_ticks, now)]
+            break
 
     market.score_behavior()
     report = _build_report(scenario, seed, ticks, market)

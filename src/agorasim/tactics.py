@@ -13,7 +13,8 @@ base β, which changes only when the tactic adapts. `concession_rows` keeps
 each row with its exponent for the last base β asked for, in one slot on
 the agenda. `decide_response` builds the counter from those rows and
 scores it and the incoming offer in the same pass, so an answer to an offer
-needs neither `generate_offer_package` nor `aggregate_utility`.
+needs neither `generate_offer_package` nor `aggregate_utility`. The rule
+is two-way, acquire or counter: the agent's step enforces the deadline.
 """
 
 from __future__ import annotations
@@ -121,8 +122,9 @@ class ResourceProjection:
 
 
 class ResponseKind(Enum):
+    """The two answers to a screened offer: take it or counter it."""
+
     ACQUIRE = "acquire"
-    TERMINATE = "terminate"
     COUNTER = "counter"
 
 
@@ -130,12 +132,11 @@ class ResponseKind(Enum):
 # its Enum class takes about 120 ns, reading a module global about 15.
 _BUYER = Perspective.BUYER
 _RESPONSE_ACQUIRE = ResponseKind.ACQUIRE
-_RESPONSE_TERMINATE = ResponseKind.TERMINATE
 _RESPONSE_COUNTER = ResponseKind.COUNTER
 
 
 class Response(NamedTuple):
-    """Outcome of evaluating an incoming offer: accept it, quit, or counter."""
+    """Outcome of evaluating an incoming offer: acquire it or counter it."""
 
     kind: ResponseKind
     package: Optional[OfferPackage] = None
@@ -328,24 +329,22 @@ def decide_response(
     t: float,
     t_max_eff: float,
     params: TacticParams,
-    deadline: float,
 ) -> Response:
-    """Three-way response rule for an incoming offer.
+    """Two-way response rule for an offer that has passed the proxy filter.
 
-    Terminate when the offer was sent past `deadline`; acquire it when the
-    counter, generate_offer_package(agenda, t, t_max_eff, params), is worth
-    no more than the offer on the table; otherwise send that counter.
+    Acquire the offer when the counter, generate_offer_package(agenda, t,
+    t_max_eff, params), is worth no more than the offer on the table;
+    otherwise send that counter. The rule reads no send time: the agent's
+    deadline sweep ends a session before any of its mail is read.
 
     One pass over concession_rows generates each counter value and scores it
     and the incoming value by aggregate_utility's expressions, summed left to
     right, so both utilities equal aggregate_utility's bit for bit. The
     counter's package is built only when it is sent. A value that
-    aggregate_utility refuses (missing, NaN or out of range) hands the
-    decision to that composition, which raises what it raises.
+    aggregate_utility refuses (missing, NaN or out of range) raises what it
+    raises: MissingIssueError or OutOfRangeError.
     """
-    _, _, _, _, sent_at, _, package, _, _ = incoming
-    if sent_at > deadline:
-        return new_record(Response, (_RESPONSE_TERMINATE, None))
+    package = incoming.package
     if package is None:
         raise MissingIssueError("incoming message carries no offer package")
     offered_values = package.values
@@ -364,7 +363,7 @@ def decide_response(
     for issue_id, weight, vmin, vmax, ascending, exponent in rows:
         offered = offered_values.get(issue_id)
         if offered is None or not vmin <= offered <= vmax:
-            return _decide_by_composition(agenda, perspective, package, t, t_max_eff, params)
+            check_in_range(agenda.issue(issue_id), package.value(issue_id))
         f = k + (1.0 - k) * elapsed ** exponent
         if f < 0.0:
             f = 0.0
@@ -405,25 +404,4 @@ def decide_response(
         theirs = 1.0
     if mine <= theirs:
         return new_record(Response, (_RESPONSE_ACQUIRE, package))
-    if mine != mine:
-        # A NaN counter value (from a NaN k or deadline), which
-        # aggregate_utility refuses.
-        return _decide_by_composition(agenda, perspective, package, t, t_max_eff, params)
     return new_record(Response, (_RESPONSE_COUNTER, new_record(OfferPackage, (values,))))
-
-
-def _decide_by_composition(
-    agenda: ValidatedAgenda,
-    perspective: Perspective,
-    package: OfferPackage,
-    t: float,
-    t_max_eff: float,
-    params: TacticParams,
-) -> Response:
-    """decide_response past its deadline test, as the composition it fuses."""
-    counter = generate_offer_package(agenda, t, t_max_eff, params)
-    if aggregate_utility(agenda, counter, perspective) <= aggregate_utility(
-        agenda, package, perspective
-    ):
-        return new_record(Response, (_RESPONSE_ACQUIRE, package))
-    return new_record(Response, (_RESPONSE_COUNTER, counter))

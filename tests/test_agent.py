@@ -68,14 +68,12 @@ class TestProxyFilter:
             RejectReason.UNKNOWN_SESSION
         )
 
-    def test_deadline_exceeded(self):
-        entry = make_entry(t_max_eff=20.0)
-        verdict = proxy_filter(make_offer(sent_at=21), entry, now=21)
-        assert verdict.reason is RejectReason.DEADLINE_EXCEEDED
-
     def test_deadline_relative_to_session_start(self):
+        # The deadline, t0 + t_max_eff = 30, is the step's sweep's to
+        # enforce: the filter passes an offer whatever its send time.
         entry = make_entry(t0=10, t_max_eff=20.0)
         assert proxy_filter(make_offer(sent_at=25), entry, now=25).ok
+        assert proxy_filter(make_offer(sent_at=31), entry, now=32).ok
 
     def test_out_of_space_value(self):
         entry = make_entry()

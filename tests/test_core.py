@@ -291,7 +291,7 @@ class TestRecords:
         assert package == ({"price": 15.0},)
         (values,) = package
         assert values == {"price": 15.0}
-        assert Response(ResponseKind.TERMINATE) == (ResponseKind.TERMINATE, None)
+        assert Response(ResponseKind.ACQUIRE) == (ResponseKind.ACQUIRE, None)
 
 
 def assert_complete(record):
@@ -379,7 +379,9 @@ class TestRecordBuilders:
         assert_complete(package)
 
     @pytest.mark.parametrize("incoming, expected_kind", [
-        ({"sent_at": 30}, ResponseKind.TERMINATE),
+        # The rule reads no send time: an offer sent past t_max is answered
+        # on its values.
+        ({"sent_at": 30}, ResponseKind.COUNTER),
         ({"price": 10.0, "memory": 1.0}, ResponseKind.ACQUIRE),
         ({"price": 19.0, "memory": 7.0}, ResponseKind.COUNTER),
     ])
@@ -391,10 +393,9 @@ class TestRecordBuilders:
         # the buyer.
         params = TacticParams(k=0.1)
         response = decide_response(
-            self.AGENDA, Perspective.BUYER, msg, 0.0, 20.0, params, 20.0
+            self.AGENDA, Perspective.BUYER, msg, 0.0, 20.0, params
         )
         package = {
-            ResponseKind.TERMINATE: None,
             ResponseKind.ACQUIRE: msg.package,
             ResponseKind.COUNTER: generate_offer_package(self.AGENDA, 0.0, 20.0, params),
         }[expected_kind]
@@ -410,5 +411,5 @@ class TestRecordBuilders:
             note: typing.Optional[str] = None
 
         with pytest.raises(AssertionError):
-            assert_complete(tuple.__new__(Grown, (ResponseKind.TERMINATE, None)))
-        assert_complete(tuple.__new__(Grown, (ResponseKind.TERMINATE, None, None)))
+            assert_complete(tuple.__new__(Grown, (ResponseKind.ACQUIRE, None)))
+        assert_complete(tuple.__new__(Grown, (ResponseKind.ACQUIRE, None, None)))

@@ -1,0 +1,100 @@
+"""Source hygiene: every module of agorasim reads the names it keeps.
+
+A branch deleted from a module can leave behind a module-level alias bound
+only for it (an enum member bound once for the per-message path, a shared
+verdict) or an import nothing reads any more. Nothing fails when that
+happens, so this test looks: each module-level `_private` name, and each
+import outside `__init__.py` (whose imports are the package's exports), must
+be read somewhere in its own module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import agorasim
+
+SOURCES = sorted(Path(agorasim.__file__).resolve().parent.glob("*.py"))
+
+
+def _targets(node):
+    """The names an assignment target binds."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, (ast.Tuple, ast.List)):
+        for element in node.elts:
+            yield from _targets(element)
+    elif isinstance(node, ast.Starred):
+        yield from _targets(node.value)
+
+
+def kept_names(body, imports):
+    """(name, line) for each name bound at module level in `body` that the
+    module must read: every `_private` name it assigns or defines, and, when
+    `imports` holds, every name it imports (`from __future__` aside)."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if imports and not (isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                for alias in node.names:
+                    yield (alias.asname or alias.name).partition(".")[0], node.lineno
+            continue
+        if isinstance(node, (ast.If, ast.Try)):
+            nested = [*node.body, *node.orelse]
+            if isinstance(node, ast.Try):
+                nested += [*node.finalbody, *(s for h in node.handlers for s in h.body)]
+            yield from kept_names(nested, imports)
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [name for target in node.targets for name in _targets(target)]
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            names = list(_targets(node.target))
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def unread(source, imports=True):
+    """The names of `source` that kept_names lists and no expression reads."""
+    tree = ast.parse(source)
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted({
+        f"{name} (line {line})"
+        for name, line in kept_names(tree.body, imports)
+        if name not in read
+    })
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_kept_name_is_read(path):
+    source = path.read_text(encoding="utf-8")
+    assert unread(source, imports=path.name != "__init__.py") == []
+
+
+def test_an_orphaned_alias_is_found():
+    # An alias whose only reader was a deleted branch, an import likewise,
+    # and names that are read, in each of the ways the check follows.
+    source = (
+        "import math\n"
+        "from enum import Enum\n"
+        "from typing import Optional\n"
+        "class Kind(Enum):\n"
+        "    A = 1\n"
+        "    B = 2\n"
+        "_A = Kind.A\n"
+        "_B = Kind.B\n"
+        "_LOW, _HIGH = 0.0, 1.0\n"
+        "def _helper(x: Optional[int]) -> bool:\n"
+        "    return x is _A and _LOW < _HIGH\n"
+        "def public():\n"
+        "    return _helper(None)\n"
+    )
+    assert unread(source) == ["_B (line 8)", "math (line 1)"]
+    assert unread(source, imports=False) == ["_B (line 8)"]

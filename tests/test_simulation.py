@@ -841,6 +841,47 @@ class TestIdleSessions:
         assert [json.loads(line)["kind"] for line in lines] == ["commence", "commence"]
 
 
+class TestDeadlineContract:
+    """The step's opening sweep is the agent's only deadline check. It holds
+    because of the delivery contract: every message an agent reads was sent
+    at the tick before, and the sweep has already ended every session whose
+    deadline has passed. The seller's schedule depletes to its threshold
+    at 2.4, within the session's t_max, so the hybrid deadline binds while
+    offers are in flight."""
+
+    DEPLETING = (SCENARIOS_DIR / "bilateral.yaml").read_text(encoding="utf-8").replace(
+        "  - id: seller-1\n    role: seller\n",
+        "  - id: seller-1\n    role: seller\n"
+        "    resources: {threshold: 0.2, schedule: [[0, 1.0], [3, 0.0]]}\n",
+    )
+
+    def test_every_message_read_is_live(self, monkeypatch):
+        from agorasim import agent
+
+        stepping = []
+        filtered = []
+        original_step = simulation.agent_step
+        original_filter = agent.proxy_filter
+
+        def step(state, inbox, now):
+            stepping.append(state)
+            return original_step(state, inbox, now)
+
+        def spy(msg, entry, now):
+            assert msg.sent_at == now - 1, (msg, now)
+            for live in stepping[-1].agenda_db:
+                assert not now > live.t0 + live.t_max_eff, (live.session, now)
+            filtered.append(now)
+            return original_filter(msg, entry, now)
+
+        monkeypatch.setattr(simulation, "agent_step", step)
+        monkeypatch.setattr(agent, "proxy_filter", spy)
+        assert "resources" in self.DEPLETING
+        _, report = run_simulation(load_scenario(self.DEPLETING))
+        assert filtered
+        assert [(s.outcome, s.reason) for s in report.sessions] == [("terminated", "deadline")]
+
+
 class TestTracedCallCounts:
     """The names the benchmark's tracer wraps on the message path are called
     once per message or step: on long-negotiation at seed 1, 11 697 messages

@@ -477,12 +477,8 @@ class TestDecideResponse:
     def respond(self, incoming, k=0.0, t=0.0, agenda=None):
         return decide_response(
             agenda or self.agenda(), Perspective.BUYER, incoming,
-            t, 20.0, TacticParams(k=k), 20,
+            t, 20.0, TacticParams(k=k),
         )
-
-    def test_late_offer_terminates(self):
-        incoming = make_offer(sent_at=21, values={"price": 15.0})
-        assert self.respond(incoming, k=0.2).kind is ResponseKind.TERMINATE
 
     def test_acquire_when_offer_beats_planned_counter(self):
         # buyer utility: incoming 12 -> 0.8, counter 12.5 -> 0.75
@@ -510,19 +506,15 @@ class TestDecideResponse:
         rng = random.Random(17)
         agenda = self.agenda()
         for _ in range(300):
-            sent_at = rng.randint(0, 40)
-            incoming = make_offer(sent_at=sent_at, values={"price": rng.uniform(10, 20)})
+            incoming = make_offer(
+                sent_at=rng.randint(0, 40), values={"price": rng.uniform(10, 20)}
+            )
             k, t = rng.uniform(0, 1), rng.uniform(0, 30)
             response = self.respond(incoming, k=k, t=t, agenda=agenda)
-            if sent_at > 20:
-                expected = ResponseKind.TERMINATE
-            else:
-                planned = generate_offer_package(agenda, t, 20.0, TacticParams(k=k))
-                mine = aggregate_utility(agenda, planned, Perspective.BUYER)
-                theirs = aggregate_utility(agenda, incoming.package, Perspective.BUYER)
-                expected = (
-                    ResponseKind.ACQUIRE if mine <= theirs else ResponseKind.COUNTER
-                )
+            planned = generate_offer_package(agenda, t, 20.0, TacticParams(k=k))
+            mine = aggregate_utility(agenda, planned, Perspective.BUYER)
+            theirs = aggregate_utility(agenda, incoming.package, Perspective.BUYER)
+            expected = ResponseKind.ACQUIRE if mine <= theirs else ResponseKind.COUNTER
             assert response.kind is expected
 
 
@@ -532,12 +524,10 @@ def uncached(agenda):
     return Agenda(issues=agenda.issues, t_max=agenda.t_max)
 
 
-def reference_response(agenda, perspective, incoming, t, t_max_eff, params, deadline):
+def reference_response(agenda, perspective, incoming, t, t_max_eff, params):
     """decide_response as the composition it fuses: generate_offer_package
     for the counter, aggregate_utility for both packages, acquire iff the
     counter is worth no more."""
-    if incoming.sent_at > deadline:
-        return Response(ResponseKind.TERMINATE, None)
     if incoming.package is None:
         raise MissingIssueError("incoming message carries no offer package")
     counter = generate_offer_package(uncached(agenda), t, t_max_eff, params)
@@ -551,9 +541,9 @@ def reference_response(agenda, perspective, incoming, t, t_max_eff, params, dead
 def response_outcome(fn, incoming, *args):
     """fn's response, its counter as bits, or the type and message of what
     it raised."""
-    agenda, perspective, t, t_max_eff, params, deadline = args
+    agenda, perspective, t, t_max_eff, params = args
     try:
-        kind, package = fn(agenda, perspective, incoming, t, t_max_eff, params, deadline)
+        kind, package = fn(agenda, perspective, incoming, t, t_max_eff, params)
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return type(exc), str(exc)
     if kind is ResponseKind.COUNTER:
@@ -565,7 +555,7 @@ def response_outcome(fn, incoming, *args):
 class TestDecideResponseLoop:
     """The fused pass against the composition, over both perspectives, both
     directions, exponents on and past the clamps, deadlines at or below
-    zero, times past the deadline and late offers. The incoming offer ties
+    zero and times past the deadline. The incoming offer ties
     the counter, sits one ulp off it on one issue, lies anywhere in range,
     or has one value missing, NaN or out of range."""
 
@@ -617,11 +607,8 @@ class TestDecideResponseLoop:
             t = data.draw(self.TIMES, label="t")
             counter = reference_package(agenda, t, t_max_eff, params)
             package = self.incoming(data, agenda, counter)
-            deadline = data.draw(st.integers(0, 40), label="deadline")
-            late = data.draw(st.sampled_from((False, False, False, True)), label="late")
-            sent_at = deadline + 1 if late else data.draw(st.integers(0, deadline), label="sent_at")
-            incoming = make_offer(sent_at=sent_at, values=package.values)
-            args = (agenda, perspective, t, t_max_eff, params, deadline)
+            incoming = make_offer(values=package.values)
+            args = (agenda, perspective, t, t_max_eff, params)
             assert response_outcome(decide_response, incoming, *args) == response_outcome(
                 reference_response, incoming, *args
             )
@@ -632,7 +619,7 @@ class TestDecideResponseLoop:
         for beta in (1.0, 3.0, 1.0, 0.5, 3.0):
             params = TacticParams(k=0.1, beta=beta)
             response = decide_response(
-                agenda, Perspective.SELLER, incoming, 7.0, 20.0, params, 20
+                agenda, Perspective.SELLER, incoming, 7.0, 20.0, params
             )
             assert response.kind is ResponseKind.COUNTER
             assert response.package == generate_offer_package(
@@ -643,5 +630,5 @@ class TestDecideResponseLoop:
         incoming = make_offer()._replace(package=None)
         with pytest.raises(MissingIssueError):
             decide_response(
-                make_agenda(), Perspective.BUYER, incoming, 0.0, 20.0, TacticParams(), 20
+                make_agenda(), Perspective.BUYER, incoming, 0.0, 20.0, TacticParams()
             )

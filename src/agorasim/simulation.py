@@ -135,8 +135,9 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # Loader: `yaml.load` with a `yamlload` loader turns the text into plain
 # dicts, lists and scalars, SafeLoader's data, nesting capped at
-# `yamlload.MAX_DEPTH`. Untagged, unanchored documents are built straight
-# from parser events; any other goes to PyYAML's own loader. The functions
+# `yamlload.MAX_DEPTH`. Documents in the scenario files' block layout are
+# read from their lines; other untagged, unanchored documents are built from
+# parser events; any other goes to PyYAML's own loader. The functions
 # below validate that data into the frozen model above, naming the path of
 # the first violation.
 # ---------------------------------------------------------------------------
@@ -212,7 +213,10 @@ def _as_int(value: Any, path: str) -> int:
 def _as_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past float range
+        number = math.inf
     if not math.isfinite(number):
         _fail(path, f"expected a finite number, got {value!r}")
     return number
@@ -405,11 +409,14 @@ def load_scenario(document: str) -> Scenario:
     """Parse and fully validate a scenario document.
 
     The document is parsed by one `yaml.load` call with a `yamlload`
-    loader, on libyaml when PyYAML was built with it, else on PyYAML's
-    pure-Python parser. An untagged, unanchored document is built straight
-    from parser events; a document with a tag, an anchor, an alias, a `<<`
-    merge or an `=` key is handed to PyYAML's own loader on the same parser.
-    Either way the data and the error line numbers are those of
+    loader, in three tiers. A document in the block layout that
+    `marketgen` writes (plain tokens, one-line flow maps of them, no quotes
+    or tabs) is read from its lines without the parser.
+    Any other untagged, unanchored document is built from parser events, on
+    libyaml when PyYAML was built with it, else on PyYAML's pure-Python
+    parser; a document with a tag, an anchor, an alias, a `<<` merge or an
+    `=` key is handed to PyYAML's own loader on the same parser. Every way
+    the data and the error line numbers are those of
     `yaml.SafeLoader`; only the wording of a parse error's reason depends on
     the parser. Raises ScenarioParseError, with the line, for malformed YAML,
     for a tagged value that cannot be constructed and for a collection

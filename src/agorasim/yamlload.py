@@ -1,12 +1,26 @@
-"""YAML loading for scenario files: plain data built straight from parser events.
+"""YAML loading for scenario files: plain data built in three tiers.
 
 `yaml.load(text, Loader=...)` with either loader here returns what
 `yaml.load(text, Loader=yaml.SafeLoader)` returns, or raises a YAMLError of
 the same class at the same line.
 
-An untagged, unanchored document, as scenario files are, is built by one
-loop over the parser's events with an explicit stack of open collections,
-without PyYAML's node tree. Each distinct plain scalar text is resolved and
+A document in the block layout that scenario files use, as `marketgen` and
+the shipped scenarios write them, is read from its lines, without the parser:
+printable ASCII only; block mappings and sequences, each line one `key:
+value`, `key:` opening a deeper block, `- key: value` opening a compact
+mapping, or `- value`; values that are plain tokens (letters, digits and
+`_ . + -`) or one-line flow mappings of them (`{id: price, min: 10}`); blank
+lines, full-line comments and ` #` comments. Anything else (a quote, a tab,
+CR or `& * ! ? | >` anywhere, comments included; a line opening with `---`
+or `...`; a flow sequence, a nested flow collection, a scalar or flow
+mapping spread over several lines, an indentless sequence, a line deeper
+than its block allows, a token that does not construct, nesting past
+MAX_DEPTH) sends the whole document down the event path; the line scanner
+itself raises no error.
+
+Any other untagged, unanchored document is built by one loop over the
+parser's events with an explicit stack of open collections, without PyYAML's
+node tree. In both tiers each distinct plain scalar text is resolved and
 constructed by SafeConstructor once per document, and its value shared.
 
 The first event the loop does not build (a tag, an anchor or alias, a plain
@@ -28,6 +42,7 @@ a ScannerError.
 
 from __future__ import annotations
 
+import re
 from typing import Any
 
 import yaml
@@ -47,6 +62,32 @@ _STR = "tag:yaml.org,2002:str"
 _MISS = object()
 _NO_KEY = object()
 _LIBRARY = object()  # the document goes to the library loader
+_EVENTS = object()  # the document goes down the event path
+
+# The line scanner's layout. A document with any character but a newline and
+# printable ASCII is not read by it, so tabs, CR, other YAML line breaks and
+# the characters the reader rejects all go down the event path. So does one
+# with a quote or an indicator the layout has no use for, even in a comment,
+# or a line that opens with a document marker (searched for apart): one
+# search finds them, where the scanner would find them only on reaching their
+# line.
+_OUTSIDE = re.compile("[^\n%s]" % re.escape(
+    "".join(c for c in map(chr, range(32, 127)) if c not in "\"'&*!?|>")
+))
+# A plain scalar token: letters, digits and `_ . + -`, but not a lone `-` (a
+# sequence entry) nor a `---` or `...` that may mark a document.
+_TOKEN = re.compile(r"(?!-$|---|\.\.\.)[-\w.+]+")
+# The longest key read; the parser refuses a simple key past 1024 characters.
+_KEY_LENGTH = 128
+# A line's content after its indent, less any ` #` comment: an optional `- `
+# entry, an optional `key:`, a value.
+_LINE = re.compile(r"(- +)?(?:([-\w.+]{1,%d}):(?: +|$))?(.*)" % _KEY_LENGTH)
+
+# A line's value: none (a `key:` that opens a block), a scalar, or a flow
+# mapping of scalars. Block collections stop one short of MAX_DEPTH, so that
+# a flow mapping in one never crosses it.
+_EMPTY, _PLAIN, _FLAT_MAP = range(3)
+_BLOCK_DEPTH = MAX_DEPTH - 1
 
 
 def _too_deep(mark: Any) -> ComposerError:
@@ -70,7 +111,8 @@ def _with_scalar_errors(base: type) -> type:
 
 
 class _EventBuilder(SafeConstructor, Resolver):
-    """Builds the one document of a stream from parser events (see module doc)."""
+    """Builds the one document of a stream from its lines, else from parser
+    events (see module doc)."""
 
     library: type  # PyYAML's loader on the same parser
 
@@ -82,6 +124,9 @@ class _EventBuilder(SafeConstructor, Resolver):
         self._deepest: Any = None  # where _drain went deepest
 
     def get_single_data(self) -> Any:
+        data = self._scan_lines()
+        if data is not _EVENTS:
+            return data
         self.get_event()  # StreamStartEvent
         if self.check_event(StreamEndEvent):
             self.get_event()
@@ -105,6 +150,136 @@ class _EventBuilder(SafeConstructor, Resolver):
             raise _too_deep(self._deepest) from None
         finally:
             loader.dispose()
+
+    def _scan_lines(self) -> Any:
+        """Builds the document from its lines when it keeps to the block
+        layout (see module doc); _EVENTS when it does not."""
+        document = self._document
+        if (not isinstance(document, str) or _OUTSIDE.search(document)
+                or "\n---" in document or "\n..." in document):
+            return _EVENTS
+        # Each distinct line content's record, but a flow mapping's: its dict
+        # goes into the data, and most such lines are distinct. Kept, those
+        # records would count toward the collector's thresholds through the
+        # load, and add a gen-1 pass to it on sparse-market.
+        records: dict[str, Any] = {}
+        holder: dict = {}
+        # The open block collections under the top one, as (indent,
+        # collection, is_seq); the holder of the root at indent -1 is first.
+        stack: list[tuple] = []
+        indent_top, cont, is_seq = -1, holder, False
+        pending: Any = (holder, None, -1)  # a `key:` awaiting its value, and its column
+        lines = document.split("\n")
+        lines.reverse()
+        while lines:
+            line = lines.pop()  # so that each line's text is freed once read
+            content = line.lstrip(" ")
+            if not content or content[0] == "#":
+                continue
+            indent = len(line) - len(content)
+            record = records.get(content)
+            if record is None:
+                record = self._line_record(content)
+                if record is None:
+                    return _EVENTS
+                if record[2] != _FLAT_MAP:
+                    records[content] = record
+            dash, key, kind, value = record
+            if pending is not None:
+                owner, owner_key, column = pending
+                pending = None
+                if indent > column:  # the line opens the key's block
+                    if len(stack) >= _BLOCK_DEPTH or not dash and key is _NO_KEY:
+                        return _EVENTS
+                    stack.append((indent_top, cont, is_seq))
+                    indent_top, cont, is_seq = indent, [] if dash else {}, bool(dash)
+                    owner[owner_key] = cont
+                elif dash and indent == column:  # an indentless sequence
+                    return _EVENTS
+                else:
+                    owner[owner_key] = None
+            while indent < indent_top:
+                indent_top, cont, is_seq = stack.pop()
+            if indent != indent_top:
+                return _EVENTS
+            column = indent
+            target = cont
+            if is_seq:
+                if not dash:
+                    return _EVENTS
+                if key is _NO_KEY:
+                    if kind == _EMPTY:
+                        return _EVENTS
+                    cont.append(value)
+                    continue
+                if len(stack) >= _BLOCK_DEPTH:  # `- key:` opens a compact mapping
+                    return _EVENTS
+                column += dash
+                target = {}
+                cont.append(target)
+                stack.append((indent_top, cont, is_seq))
+                indent_top, cont, is_seq = column, target, False
+            elif dash or key is _NO_KEY:
+                return _EVENTS
+            if kind == _EMPTY:
+                pending = (target, key, column)
+            else:
+                target[key] = value
+        if pending is not None:
+            if pending[0] is holder:  # no content
+                return _EVENTS
+            pending[0][pending[1]] = None
+        return holder[None]
+
+    def _line_record(self, content: str) -> Any:
+        """(width of the `- ` entry or 0, key, value kind, value) of a line's
+        content after its indent; None when it is outside the layout."""
+        cut = content.find("#")
+        if cut >= 0:
+            if content[cut - 1] != " ":
+                return None
+            content = content[:cut]
+        dash, key, text = _LINE.fullmatch(content.rstrip(" ")).groups()
+        dash = len(dash) if dash else 0
+        if key is None:
+            key = _NO_KEY
+        else:
+            key = self._scalar(key)
+            if key is _MISS:
+                return None
+        if not text:
+            return dash, key, _EMPTY, None
+        if text[0] == "{":
+            pairs = self._flat_map(text)
+            return None if pairs is None else (dash, key, _FLAT_MAP, pairs)
+        value = self._scalar(text)
+        return None if value is _MISS else (dash, key, _PLAIN, value)
+
+    def _scalar(self, text: str) -> Any:
+        """A plain scalar token's value, cached; _MISS for any other text."""
+        value = self._plain_values.get(text, _MISS)
+        if value is _MISS and _TOKEN.fullmatch(text):
+            value = self._plain(text)
+        return value
+
+    def _flat_map(self, text: str) -> Any:
+        """The one-line flow mapping `text` of scalars, as a dict, which the
+        cyclic collector does not track; None when it is outside the layout."""
+        inner = text[1:-1]
+        if text[-1] != "}" or "[" in inner or "]" in inner or "{" in inner or "}" in inner:
+            return None
+        pairs: dict = {}
+        for part in inner.split(",") if inner.strip(" ") else ():
+            key, colon, value = part.partition(":")
+            key = key.lstrip(" ")
+            if value[:1] != " " or len(key) > _KEY_LENGTH:
+                return None
+            key = self._scalar(key)
+            value = self._scalar(value.strip(" "))
+            if key is _MISS or value is _MISS:
+                return None
+            pairs[key] = value
+        return pairs
 
     def _build_root(self) -> Any:
         """Reads the events of the root node; returns its value, or _LIBRARY

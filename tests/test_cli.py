@@ -141,12 +141,16 @@ class TestHostileInput:
         "ticks-past-float": BILATERAL_FILE.replace(
             "t_end: 64", f"t_end: {10**309}"
         ).replace("t_max: 20", f"t_max: {10**309}"),
+        # Once an OverflowError traceback converting the bound to float.
+        "int-past-float": BILATERAL_FILE.replace("max: 20}", f"max: {10**309}}}", 1),
+        # 600 block mappings, one per line, each indented one space deeper:
+        # the line scanner hands it to the event path, which stops at the cap.
+        "deep-block-lines": BILATERAL_FILE + "junk:\n"
+        + "".join(" " * depth + "a:\n" for depth in range(1, 601)),
     }
 
-    @pytest.mark.parametrize("loader", ["libyaml", "pure"])
-    @pytest.mark.parametrize("verb", ["validate", "run"])
-    @pytest.mark.parametrize("doc", sorted(DOCUMENTS))
-    def test_fails_cleanly(self, tmp_path, doc, verb, loader):
+    def run_cli(self, tmp_path, doc: str, verb: str, loader: str) -> tuple:
+        """The child process's result and the document's path."""
         if loader == "libyaml" and not hasattr(yaml, "CSafeLoader"):
             pytest.skip("PyYAML was built without libyaml")
         path = tmp_path / "hostile.yaml"
@@ -161,6 +165,13 @@ class TestHostileInput:
             [sys.executable, "-c", CLI_UNDER_LOADER, loader, *args],
             capture_output=True, text=True, env=env, timeout=60,
         )
+        return done, path
+
+    @pytest.mark.parametrize("loader", ["libyaml", "pure"])
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    @pytest.mark.parametrize("doc", sorted(DOCUMENTS))
+    def test_fails_cleanly(self, tmp_path, doc, verb, loader):
+        done, _ = self.run_cli(tmp_path, doc, verb, loader)
         assert done.returncode == 1, done.stderr
         assert done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr
@@ -178,12 +189,21 @@ class TestHostileInput:
     @pytest.mark.parametrize("doc, message", [
         ("overflowing-range", "$.agents[0].agendas[0]: issue 'price': width of"),
         ("ticks-past-float", "$.t_end: t_end must be at most 2**53"),
+        ("int-past-float", "$.agents[0].agendas[0].issues[0].max: expected a finite number"),
     ])
     def test_out_of_float_range_names_the_path(self, tmp_path, capsys, doc, message):
         scenario = tmp_path / "hostile.yaml"
         scenario.write_text(self.DOCUMENTS[doc], encoding="utf-8")
         assert main(["validate", "--scenario", str(scenario)]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loader", ["libyaml", "pure"])
+    def test_deep_block_lines_fail_at_the_capping_line(self, tmp_path, loader):
+        done, path = self.run_cli(tmp_path, "deep-block-lines", "validate", loader)
+        # The root, `junk`'s mapping and 498 more are within the cap; the
+        # mapping opened by the 500th `a:` is one too many.
+        line = BILATERAL_FILE.count("\n") + 1 + 500
+        assert done.stderr == f"error: {path}: line {line}: document is nested too deeply\n"
 
     @pytest.mark.parametrize("verb", ["validate", "run", "report"])
     def test_non_utf8_input(self, tmp_path, capsys, verb):

@@ -367,10 +367,39 @@ class TestLoaders:
                 raise AssertionError("the document went to the library loader")
 
         monkeypatch.setattr(simulation._yaml_loader(), "library", Forbidden)
+        # The event loop, which reads them when the line scanner does not.
+        monkeypatch.setattr(yamlload._EventBuilder, "_scan_lines", lambda self: yamlload._EVENTS)
         if isinstance(source, Path):
             load_scenario(source.read_text(encoding="utf-8"))
         else:
             load_scenario(_marketgen().generate(source, 0))
+
+    @pytest.mark.parametrize("source", [
+        *SCENARIOS, *((name, seed) for name in sorted(_marketgen().WORKLOADS) for seed in range(10))
+    ], ids=lambda s: getattr(s, "name", None) or f"{s[0]}-{s[1]}")
+    def test_own_documents_are_read_from_their_lines(self, yaml_loader, monkeypatch, source):
+        # The line scanner reads every document the project writes but
+        # market-10x5.yaml, whose `schedule: [[0, 1.0], [48, 0.1]]` is a flow
+        # sequence and sends it down the event loop; either way the scenario
+        # is the one the event loop builds.
+        build_root = yamlload._EventBuilder._build_root
+        built = []
+
+        def spy(self):
+            built.append(True)
+            return build_root(self)
+
+        if isinstance(source, Path):
+            text = source.read_text(encoding="utf-8")
+        else:
+            text = _marketgen().generate(*source)
+        scan_lines = yamlload._EventBuilder._scan_lines
+        monkeypatch.setattr(yamlload._EventBuilder, "_scan_lines", lambda self: yamlload._EVENTS)
+        from_events = load_scenario(text)
+        monkeypatch.setattr(yamlload._EventBuilder, "_scan_lines", scan_lines)
+        monkeypatch.setattr(yamlload._EventBuilder, "_build_root", spy)
+        assert load_scenario(text) == from_events
+        assert len(built) == (getattr(source, "name", None) == "market-10x5.yaml")
 
     @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
     def test_shipped_scenarios_load_equal(self, path, monkeypatch):

@@ -1,8 +1,10 @@
 """The event-built loader against PyYAML's own SafeLoader, on both parsers."""
 
+import re
+
 import pytest
 import yaml
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 from yaml.composer import ComposerError
 from yaml.constructor import ConstructorError
 
@@ -187,3 +189,139 @@ class TestExamples:
         with pytest.raises(ConstructorError) as exc:
             yaml.load("a: 1\nb: !!int ''\n", Loader=loader)
         assert exc.value.problem_mark.line + 1 == 2
+
+
+# The line scanner's layout, and near misses of it. Scalars come from SCALARS,
+# mostly from the plain tokens among them that construct: the scanner reads
+# those, and hands a document with any other scalar, a flow sequence or a
+# nested flow collection to the event path.
+READABLE = ["12", "-3", "0x1F", "017", "0b101", "1_000", "1.5", "1.0e+3", ".inf", "-.inf",
+            ".nan", "true", "no", "on", "null", "abc", "2001-01-01"]
+layout_scalars = st.sampled_from(READABLE * 8 + SCALARS)
+MISSES = ["continuation", "tab", "quote", "long-key", "document-start", "document-end"]
+
+flow_nodes = st.recursive(
+    layout_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3).map(lambda items: ("[", items)),
+        st.lists(st.tuples(layout_scalars, children), max_size=3).map(
+            lambda pairs: ("{", pairs)
+        ),
+    ),
+    max_leaves=6,
+)
+# A block collection's indent past its parent's key or entry: 1 to 4
+# spaces; a sequence under a key may also be indentless (0).
+map_offsets = st.integers(1, 4)
+seq_offsets = st.sampled_from([0, 1, 2, 2, 3, 4])
+
+
+def collections(children):
+    pairs = st.lists(st.tuples(layout_scalars, children), min_size=1, max_size=3)
+    mappings = st.tuples(st.just("map"), map_offsets, pairs)
+    items = st.lists(st.one_of(flow_nodes, mappings), min_size=1, max_size=3)
+    # A sequence's entries are `-` and 1 to 3 spaces.
+    sequences = st.tuples(st.just("seq"), seq_offsets, st.integers(1, 3), items)
+    return st.one_of(mappings, sequences)
+
+
+# Block collections; a mapping's value may also be empty (None).
+block_nodes = st.recursive(
+    collections(st.one_of(flow_nodes, st.none())),
+    lambda children: collections(st.one_of(flow_nodes, st.none(), children)),
+    max_leaves=10,
+)
+
+
+def render_lines(root, separator: str, used: set) -> list[str]:
+    """The block layout of `root`, one line per key or entry; `used` gathers
+    the scalar texts, whether a sequence was indentless (0) and whether a
+    flow sequence ("[") or a nested flow collection ("nested") was written."""
+    lines: list[str] = []
+
+    def inline(node, top: bool = True) -> str:
+        if isinstance(node, str):
+            used.add(node)
+            return node
+        if not top:
+            used.add("nested")
+        if node[0] == "[":
+            used.add("[")
+            return "[" + separator.join(inline(item, False) for item in node[1]) + "]"
+        return "{" + separator.join(f"{inline(k)}: {inline(v, False)}" for k, v in node[1]) + "}"
+
+    def value(head: str, node, column: int) -> None:
+        if node is None:
+            lines.append(head)
+        elif isinstance(node, tuple) and node[0] in ("map", "seq"):
+            lines.append(head)
+            if node[0] == "seq" and node[1] == 0:
+                used.add(0)
+            block(node, column + node[1])
+        else:
+            lines.append(f"{head} {inline(node)}")
+
+    def mapping(pairs, column: int, first_head: str) -> None:
+        for i, (key, node) in enumerate(pairs):
+            head = first_head if i == 0 else " " * column
+            value(f"{head}{inline(key)}:", node, column)
+
+    def block(node, column: int) -> None:
+        if node[0] == "map":
+            mapping(node[2], column, " " * column)
+            return
+        _, _, gap, items = node
+        for item in items:
+            entry = " " * column + "-" + " " * gap
+            if isinstance(item, tuple) and item[0] == "map":  # a compact mapping
+                mapping(item[2], column + 1 + gap, entry)
+            else:
+                lines.append(entry + inline(item))
+
+    block(root, 0)
+    return lines
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+@settings(max_examples=150, deadline=None)
+@given(root=block_nodes, separator=st.sampled_from([", ", ",", " , "]), data=st.data())
+def test_line_scanner_matches_safe_loader(loader, root, separator, data):
+    used: set = set()
+    lines = render_lines(root, separator, used)
+    decorated = []
+    for line in lines:
+        filler = data.draw(st.sampled_from(["", "", "", "", "  # c", "# c: [d]", "   "]))
+        if filler.startswith("#"):  # a comment line, at any indent
+            decorated.append(" " * data.draw(st.integers(0, 6)) + filler)
+            filler = ""
+        decorated.append(line + filler)
+    miss = data.draw(st.sampled_from([None] * 10 + MISSES))
+    if miss is not None:
+        at = data.draw(st.integers(0, len(decorated) - 1))
+        line = decorated[at]
+        if miss == "continuation":  # a line deeper than its block allows
+            depth = len(line) - len(line.lstrip(" "))
+            decorated.insert(at + 1, " " * (depth + data.draw(st.integers(1, 4))) + "more")
+        elif miss == "tab":
+            decorated[at] = line.replace(" ", "\t", 1) if " " in line else "\t" + line
+        elif miss == "quote":
+            decorated[at] = re.sub(r"[-\w.+]+", lambda m: f"'{m.group()}'", line, count=1)
+        elif miss == "long-key":  # past the parser's 1024 characters for a simple key
+            decorated[at] = re.sub(r"[-\w.+]+(?=:)", "k" * 1100, line, count=1)
+        elif miss == "document-start":
+            decorated.insert(at, "---")
+        else:
+            decorated.append("...")
+    document = "\n".join(decorated) + "\n"
+    expected = outcome(document, REFERENCE[loader])
+    assert outcome(document, loader) == expected
+    builder = loader(document)
+    try:
+        scanned = builder._scan_lines()
+    finally:
+        builder.dispose()
+    event("read from its lines" if scanned is not yamlload._EVENTS else "down the event path")
+    if scanned is not yamlload._EVENTS:
+        assert ("ok", repr(scanned)) == expected
+    elif miss is None and used <= set(READABLE):
+        pytest.fail(f"the scanner did not read {document!r}")

@@ -135,11 +135,10 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # Loader: `yaml.load` with a `yamlload` loader turns the text into plain
 # dicts, lists and scalars, SafeLoader's data, nesting capped at
-# `yamlload.MAX_DEPTH`. Documents in the scenario files' block layout are
-# read from their lines; other untagged, unanchored documents are built from
-# parser events; any other goes to PyYAML's own loader. The functions
-# below validate that data into the frozen model above, naming the path of
-# the first violation.
+# `yamlload.MAX_DEPTH`, in two tiers. Documents in the scenario files' block
+# layout are read from their lines; any other has its parser events checked
+# once and goes to PyYAML's own loader. The functions below validate that
+# data into the frozen model above, naming the path of the first violation.
 # ---------------------------------------------------------------------------
 
 #: Largest t_end. Ticks are compared with float deadlines (t0 + t_max_eff)
@@ -409,19 +408,17 @@ def load_scenario(document: str) -> Scenario:
     """Parse and fully validate a scenario document.
 
     The document is parsed by one `yaml.load` call with a `yamlload`
-    loader, in three tiers. A document in the block layout that
-    `marketgen` writes (plain tokens, one-line flow maps of them, no quotes
-    or tabs) is read from its lines without the parser.
-    Any other untagged, unanchored document is built from parser events, on
-    libyaml when PyYAML was built with it, else on PyYAML's pure-Python
-    parser; a document with a tag, an anchor, an alias, a `<<` merge or an
-    `=` key is handed to PyYAML's own loader on the same parser. Every way
-    the data and the error line numbers are those of
+    loader, in two tiers. A document in the block layout that `marketgen`
+    writes (plain tokens, one-line flow maps of them, no quotes or tabs) is
+    read from its lines without the parser. Any other document has its
+    events checked once for the depth cap and the composer's alias and
+    anchor errors, and is then read by PyYAML's own loader, both on libyaml
+    when PyYAML was built with it, else on PyYAML's pure-Python parser.
+    Either way the data and the error line numbers are those of
     `yaml.SafeLoader`; only the wording of a parse error's reason depends on
     the parser. Raises ScenarioParseError, with the line, for malformed YAML,
     for a tagged value that cannot be constructed and for a collection
-    nested more than `yamlload.MAX_DEPTH` levels deep (under the pure parser
-    a tagged document may hit that error a little short of the cap); raises
+    nested more than `yamlload.MAX_DEPTH` levels deep; raises
     ScenarioValidationError (with a path) for schema violations, a key the
     mapping does not accept among them.
     """

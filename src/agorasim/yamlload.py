@@ -1,4 +1,4 @@
-"""YAML loading for scenario files: plain data built in three tiers.
+"""YAML loading for scenario files: plain data read in two tiers.
 
 `yaml.load(text, Loader=...)` with either loader here returns what
 `yaml.load(text, Loader=yaml.SafeLoader)` returns, or raises a YAMLError of
@@ -10,34 +10,31 @@ printable ASCII only; block mappings and sequences, each line one `key:
 value`, `key:` opening a deeper block, `- key: value` opening a compact
 mapping, or `- value`; values that are plain tokens (letters, digits and
 `_ . + -`) or one-line flow mappings of them (`{id: price, min: 10}`); blank
-lines, full-line comments and ` #` comments. Anything else (a quote, a tab,
-CR or `& * ! ? | >` anywhere, comments included; a line opening with `---`
-or `...`; a flow sequence, a nested flow collection, a scalar or flow
-mapping spread over several lines, an indentless sequence, a line deeper
-than its block allows, a token that does not construct, nesting past
-MAX_DEPTH) sends the whole document down the event path; the line scanner
-itself raises no error.
+lines, full-line comments and ` #` comments. Each distinct plain scalar text
+is resolved and constructed by SafeConstructor once per document, and its
+value shared. Anything else (a quote, a tab, CR or `& * ! ? | >` anywhere,
+comments included; a line opening with `---` or `...`; a flow sequence, a
+nested flow collection, a scalar or flow mapping spread over several lines,
+an indentless sequence, a line deeper than its block allows, a token that
+does not construct, nesting past MAX_DEPTH) sends the whole document to the
+second tier; the line scanner itself raises no error.
 
-Any other untagged, unanchored document is built by one loop over the
-parser's events with an explicit stack of open collections, without PyYAML's
-node tree. In both tiers each distinct plain scalar text is resolved and
-constructed by SafeConstructor once per document, and its value shared.
-
-The first event the loop does not build (a tag, an anchor or alias, a plain
-scalar that resolves to `<<` or `=` or fails to construct, a collection used
-as a mapping key) hands the document to PyYAML's own loader on the same
-parser, `library`, which reads the text again. A scalar it cannot construct
-(`!!int x`, `!!int ''`) is a ConstructorError at its line, where SafeLoader
-lets a bare ValueError, KeyError or IndexError escape.
+The second tier reads the first document's parser events once with the
+composer's checks, raising its undefined-alias and duplicate-anchor errors
+in event order, and then hands the document to PyYAML's own loader on the
+same parser, `library`, which reads the text again. A scalar it cannot
+construct (`!!int x`, `!!int ''`) is a ConstructorError at its line, where
+SafeLoader lets a bare ValueError, KeyError or IndexError escape.
 
 Nesting deeper than MAX_DEPTH open collections is a ComposerError at the
-collection that crosses it. The loop enforces the cap and, before a
-hand-over, reads the rest of the document under it, raising the composer's
-undefined-alias and duplicate-anchor errors in event order; so the library
-loader never composes a deeper document. PyYAML's pure composer recurses and
-may run out of stack a little short of the cap; that too is a ComposerError.
-PureLoader's scanner, quadratic in open flow brackets, stops at the cap with
-a ScannerError.
+collection that crosses it, raised by that first read on either parser, so
+the library loader never composes a deeper document. MAX_DEPTH sits well
+inside the stack of PyYAML's pure composer, which recurses about two frames
+per level and ran out of stack short of 500 levels; should it still run out,
+that too is a ComposerError. The pure scanner, quadratic in open flow
+brackets, needs no cap of its own: it reads at most 1024 characters, or to
+the end of a line and one token on, ahead of the parser, so the first read
+stops it within that distance of the crossing.
 """
 
 from __future__ import annotations
@@ -48,25 +45,23 @@ from typing import Any
 import yaml
 from yaml.composer import ComposerError
 from yaml.constructor import ConstructorError, SafeConstructor
-from yaml.events import (AliasEvent, MappingEndEvent, MappingStartEvent, ScalarEvent,
-                         SequenceEndEvent, StreamEndEvent)
+from yaml.events import AliasEvent, MappingEndEvent, ScalarEvent, SequenceEndEvent, StreamEndEvent
 from yaml.nodes import ScalarNode
 from yaml.parser import Parser
 from yaml.reader import Reader
 from yaml.resolver import Resolver
-from yaml.scanner import Scanner, ScannerError
+from yaml.scanner import Scanner
 
-MAX_DEPTH = 500
+MAX_DEPTH = 200
 
 _STR = "tag:yaml.org,2002:str"
 _MISS = object()
 _NO_KEY = object()
-_LIBRARY = object()  # the document goes to the library loader
-_EVENTS = object()  # the document goes down the event path
+_EVENTS = object()  # the document goes to the second tier
 
 # The line scanner's layout. A document with any character but a newline and
 # printable ASCII is not read by it, so tabs, CR, other YAML line breaks and
-# the characters the reader rejects all go down the event path. So does one
+# the characters the reader rejects all go to the second tier. So does one
 # with a quote or an indicator the layout has no use for, even in a comment,
 # or a line that opens with a document marker (searched for apart): one
 # search finds them, where the scanner would find them only on reaching their
@@ -110,9 +105,9 @@ def _with_scalar_errors(base: type) -> type:
     return Library
 
 
-class _EventBuilder(SafeConstructor, Resolver):
-    """Builds the one document of a stream from its lines, else from parser
-    events (see module doc)."""
+class _LineLoader(SafeConstructor, Resolver):
+    """Builds the one document of a stream from its lines, else checks its
+    events and hands it to the library loader (see module doc)."""
 
     library: type  # PyYAML's loader on the same parser
 
@@ -121,33 +116,17 @@ class _EventBuilder(SafeConstructor, Resolver):
         Resolver.__init__(self)
         self._document = document
         self._plain_values: dict[str, Any] = {}
-        self._deepest: Any = None  # where _drain went deepest
 
     def get_single_data(self) -> Any:
         data = self._scan_lines()
         if data is not _EVENTS:
             return data
-        self.get_event()  # StreamStartEvent
-        if self.check_event(StreamEndEvent):
-            self.get_event()
-            return None
-        self.get_event()  # DocumentStartEvent
-        root_mark = self.peek_event().start_mark
-        data = self._build_root()
-        self.get_event()  # DocumentEndEvent
-        if not self.check_event(StreamEndEvent):
-            raise ComposerError(
-                "expected a single document in the stream", root_mark,
-                "but found another document", self.get_event().start_mark,
-            )
-        self.get_event()
-        if data is not _LIBRARY:
-            return data
+        deepest = self._drain()
         loader = self.library(self._document)
         try:
             return loader.get_single_data()
         except RecursionError:
-            raise _too_deep(self._deepest) from None
+            raise _too_deep(deepest) from None
         finally:
             loader.dispose()
 
@@ -281,56 +260,6 @@ class _EventBuilder(SafeConstructor, Resolver):
             pairs[key] = value
         return pairs
 
-    def _build_root(self) -> Any:
-        """Reads the events of the root node; returns its value, or _LIBRARY
-        once it has read a document the loop does not build."""
-        get_event = self.get_event
-        plain_values = self._plain_values
-        stack: list[tuple] = []
-        holder: list = []
-        cont: Any = holder  # the open collection
-        key: Any = _NO_KEY  # its pending mapping key
-        is_seq = True
-        while True:
-            event = get_event()
-            cls = event.__class__
-            if cls is ScalarEvent:
-                if event.tag is not None or event.anchor is not None:
-                    return self._drain(event, len(stack))
-                if event.implicit[0]:
-                    value = plain_values.get(event.value, _MISS)
-                    if value is _MISS:
-                        value = self._plain(event.value)
-                        if value is _MISS:
-                            return self._drain(event, len(stack))
-                else:
-                    value = event.value
-            elif cls is MappingEndEvent or cls is SequenceEndEvent:
-                value = cont
-                cont, key, is_seq = stack.pop()
-            else:  # a collection start, or an alias: its anchor is the name it reads
-                if (event.anchor is not None or event.tag is not None
-                        or (not is_seq and key is _NO_KEY)):  # a collection as a key
-                    return self._drain(event, len(stack))
-                if len(stack) >= MAX_DEPTH:
-                    raise _too_deep(event.start_mark)
-                stack.append((cont, key, is_seq))
-                key = _NO_KEY
-                if cls is MappingStartEvent:
-                    cont, is_seq = {}, False
-                else:
-                    cont, is_seq = [], True
-                continue
-            if is_seq:
-                cont.append(value)
-            elif key is _NO_KEY:
-                key = value
-            else:
-                cont[key] = value
-                key = _NO_KEY
-            if cont is holder:
-                return holder[0]
-
     def _plain(self, raw: str) -> Any:
         """An untagged plain scalar's value, cached; _MISS when it resolves to
         a tag without a constructor (`<<`, `=`) or fails to construct."""
@@ -345,11 +274,17 @@ class _EventBuilder(SafeConstructor, Resolver):
         self._plain_values[raw] = value
         return value
 
-    def _drain(self, event: Any, depth: int) -> Any:
-        """Reads the rest of the document from `event` on, `depth` collections
-        deep, with the composer's checks and the depth cap; returns _LIBRARY."""
+    def _drain(self) -> Any:
+        """Reads the first document's events with the composer's checks and
+        the depth cap; returns the mark where it went deepest."""
+        self.get_event()  # StreamStartEvent
+        if self.check_event(StreamEndEvent):
+            return None
+        self.get_event()  # DocumentStartEvent
         anchors: dict[str, Any] = {}
-        deepest, self._deepest = depth, event.start_mark
+        event = self.get_event()
+        depth = deepest = 0
+        deepest_mark = event.start_mark
         while True:
             cls = event.__class__
             if cls is MappingEndEvent or cls is SequenceEndEvent:
@@ -373,14 +308,14 @@ class _EventBuilder(SafeConstructor, Resolver):
                         raise _too_deep(event.start_mark)
                     depth += 1
                     if depth > deepest:
-                        deepest, self._deepest = depth, event.start_mark
+                        deepest, deepest_mark = depth, event.start_mark
             if depth == 0:
-                return _LIBRARY
+                return deepest_mark
             event = self.get_event()
 
 
-class PureLoader(_EventBuilder, Reader, Scanner, Parser):
-    """The event builder on PyYAML's pure-Python reader, scanner and parser."""
+class PureLoader(_LineLoader, Reader, Scanner, Parser):
+    """The scenario loader on PyYAML's pure-Python reader, scanner and parser."""
 
     library = _with_scalar_errors(yaml.SafeLoader)
 
@@ -388,21 +323,16 @@ class PureLoader(_EventBuilder, Reader, Scanner, Parser):
         Reader.__init__(self, stream)
         Scanner.__init__(self)
         Parser.__init__(self)
-        _EventBuilder.__init__(self, stream)
-
-    def fetch_flow_collection_start(self, TokenClass: type) -> None:
-        if self.flow_level >= MAX_DEPTH:
-            raise ScannerError(None, None, "document is nested too deeply", self.get_mark())
-        super().fetch_flow_collection_start(TokenClass)
+        _LineLoader.__init__(self, stream)
 
 
 if hasattr(yaml, "CSafeLoader"):
 
-    class LibyamlLoader(_EventBuilder, yaml.cyaml.CParser):
-        """The event builder on libyaml's parser."""
+    class LibyamlLoader(_LineLoader, yaml.cyaml.CParser):
+        """The scenario loader on libyaml's parser."""
 
         library = _with_scalar_errors(yaml.CSafeLoader)
 
         def __init__(self, stream: str) -> None:
             yaml.cyaml.CParser.__init__(self, stream)
-            _EventBuilder.__init__(self, stream)
+            _LineLoader.__init__(self, stream)

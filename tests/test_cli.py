@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from agorasim import yamlload
 from agorasim.cli import main
 from conftest import BILATERAL_SCENARIO
 
@@ -112,9 +113,8 @@ class TestHostileInput:
         "deep-flow": "[" * 5000 + "]" * 5000,
         # Never closed, and far longer than the pure scanner's look-ahead.
         "deep-flow-huge": "[" * 200_000,
-        # Within the depth cap, but past PyYAML's recursive pure composer,
-        # which reads any tagged document; libyaml loads it, and it then
-        # fails validation.
+        # A tagged document, which PyYAML's own loader reads, nested past the
+        # depth cap and past the stack of PyYAML's recursive pure composer.
         "deep-tagged": "!!seq " + "[" * 499 + "]" * 499,
         "deep-block": "- " * 50000 + "x\n",
         "bad-tagged-int": "name: x\nt_end: !!int many\n",
@@ -144,17 +144,17 @@ class TestHostileInput:
         # Once an OverflowError traceback converting the bound to float.
         "int-past-float": BILATERAL_FILE.replace("max: 20}", f"max: {10**309}}}", 1),
         # 600 block mappings, one per line, each indented one space deeper:
-        # the line scanner hands it to the event path, which stops at the cap.
+        # the line scanner hands it to the second tier, which stops at the cap.
         "deep-block-lines": BILATERAL_FILE + "junk:\n"
         + "".join(" " * depth + "a:\n" for depth in range(1, 601)),
     }
 
-    def run_cli(self, tmp_path, doc: str, verb: str, loader: str) -> tuple:
+    def run_cli(self, tmp_path, text: str, verb: str, loader: str) -> tuple:
         """The child process's result and the document's path."""
         if loader == "libyaml" and not hasattr(yaml, "CSafeLoader"):
             pytest.skip("PyYAML was built without libyaml")
         path = tmp_path / "hostile.yaml"
-        path.write_text(self.DOCUMENTS[doc], encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         args = [verb, "--scenario", str(path)]
         if verb == "run":
             args += ["--out", str(tmp_path / "out")]
@@ -171,7 +171,7 @@ class TestHostileInput:
     @pytest.mark.parametrize("verb", ["validate", "run"])
     @pytest.mark.parametrize("doc", sorted(DOCUMENTS))
     def test_fails_cleanly(self, tmp_path, doc, verb, loader):
-        done, _ = self.run_cli(tmp_path, doc, verb, loader)
+        done, _ = self.run_cli(tmp_path, self.DOCUMENTS[doc], verb, loader)
         assert done.returncode == 1, done.stderr
         assert done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr
@@ -199,11 +199,44 @@ class TestHostileInput:
 
     @pytest.mark.parametrize("loader", ["libyaml", "pure"])
     def test_deep_block_lines_fail_at_the_capping_line(self, tmp_path, loader):
-        done, path = self.run_cli(tmp_path, "deep-block-lines", "validate", loader)
-        # The root, `junk`'s mapping and 498 more are within the cap; the
-        # mapping opened by the 500th `a:` is one too many.
-        line = BILATERAL_FILE.count("\n") + 1 + 500
+        done, path = self.run_cli(tmp_path, self.DOCUMENTS["deep-block-lines"], "validate", loader)
+        # The root, `junk`'s mapping and MAX_DEPTH - 2 more are within the
+        # cap; the mapping that begins with the MAX_DEPTH-th `a:` is one too
+        # many.
+        line = BILATERAL_FILE.count("\n") + 1 + yamlload.MAX_DEPTH
         assert done.stderr == f"error: {path}: line {line}: document is nested too deeply\n"
+
+    @pytest.mark.parametrize("loader", ["libyaml", "pure"])
+    def test_deep_block_lines_load_at_the_cap(self, tmp_path, loader):
+        # MAX_DEPTH levels: the root, `junk`'s mapping and one more for each
+        # `a:` but the last, whose value is null.
+        text = BILATERAL_FILE + "junk:\n" + "".join(
+            " " * depth + "a:\n" for depth in range(1, yamlload.MAX_DEPTH)
+        )
+        done, path = self.run_cli(tmp_path, text, "validate", loader)
+        assert done.stderr.startswith(f"error: {path}: $.junk: unknown key")
+
+    @staticmethod
+    def flow_lines(depth: int) -> str:
+        """The bilateral scenario with an unknown key whose value reaches
+        `depth` levels, counting the root mapping, one bracket a line: a flow
+        sequence, which PyYAML's own loader reads."""
+        brackets = depth - 1
+        return BILATERAL_FILE + "junk:\n" + " [\n" * brackets + " " + "]" * brackets + "\n"
+
+    @pytest.mark.parametrize("loader", ["libyaml", "pure"])
+    def test_deep_flow_lines_fail_at_the_capping_line(self, tmp_path, loader):
+        done, path = self.run_cli(
+            tmp_path, self.flow_lines(yamlload.MAX_DEPTH + 1), "validate", loader
+        )
+        # The bracket that opens level MAX_DEPTH + 1, after `junk:`.
+        line = BILATERAL_FILE.count("\n") + 1 + yamlload.MAX_DEPTH
+        assert done.stderr == f"error: {path}: line {line}: document is nested too deeply\n"
+
+    @pytest.mark.parametrize("loader", ["libyaml", "pure"])
+    def test_deep_flow_lines_load_at_the_cap(self, tmp_path, loader):
+        done, path = self.run_cli(tmp_path, self.flow_lines(yamlload.MAX_DEPTH), "validate", loader)
+        assert done.stderr.startswith(f"error: {path}: $.junk: unknown key")
 
     @pytest.mark.parametrize("verb", ["validate", "run", "report"])
     def test_non_utf8_input(self, tmp_path, capsys, verb):

@@ -329,6 +329,25 @@ class TestLoaders:
         # The bracket that opens level MAX_DEPTH + 1, after MINIMAL and `junk:`.
         assert err.value.line == MINIMAL.count("\n") + 1 + yamlload.MAX_DEPTH
 
+    @pytest.mark.parametrize("shape", ["far-past", "wide-line"])
+    def test_nesting_far_past_the_depth_cap_names_the_crossing_line(self, yaml_loader, shape):
+        if shape == "wide-line":
+            # One line of brackets to twice the cap, and one more on the next
+            # line. The pure scanner reads the whole line and a token on
+            # before the parser passes the line's first bracket, so a scanner
+            # cap at twice MAX_DEPTH would name the next line.
+            document = MINIMAL + "junk:\n " + "[" * (2 * yamlload.MAX_DEPTH) + "\n [\n"
+            line = MINIMAL.count("\n") + 2
+        else:
+            # The pure scanner reads a line ahead of the parser, so a scanner
+            # cap would name a later line than the crossing's.
+            document = self.nested(yamlload.MAX_DEPTH + 100)
+            line = MINIMAL.count("\n") + 1 + yamlload.MAX_DEPTH
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(document)
+        assert err.value.reason == "document is nested too deeply"
+        assert err.value.line == line
+
     def test_one_yaml_load_per_scenario(self, yaml_loader, monkeypatch):
         # The benchmark times the parse by wrapping the module attribute
         # `yaml.load`; a parse that bypassed it would read as zero, and one
@@ -341,7 +360,7 @@ class TestLoaders:
             return real_load(*args, **kwargs)
 
         monkeypatch.setattr(yaml, "load", counting_load)
-        for document in (MINIMAL, MINIMAL.replace("vm}", "!!str vm}")):  # event loop, library
+        for document in (MINIMAL, MINIMAL.replace("vm}", "!!str vm}")):  # line scanner, library
             calls.clear()
             load_scenario(document)
             assert calls == [simulation._yaml_loader()]
@@ -359,47 +378,33 @@ class TestLoaders:
         )
         assert load_scenario(shared) == load_scenario(MINIMAL)
 
-    @pytest.mark.parametrize("source", [*SCENARIOS, *sorted(_marketgen().WORKLOADS)],
-                             ids=lambda s: getattr(s, "name", s))
-    def test_own_documents_never_reach_the_library_loader(self, yaml_loader, monkeypatch, source):
-        class Forbidden:
-            def __init__(self, *args):
-                raise AssertionError("the document went to the library loader")
-
-        monkeypatch.setattr(simulation._yaml_loader(), "library", Forbidden)
-        # The event loop, which reads them when the line scanner does not.
-        monkeypatch.setattr(yamlload._EventBuilder, "_scan_lines", lambda self: yamlload._EVENTS)
-        if isinstance(source, Path):
-            load_scenario(source.read_text(encoding="utf-8"))
-        else:
-            load_scenario(_marketgen().generate(source, 0))
-
     @pytest.mark.parametrize("source", [
         *SCENARIOS, *((name, seed) for name in sorted(_marketgen().WORKLOADS) for seed in range(10))
     ], ids=lambda s: getattr(s, "name", None) or f"{s[0]}-{s[1]}")
     def test_own_documents_are_read_from_their_lines(self, yaml_loader, monkeypatch, source):
         # The line scanner reads every document the project writes but
         # market-10x5.yaml, whose `schedule: [[0, 1.0], [48, 0.1]]` is a flow
-        # sequence and sends it down the event loop; either way the scenario
-        # is the one the event loop builds.
-        build_root = yamlload._EventBuilder._build_root
-        built = []
-
-        def spy(self):
-            built.append(True)
-            return build_root(self)
-
+        # sequence and sends it to the library loader; either way the
+        # scenario is the one the library loader builds.
         if isinstance(source, Path):
             text = source.read_text(encoding="utf-8")
         else:
             text = _marketgen().generate(*source)
-        scan_lines = yamlload._EventBuilder._scan_lines
-        monkeypatch.setattr(yamlload._EventBuilder, "_scan_lines", lambda self: yamlload._EVENTS)
-        from_events = load_scenario(text)
-        monkeypatch.setattr(yamlload._EventBuilder, "_scan_lines", scan_lines)
-        monkeypatch.setattr(yamlload._EventBuilder, "_build_root", spy)
-        assert load_scenario(text) == from_events
-        assert len(built) == (getattr(source, "name", None) == "market-10x5.yaml")
+        scan_lines = yamlload._LineLoader._scan_lines
+        monkeypatch.setattr(yamlload._LineLoader, "_scan_lines", lambda self: yamlload._EVENTS)
+        from_library = load_scenario(text)
+        library = simulation._yaml_loader().library
+        read = []
+
+        class Spy(library):
+            def __init__(self, *args):
+                read.append(True)
+                super().__init__(*args)
+
+        monkeypatch.setattr(yamlload._LineLoader, "_scan_lines", scan_lines)
+        monkeypatch.setattr(simulation._yaml_loader(), "library", Spy)
+        assert load_scenario(text) == from_library
+        assert len(read) == (getattr(source, "name", None) == "market-10x5.yaml")
 
     @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
     def test_shipped_scenarios_load_equal(self, path, monkeypatch):

@@ -1,6 +1,7 @@
-"""The event-built loader against PyYAML's own SafeLoader, on both parsers."""
+"""The scenario loader against PyYAML's own SafeLoader, on both parsers."""
 
 import re
+import sys
 
 import pytest
 import yaml
@@ -19,7 +20,7 @@ def _with_scalar_errors(base: type) -> type:
     class Reference(base):
         """PyYAML's loader, except that a scalar it cannot construct
         (`!!int x`) is a ConstructorError at the scalar's line instead of a
-        bare ValueError or KeyError, as in the event-built loader."""
+        bare ValueError or KeyError, as in the scenario loader."""
 
         def construct_object(self, node, deep=False):
             try:
@@ -90,8 +91,8 @@ def tree_strategy(leaves, tags, rich: bool):
 
 trees = tree_strategy(scalars, TAGS, rich=True)
 # Untagged collections of untagged scalars, where only scalars carry
-# anchors: the event loop builds such a document up to its first anchor or
-# alias, so what it does with an anchored scalar decides the outcome.
+# anchors: the second tier checks their anchors and aliases in event order
+# before the library loader reads the document.
 plain_trees = tree_strategy(
     st.sampled_from([text for text in SCALARS if not text.startswith("!")]).map(
         lambda text: ("scalar", text)
@@ -184,6 +185,20 @@ class TestExamples:
             yaml.load(document, Loader=loader)
         assert exc.value.problem_mark.line + 1 == 3
 
+    @pytest.mark.parametrize("above, line, problem", [
+        # The composer meets the alias before the crossing.
+        ("*nope", 1, "found undefined alias 'nope'"),
+        # Constructor errors come after composition.
+        ("!!int x", 2 + yamlload.MAX_DEPTH, "document is nested too deeply"),
+    ])
+    def test_error_above_a_too_deep_collection(self, loader, above, line, problem):
+        # `b`'s value opens levels 2 to MAX_DEPTH + 1, one bracket a line.
+        document = f"a: {above}\nb:\n" + " [\n" * yamlload.MAX_DEPTH
+        with pytest.raises(ComposerError) as exc:
+            yaml.load(document, Loader=loader)
+        assert exc.value.problem_mark.line + 1 == line
+        assert exc.value.problem == problem
+
     def test_empty_int_is_an_error_at_its_line(self, loader):
         # SafeLoader itself raises IndexError here.
         with pytest.raises(ConstructorError) as exc:
@@ -191,10 +206,29 @@ class TestExamples:
         assert exc.value.problem_mark.line + 1 == 2
 
 
+def test_pure_composer_out_of_stack_is_a_depth_error():
+    # PyYAML's pure composer recurses about two frames per level, so a caller
+    # already deep in the stack can make it run out within the cap.
+    document = "[\n" * yamlload.MAX_DEPTH + "]" * yamlload.MAX_DEPTH + "\n"
+    frame, frames = sys._getframe(), 0
+    while frame is not None:
+        frame, frames = frame.f_back, frames + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + yamlload.MAX_DEPTH)
+    try:
+        with pytest.raises(ComposerError) as exc:
+            yaml.load(document, Loader=yamlload.PureLoader)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert exc.value.problem == "document is nested too deeply"
+    # The bracket that opens the deepest level.
+    assert exc.value.problem_mark.line + 1 == yamlload.MAX_DEPTH
+
+
 # The line scanner's layout, and near misses of it. Scalars come from SCALARS,
 # mostly from the plain tokens among them that construct: the scanner reads
 # those, and hands a document with any other scalar, a flow sequence or a
-# nested flow collection to the event path.
+# nested flow collection to the second tier.
 READABLE = ["12", "-3", "0x1F", "017", "0b101", "1_000", "1.5", "1.0e+3", ".inf", "-.inf",
             ".nan", "true", "no", "on", "null", "abc", "2001-01-01"]
 layout_scalars = st.sampled_from(READABLE * 8 + SCALARS)
@@ -320,7 +354,7 @@ def test_line_scanner_matches_safe_loader(loader, root, separator, data):
         scanned = builder._scan_lines()
     finally:
         builder.dispose()
-    event("read from its lines" if scanned is not yamlload._EVENTS else "down the event path")
+    event("read from its lines" if scanned is not yamlload._EVENTS else "to the second tier")
     if scanned is not yamlload._EVENTS:
         assert ("ok", repr(scanned)) == expected
     elif miss is None and used <= set(READABLE):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
+import sys
 from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import attrgetter
@@ -138,7 +139,8 @@ class Scenario:
 # `yamlload.MAX_DEPTH`, in two tiers. Documents in the scenario files' block
 # layout are read from their lines; any other has its parser events checked
 # once and goes to PyYAML's own loader. The functions below validate that
-# data into the frozen model above, naming the path of the first violation.
+# data into the frozen model above, each field fetched and checked in one
+# step, and name the path of the first violation.
 # ---------------------------------------------------------------------------
 
 #: Largest t_end. Ticks are compared with float deadlines (t0 + t_max_eff)
@@ -151,6 +153,8 @@ _DIRECTIONS = {"ascending": Direction.ASCENDING, "descending": Direction.DESCEND
 _STANCES = {s.value: s for s in Stance}
 _PLAN_CONDITIONS = {c.value: c for c in PlanCondition}
 _PLAN_KINDS = {k.value: k for k in PlanKind}
+_REQUIRED = object()  # a field reader's default: the key must be present
+_FLOAT_MAX = sys.float_info.max
 
 #: The keys each scenario mapping accepts, the ones its parser reads.
 #: scenarios/README.md documents every key; a test keeps the two equal.
@@ -189,14 +193,6 @@ def _as_list(node: Any, path: str) -> list:
     return node
 
 
-def _get(node: dict, key: str, path: str, default: Any = None, required: bool = False) -> Any:
-    if key not in node:
-        if required:
-            _fail(path, f"missing required key {key!r}")
-        return default
-    return node[key]
-
-
 def _as_str(value: Any, path: str) -> str:
     if not isinstance(value, str) or not value:
         _fail(path, "expected a non-empty string")
@@ -227,6 +223,38 @@ def _as_bool(value: Any, path: str) -> bool:
     return value
 
 
+# Field readers: `node[key]`, else `default` (none: the key is required), as
+# the reader's type. A valid value passes one test. Any other goes to `_field`,
+# which names the mapping's `path` for a missing key and has the `_as_*` check
+# fail at the field's own path: a path is formatted only to name a failure.
+def _field(value: Any, key: str, path: str, check: Any) -> Any:
+    if value is _REQUIRED:
+        _fail(path, f"missing required key {key!r}")
+    return check(value, f"{path}.{key}")
+
+
+def _str_field(node: dict, key: str, path: str, default: Any = _REQUIRED) -> str:
+    value = node.get(key, default)
+    return value if type(value) is str and value else _field(value, key, path, _as_str)
+
+
+def _int_field(node: dict, key: str, path: str, default: Any = _REQUIRED) -> int:
+    value = node.get(key, default)
+    return value if type(value) is int else _field(value, key, path, _as_int)
+
+
+def _float_field(node: dict, key: str, path: str, default: Any = _REQUIRED) -> float:
+    value = node.get(key, default)
+    if (type(value) is float or type(value) is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return float(value)
+    return _field(value, key, path, _as_float)
+
+
+def _list_field(node: dict, key: str, path: str, default: Any = _REQUIRED) -> list:
+    value = node.get(key, default)
+    return value if type(value) is list else _field(value, key, path, _as_list)
+
+
 def _enum(value: Any, table: dict, path: str) -> Any:
     name = _as_str(value, path)
     if name not in table:
@@ -238,11 +266,11 @@ def _parse_tactic(node: Any, path: str) -> TacticParams:
     if node is None:
         return TacticParams()
     node = _as_map(node, path, KEYS["tactic"])
-    stance = _enum(_get(node, "stance", path, default="linear"), _STANCES, f"{path}.stance")
-    k = _as_float(_get(node, "k", path, default=0.0), f"{path}.k")
+    stance = _enum(node.get("stance", "linear"), _STANCES, f"{path}.stance")
+    k = _float_field(node, "k", path, 0.0)
     if not 0.0 <= k <= 1.0:
         _fail(f"{path}.k", f"k must lie in [0, 1], got {k}")
-    beta_node = _get(node, "beta", path)
+    beta_node = node.get("beta")
     beta = STANCE_BETA[stance] if beta_node is None else _as_float(beta_node, f"{path}.beta")
     if not BETA_MIN <= beta <= BETA_MAX:
         _fail(f"{path}.beta", f"beta must lie in [{BETA_MIN}, {BETA_MAX}], got {beta}")
@@ -253,10 +281,10 @@ def _parse_resources(node: Any, path: str) -> ResourceProjection:
     if node is None:
         return ResourceProjection()
     node = _as_map(node, path, KEYS["resources"])
-    threshold = _as_float(_get(node, "threshold", path, default=0.1), f"{path}.threshold")
+    threshold = _float_field(node, "threshold", path, 0.1)
     if not 0.0 < threshold < 1.0:
         _fail(f"{path}.threshold", f"threshold must lie in (0, 1), got {threshold}")
-    sched_node = _get(node, "schedule", path)
+    sched_node = node.get("schedule")
     if sched_node is None:
         return ResourceProjection(r_threshold=threshold)
     points = []
@@ -281,18 +309,14 @@ def _parse_resources(node: Any, path: str) -> ResourceProjection:
 
 def _parse_agenda(node: Any, path: str, role: Perspective) -> tuple[ProductId, ValidatedAgenda]:
     node = _as_map(node, path, KEYS["agenda"])
-    product = _as_str(_get(node, "product", path, required=True), f"{path}.product")
-    t_max = _as_int(_get(node, "t_max", path, required=True), f"{path}.t_max")
-    default_direction = (
-        Direction.ASCENDING if role is Perspective.BUYER else Direction.DESCENDING
-    )
+    product = _str_field(node, "product", path)
+    t_max = _int_field(node, "t_max", path)
+    default_direction = Direction.ASCENDING if role is Perspective.BUYER else Direction.DESCENDING
     issues = []
-    for i, issue_node in enumerate(
-        _as_list(_get(node, "issues", path, required=True), f"{path}.issues")
-    ):
+    for i, issue_node in enumerate(_list_field(node, "issues", path)):
         ipath = f"{path}.issues[{i}]"
         issue_node = _as_map(issue_node, ipath, KEYS["issue"])
-        direction_node = _get(issue_node, "direction", ipath)
+        direction_node = issue_node.get("direction")
         direction = (
             default_direction
             if direction_node is None
@@ -300,10 +324,10 @@ def _parse_agenda(node: Any, path: str, role: Perspective) -> tuple[ProductId, V
         )
         issues.append(
             IssueSpec(
-                issue_id=_as_str(_get(issue_node, "id", ipath, required=True), f"{ipath}.id"),
-                weight=_as_float(_get(issue_node, "weight", ipath, default=1.0), f"{ipath}.weight"),
-                min_value=_as_float(_get(issue_node, "min", ipath, required=True), f"{ipath}.min"),
-                max_value=_as_float(_get(issue_node, "max", ipath, required=True), f"{ipath}.max"),
+                issue_id=_str_field(issue_node, "id", ipath),
+                weight=_float_field(issue_node, "weight", ipath, 1.0),
+                min_value=_float_field(issue_node, "min", ipath),
+                max_value=_float_field(issue_node, "max", ipath),
                 direction=direction,
             )
         )
@@ -321,8 +345,8 @@ def _parse_plan_rules(node: Any, path: str) -> Optional[tuple[PlanRule, ...]]:
     for i, rule_node in enumerate(_as_list(node, path)):
         rpath = f"{path}[{i}]"
         rule_node = _as_map(rule_node, rpath, KEYS["plan_rule"])
-        when = _enum(_get(rule_node, "when", rpath, required=True), _PLAN_CONDITIONS, f"{rpath}.when")
-        do = _enum(_get(rule_node, "do", rpath, required=True), _PLAN_KINDS, f"{rpath}.do")
+        when = _enum(_str_field(rule_node, "when", rpath), _PLAN_CONDITIONS, f"{rpath}.when")
+        do = _enum(_str_field(rule_node, "do", rpath), _PLAN_KINDS, f"{rpath}.do")
         rules.append(PlanRule(when, do))
     try:
         PlanLibrary(rules)
@@ -333,24 +357,22 @@ def _parse_plan_rules(node: Any, path: str) -> Optional[tuple[PlanRule, ...]]:
 
 def _parse_agent(node: Any, path: str) -> AgentSpec:
     node = _as_map(node, path, KEYS["agent"])
-    agent_id = _as_str(_get(node, "id", path, required=True), f"{path}.id")
+    agent_id = _str_field(node, "id", path)
     if agent_id.startswith("@"):
         _fail(f"{path}.id", "agent ids starting with '@' are reserved")
-    role = _enum(_get(node, "role", path, required=True), _ROLES, f"{path}.role")
-    tactic = _parse_tactic(_get(node, "tactic", path), f"{path}.tactic")
-    resources = _parse_resources(_get(node, "resources", path), f"{path}.resources")
-    jitter = _as_float(_get(node, "jitter", path, default=0.0), f"{path}.jitter")
+    role = _enum(_str_field(node, "role", path), _ROLES, f"{path}.role")
+    tactic = _parse_tactic(node.get("tactic"), f"{path}.tactic")
+    resources = _parse_resources(node.get("resources"), f"{path}.resources")
+    jitter = _float_field(node, "jitter", path, 0.0)
     if not 0.0 <= jitter <= 1.0:
         _fail(f"{path}.jitter", f"jitter must lie in [0, 1], got {jitter}")
     agendas: dict[ProductId, ValidatedAgenda] = {}
-    for i, agenda_node in enumerate(
-        _as_list(_get(node, "agendas", path, required=True), f"{path}.agendas")
-    ):
+    for i, agenda_node in enumerate(_list_field(node, "agendas", path)):
         product, agenda = _parse_agenda(agenda_node, f"{path}.agendas[{i}]", role)
         if product in agendas:
             _fail(f"{path}.agendas[{i}]", f"duplicate agenda for product {product!r}")
         agendas[product] = agenda
-    plan_rules = _parse_plan_rules(_get(node, "plan_rules", path), f"{path}.plan_rules")
+    plan_rules = _parse_plan_rules(node.get("plan_rules"), f"{path}.plan_rules")
     return AgentSpec(
         agent_id=agent_id,
         role=role,
@@ -365,15 +387,15 @@ def _parse_agent(node: Any, path: str) -> AgentSpec:
 def _check_posting(
     node: dict, path: str, agents: dict[AgentId, AgentSpec]
 ) -> tuple[AgentId, ProductId, Optional[tuple[str, ...]]]:
-    agent = _as_str(_get(node, "agent", path, required=True), f"{path}.agent")
-    product = _as_str(_get(node, "product", path, required=True), f"{path}.product")
+    agent = _str_field(node, "agent", path)
+    product = _str_field(node, "product", path)
     spec = agents.get(agent)
     if spec is None:
         _fail(f"{path}.agent", f"unknown agent {agent!r}")
     agenda = spec.agendas.get(product)
     if agenda is None:
         _fail(f"{path}.product", f"agent {agent!r} declares no agenda for {product!r}")
-    issues_node = _get(node, "issues", path)
+    issues_node = node.get("issues")
     issues = None
     if issues_node is not None:
         issues = tuple(
@@ -390,7 +412,7 @@ def _check_posting(
 
 
 def _posting_tick(node: dict, path: str, t_end: int) -> int:
-    posted_at = _as_int(_get(node, "posted_at", path, default=0), f"{path}.posted_at")
+    posted_at = _int_field(node, "posted_at", path, 0)
     if not 0 <= posted_at <= t_end:
         _fail(f"{path}.posted_at", f"posted_at must lie in [0, t_end={t_end}], got {posted_at}")
     return posted_at
@@ -410,17 +432,19 @@ def load_scenario(document: str) -> Scenario:
     The document is parsed by one `yaml.load` call with a `yamlload`
     loader, in two tiers. A document in the block layout that `marketgen`
     writes (plain tokens, one-line flow maps of them, no quotes or tabs) is
-    read from its lines without the parser. Any other document has its
-    events checked once for the depth cap and the composer's alias and
-    anchor errors, and is then read by PyYAML's own loader, both on libyaml
-    when PyYAML was built with it, else on PyYAML's pure-Python parser.
+    read from its lines without the parser, each distinct token and flow-map
+    part built once. Any other document has its events checked once for the
+    depth cap and the composer's alias and anchor errors, and is then read
+    by PyYAML's own loader, both on libyaml when PyYAML was built with it,
+    else on PyYAML's pure-Python parser.
     Either way the data and the error line numbers are those of
     `yaml.SafeLoader`; only the wording of a parse error's reason depends on
     the parser. Raises ScenarioParseError, with the line, for malformed YAML,
     for a tagged value that cannot be constructed and for a collection
     nested more than `yamlload.MAX_DEPTH` levels deep; raises
     ScenarioValidationError (with a path) for schema violations, a key the
-    mapping does not accept among them.
+    mapping does not accept among them. Each field is fetched and checked in
+    one step, and a path is formatted only to name a failure.
     """
     try:
         root = yaml.load(document, Loader=_yaml_loader())
@@ -433,29 +457,25 @@ def load_scenario(document: str) -> Scenario:
         raise ScenarioValidationError("$", "empty document")
     root = _as_map(root, "$", KEYS["root"])
 
-    name = _as_str(_get(root, "name", "$", default="scenario"), "$.name")
-    seed = _as_int(_get(root, "seed", "$", default=0), "$.seed")
+    name = _str_field(root, "name", "$", "scenario")
+    seed = _int_field(root, "seed", "$", 0)
     if not 0 <= seed < 2**64:
         _fail("$.seed", "seed must be an unsigned 64-bit integer")
-    t_end = _as_int(_get(root, "t_end", "$", required=True), "$.t_end")
+    t_end = _int_field(root, "t_end", "$")
     if t_end <= 0:
         _fail("$.t_end", "t_end must be positive")
     if t_end > MAX_T_END:
         _fail("$.t_end", f"t_end must be at most 2**53 = {MAX_T_END}")
 
-    options_node = _get(root, "options", "$")
+    options_node = root.get("options")
     options = ScenarioOptions()
     if options_node is not None:
         options_node = _as_map(options_node, "$.options", KEYS["options"])
-        options = ScenarioOptions(
-            require_overlap=_as_bool(
-                _get(options_node, "require_overlap", "$.options", default=True),
-                "$.options.require_overlap",
-            )
-        )
+        overlap = options_node.get("require_overlap", True)
+        options = ScenarioOptions(require_overlap=_as_bool(overlap, "$.options.require_overlap"))
 
     agents: dict[AgentId, AgentSpec] = {}
-    for i, agent_node in enumerate(_as_list(_get(root, "agents", "$", required=True), "$.agents")):
+    for i, agent_node in enumerate(_list_field(root, "agents", "$")):
         spec = _parse_agent(agent_node, f"$.agents[{i}]")
         if spec.agent_id in agents:
             _fail(f"$.agents[{i}].id", f"duplicate agent id {spec.agent_id!r}")
@@ -473,7 +493,7 @@ def load_scenario(document: str) -> Scenario:
                 )
 
     ads = []
-    for i, node in enumerate(_as_list(_get(root, "advertisements", "$", default=[]), "$.advertisements")):
+    for i, node in enumerate(_list_field(root, "advertisements", "$", [])):
         path = f"$.advertisements[{i}]"
         node = _as_map(node, path, KEYS["advertisement"])
         agent, product, issues = _check_posting(node, path, agents)
@@ -481,13 +501,11 @@ def load_scenario(document: str) -> Scenario:
         ads.append(AdSpec(agent=agent, product=product, issues=issues, posted_at=posted_at))
 
     rfqs = []
-    for i, node in enumerate(_as_list(_get(root, "rfqs", "$", default=[]), "$.rfqs")):
+    for i, node in enumerate(_list_field(root, "rfqs", "$", [])):
         path = f"$.rfqs[{i}]"
         node = _as_map(node, path, KEYS["rfq"])
         agent, product, issues = _check_posting(node, path, agents)
-        min_reputation = _as_float(
-            _get(node, "min_reputation", path, default=0.0), f"{path}.min_reputation"
-        )
+        min_reputation = _float_field(node, "min_reputation", path, 0.0)
         if not 0.0 <= min_reputation <= 1.0:
             _fail(f"{path}.min_reputation", "min_reputation must lie in [0, 1]")
         posted_at = _posting_tick(node, path, t_end)

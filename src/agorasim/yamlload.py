@@ -10,14 +10,18 @@ printable ASCII only; block mappings and sequences, each line one `key:
 value`, `key:` opening a deeper block, `- key: value` opening a compact
 mapping, or `- value`; values that are plain tokens (letters, digits and
 `_ . + -`) or one-line flow mappings of them (`{id: price, min: 10}`); blank
-lines, full-line comments and ` #` comments. Each distinct plain scalar text
-is resolved and constructed by SafeConstructor once per document, and its
-value shared. Anything else (a quote, a tab, CR or `& * ! ? | >` anywhere,
-comments included; a line opening with `---` or `...`; a flow sequence, a
-nested flow collection, a scalar or flow mapping spread over several lines,
-an indentless sequence, a line deeper than its block allows, a token that
-does not construct, nesting past MAX_DEPTH) sends the whole document to the
-second tier; the line scanner itself raises no error.
+lines, full-line comments and ` #` comments. Each distinct plain scalar, and
+each distinct `key: value` part of a flow mapping, is built once per document
+and shared (each line still gets a dict of its own): a decimal (`-`, digits
+with no leading zero, a fraction) as `int(text)` or `float(text)`, which is
+what the resolver and SafeConstructor make of it, any other token by them.
+Anything else (a quote, a tab, CR or `& * ! ? | >` anywhere, comments
+included; a line opening with `---` or `...`; a flow sequence, a nested flow
+collection, a scalar or flow mapping spread over several lines, an indentless
+sequence, a line deeper than its block allows, a token that does not
+construct, nesting past MAX_DEPTH) sends the whole document to the second
+tier; the line scanner raises no error itself. A `str.translate` that deletes
+the layout's characters finds any other before a line is read.
 
 The second tier reads the first document's parser events once with the
 composer's checks, raising its undefined-alias and duplicate-anchor errors
@@ -59,19 +63,20 @@ _MISS = object()
 _NO_KEY = object()
 _EVENTS = object()  # the document goes to the second tier
 
-# The line scanner's layout. A document with any character but a newline and
-# printable ASCII is not read by it, so tabs, CR, other YAML line breaks and
-# the characters the reader rejects all go to the second tier. So does one
-# with a quote or an indicator the layout has no use for, even in a comment,
-# or a line that opens with a document marker (searched for apart): one
-# search finds them, where the scanner would find them only on reaching their
-# line.
-_OUTSIDE = re.compile("[^\n%s]" % re.escape(
-    "".join(c for c in map(chr, range(32, 127)) if c not in "\"'&*!?|>")
+# Deletes the characters of the line scanner's layout: a newline and printable
+# ASCII but the quotes and indicators it has no use for. A character left (a
+# tab, CR, another YAML line break, one the reader rejects, a quote even in a
+# comment) sends the document to the second tier, found in one pass where the
+# scanner would find it only on reaching its line.
+_LAYOUT = str.maketrans("", "", "\n" + "".join(
+    c for c in map(chr, range(32, 127)) if c not in "\"'&*!?|>"
 ))
 # A plain scalar token: letters, digits and `_ . + -`, but not a lone `-` (a
 # sequence entry) nor a `---` or `...` that may mark a document.
 _TOKEN = re.compile(r"(?!-$|---|\.\.\.)[-\w.+]+")
+# A decimal: int(text) or float(text), as the resolver and SafeConstructor
+# build it. A `+`, leading zero, `_`, bare dot or exponent is left to them.
+_DECIMAL = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?")
 # The longest key read; the parser refuses a simple key past 1024 characters.
 _KEY_LENGTH = 128
 # A line's content after its indent, less any ` #` comment: an optional `- `
@@ -116,6 +121,7 @@ class _LineLoader(SafeConstructor, Resolver):
         Resolver.__init__(self)
         self._document = document
         self._plain_values: dict[str, Any] = {}
+        self._parts: dict[str, tuple] = {}  # a flow mapping part's (key, value)
 
     def get_single_data(self) -> Any:
         data = self._scan_lines()
@@ -134,7 +140,7 @@ class _LineLoader(SafeConstructor, Resolver):
         """Builds the document from its lines when it keeps to the block
         layout (see module doc); _EVENTS when it does not."""
         document = self._document
-        if (not isinstance(document, str) or _OUTSIDE.search(document)
+        if (not isinstance(document, str) or document.translate(_LAYOUT)
                 or "\n---" in document or "\n..." in document):
             return _EVENTS
         # Each distinct line content's record, but a flow mapping's: its dict
@@ -247,30 +253,35 @@ class _LineLoader(SafeConstructor, Resolver):
         inner = text[1:-1]
         if text[-1] != "}" or "[" in inner or "]" in inner or "{" in inner or "}" in inner:
             return None
+        parts = self._parts
         pairs: dict = {}
         for part in inner.split(",") if inner.strip(" ") else ():
-            key, colon, value = part.partition(":")
-            key = key.lstrip(" ")
-            if value[:1] != " " or len(key) > _KEY_LENGTH:
-                return None
-            key = self._scalar(key)
-            value = self._scalar(value.strip(" "))
-            if key is _MISS or value is _MISS:
-                return None
+            pair = parts.get(part)
+            if pair is None:
+                key, colon, value = part.partition(":")
+                key = key.lstrip(" ")
+                if value[:1] != " " or len(key) > _KEY_LENGTH:
+                    return None
+                pair = parts[part] = self._scalar(key), self._scalar(value.strip(" "))
+                if _MISS in pair:  # the document goes to the second tier
+                    return None
+            key, value = pair
             pairs[key] = value
         return pairs
 
     def _plain(self, raw: str) -> Any:
         """An untagged plain scalar's value, cached; _MISS when it resolves to
-        a tag without a constructor (`<<`, `=`) or fails to construct."""
-        tag = self.resolve(ScalarNode, raw, (True, False))
-        if tag == _STR:
-            value = raw
-        else:
-            try:
+        a tag without a constructor (`<<`, `=`) or fails to construct (an int
+        past int()'s digit limit among them)."""
+        try:
+            if _DECIMAL.fullmatch(raw):
+                value = float(raw) if "." in raw else int(raw)
+            elif (tag := self.resolve(ScalarNode, raw, (True, False))) == _STR:
+                value = raw
+            else:
                 value = self.yaml_constructors[tag](self, ScalarNode(tag, raw))
-            except (yaml.YAMLError, ValueError, LookupError, AttributeError):
-                return _MISS
+        except (yaml.YAMLError, ValueError, LookupError, AttributeError):
+            return _MISS
         self._plain_values[raw] = value
         return value
 

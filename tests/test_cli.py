@@ -118,6 +118,8 @@ class TestHostileInput:
         "deep-tagged": "!!seq " + "[" * 499 + "]" * 499,
         "deep-block": "- " * 50000 + "x\n",
         "bad-tagged-int": "name: x\nt_end: !!int many\n",
+        # A decimal past int()'s 4300 digits: a bare ValueError in SafeLoader.
+        "long-decimal": "name: x\nt_end: " + "1" * 5000 + "\n",
         # Once validated as OK, then run without ever posting the ad.
         "ad-before-start": BILATERAL_FILE.replace(
             "{agent: seller-1, product: vm}", "{agent: seller-1, product: vm, posted_at: -3}"

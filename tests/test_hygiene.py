@@ -9,6 +9,7 @@ be read somewhere in its own module.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -98,3 +99,14 @@ def test_an_orphaned_alias_is_found():
     )
     assert unread(source) == ["_B (line 8)", "math (line 1)"]
     assert unread(source, imports=False) == ["_B (line 8)"]
+
+
+@pytest.mark.parametrize("module, name", [
+    # Replaced by the field readers, which fetch and check a field in one step.
+    ("simulation", "_get"),
+    # Replaced by one `str.translate` that deletes the characters the line
+    # scanner's layout allows.
+    ("yamlload", "_OUTSIDE"),
+])
+def test_replaced_helpers_stay_deleted(module, name):
+    assert not hasattr(importlib.import_module(f"agorasim.{module}"), name)

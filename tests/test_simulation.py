@@ -119,6 +119,182 @@ MISSPELLED = {
 }
 
 
+A0 = "$.agents[0]"
+I0 = f"{A0}.agendas[0].issues[0]"
+BIG = 10**309  # an integer past float range
+STRING = "expected a non-empty string"
+#: The values each field below is given: a missing key, then bad values.
+BAD_VALUES = {"null": None, "list": [1], "empty": "", "true": True,
+              "inf": math.inf, "nan": math.nan, "big": BIG}
+
+#: Per field that the loader reads in one step: its route to a mapping in
+#: FULL, its key, and the (path, reason) of the error that each case raises
+#: (None: the document loads). Recorded before the field readers replaced
+#: each `_as_*(_get(...))` pair, so that no path or reason moves.
+FIELD_ERRORS = {
+    "name": ((), "name", {
+        "missing": None,
+        "null": ("$.name", STRING),
+        "list": ("$.name", STRING),
+        "empty": ("$.name", STRING),
+        "true": ("$.name", STRING),
+        "inf": ("$.name", STRING),
+        "nan": ("$.name", STRING),
+        "big": ("$.name", STRING),
+    }),
+    "seed": ((), "seed", {
+        "missing": None,
+        "null": ("$.seed", "expected an integer, got None"),
+        "list": ("$.seed", "expected an integer, got [1]"),
+        "empty": ("$.seed", "expected an integer, got ''"),
+        "true": ("$.seed", "expected an integer, got True"),
+        "inf": ("$.seed", "expected an integer, got inf"),
+        "nan": ("$.seed", "expected an integer, got nan"),
+        "big": ("$.seed", "seed must be an unsigned 64-bit integer"),
+    }),
+    "t_end": ((), "t_end", {
+        "missing": ("$", "missing required key 't_end'"),
+        "null": ("$.t_end", "expected an integer, got None"),
+        "list": ("$.t_end", "expected an integer, got [1]"),
+        "empty": ("$.t_end", "expected an integer, got ''"),
+        "true": ("$.t_end", "expected an integer, got True"),
+        "inf": ("$.t_end", "expected an integer, got inf"),
+        "nan": ("$.t_end", "expected an integer, got nan"),
+        "big": ("$.t_end", "t_end must be at most 2**53 = 9007199254740992"),
+    }),
+    "agent.id": (("agents", 0), "id", {
+        "missing": (A0, "missing required key 'id'"),
+        "null": (f"{A0}.id", STRING),
+        "list": (f"{A0}.id", STRING),
+        "empty": (f"{A0}.id", STRING),
+        "true": (f"{A0}.id", STRING),
+        "inf": (f"{A0}.id", STRING),
+        "nan": (f"{A0}.id", STRING),
+        "big": (f"{A0}.id", STRING),
+    }),
+    "agent.jitter": (("agents", 0), "jitter", {
+        "missing": None,
+        "null": (f"{A0}.jitter", "expected a number, got None"),
+        "list": (f"{A0}.jitter", "expected a number, got [1]"),
+        "empty": (f"{A0}.jitter", "expected a number, got ''"),
+        "true": (f"{A0}.jitter", "expected a number, got True"),
+        "inf": (f"{A0}.jitter", "expected a finite number, got inf"),
+        "nan": (f"{A0}.jitter", "expected a finite number, got nan"),
+        "big": (f"{A0}.jitter", f"expected a finite number, got {BIG}"),
+    }),
+    "tactic.k": (("agents", 0, "tactic"), "k", {
+        "missing": None,
+        "null": (f"{A0}.tactic.k", "expected a number, got None"),
+        "list": (f"{A0}.tactic.k", "expected a number, got [1]"),
+        "empty": (f"{A0}.tactic.k", "expected a number, got ''"),
+        "true": (f"{A0}.tactic.k", "expected a number, got True"),
+        "inf": (f"{A0}.tactic.k", "expected a finite number, got inf"),
+        "nan": (f"{A0}.tactic.k", "expected a finite number, got nan"),
+        "big": (f"{A0}.tactic.k", f"expected a finite number, got {BIG}"),
+    }),
+    "agenda.product": (("agents", 0, "agendas", 0), "product", {
+        "missing": (f"{A0}.agendas[0]", "missing required key 'product'"),
+        "null": (f"{A0}.agendas[0].product", STRING),
+        "list": (f"{A0}.agendas[0].product", STRING),
+        "empty": (f"{A0}.agendas[0].product", STRING),
+        "true": (f"{A0}.agendas[0].product", STRING),
+        "inf": (f"{A0}.agendas[0].product", STRING),
+        "nan": (f"{A0}.agendas[0].product", STRING),
+        "big": (f"{A0}.agendas[0].product", STRING),
+    }),
+    "agenda.t_max": (("agents", 0, "agendas", 0), "t_max", {
+        "missing": (f"{A0}.agendas[0]", "missing required key 't_max'"),
+        "null": (f"{A0}.agendas[0].t_max", "expected an integer, got None"),
+        "list": (f"{A0}.agendas[0].t_max", "expected an integer, got [1]"),
+        "empty": (f"{A0}.agendas[0].t_max", "expected an integer, got ''"),
+        "true": (f"{A0}.agendas[0].t_max", "expected an integer, got True"),
+        "inf": (f"{A0}.agendas[0].t_max", "expected an integer, got inf"),
+        "nan": (f"{A0}.agendas[0].t_max", "expected an integer, got nan"),
+        "big": ("$.t_end", f"t_end 30 is below agenda t_max {BIG} ('b'/'vm')"),
+    }),
+    "issue.id": (("agents", 0, "agendas", 0, "issues", 0), "id", {
+        "missing": (f"{I0}", "missing required key 'id'"),
+        "null": (f"{I0}.id", STRING),
+        "list": (f"{I0}.id", STRING),
+        "empty": (f"{I0}.id", STRING),
+        "true": (f"{I0}.id", STRING),
+        "inf": (f"{I0}.id", STRING),
+        "nan": (f"{I0}.id", STRING),
+        "big": (f"{I0}.id", STRING),
+    }),
+    "issue.weight": (("agents", 0, "agendas", 0, "issues", 0), "weight", {
+        "missing": None,
+        "null": (f"{I0}.weight", "expected a number, got None"),
+        "list": (f"{I0}.weight", "expected a number, got [1]"),
+        "empty": (f"{I0}.weight", "expected a number, got ''"),
+        "true": (f"{I0}.weight", "expected a number, got True"),
+        "inf": (f"{I0}.weight", "expected a finite number, got inf"),
+        "nan": (f"{I0}.weight", "expected a finite number, got nan"),
+        "big": (f"{I0}.weight", f"expected a finite number, got {BIG}"),
+    }),
+    "issue.min": (("agents", 0, "agendas", 0, "issues", 0), "min", {
+        "missing": (f"{I0}", "missing required key 'min'"),
+        "null": (f"{I0}.min", "expected a number, got None"),
+        "list": (f"{I0}.min", "expected a number, got [1]"),
+        "empty": (f"{I0}.min", "expected a number, got ''"),
+        "true": (f"{I0}.min", "expected a number, got True"),
+        "inf": (f"{I0}.min", "expected a finite number, got inf"),
+        "nan": (f"{I0}.min", "expected a finite number, got nan"),
+        "big": (f"{I0}.min", f"expected a finite number, got {BIG}"),
+    }),
+    "issue.max": (("agents", 0, "agendas", 0, "issues", 0), "max", {
+        "missing": (f"{I0}", "missing required key 'max'"),
+        "null": (f"{I0}.max", "expected a number, got None"),
+        "list": (f"{I0}.max", "expected a number, got [1]"),
+        "empty": (f"{I0}.max", "expected a number, got ''"),
+        "true": (f"{I0}.max", "expected a number, got True"),
+        "inf": (f"{I0}.max", "expected a finite number, got inf"),
+        "nan": (f"{I0}.max", "expected a finite number, got nan"),
+        "big": (f"{I0}.max", f"expected a finite number, got {BIG}"),
+    }),
+    "posting.agent": (("advertisements", 0), "agent", {
+        "missing": ("$.advertisements[0]", "missing required key 'agent'"),
+        "null": ("$.advertisements[0].agent", STRING),
+        "list": ("$.advertisements[0].agent", STRING),
+        "empty": ("$.advertisements[0].agent", STRING),
+        "true": ("$.advertisements[0].agent", STRING),
+        "inf": ("$.advertisements[0].agent", STRING),
+        "nan": ("$.advertisements[0].agent", STRING),
+        "big": ("$.advertisements[0].agent", STRING),
+    }),
+    "posting.product": (("advertisements", 0), "product", {
+        "missing": ("$.advertisements[0]", "missing required key 'product'"),
+        "null": ("$.advertisements[0].product", STRING),
+        "list": ("$.advertisements[0].product", STRING),
+        "empty": ("$.advertisements[0].product", STRING),
+        "true": ("$.advertisements[0].product", STRING),
+        "inf": ("$.advertisements[0].product", STRING),
+        "nan": ("$.advertisements[0].product", STRING),
+        "big": ("$.advertisements[0].product", STRING),
+    }),
+    "posting.posted_at": (("advertisements", 0), "posted_at", {
+        "missing": None,
+        "null": ("$.advertisements[0].posted_at", "expected an integer, got None"),
+        "list": ("$.advertisements[0].posted_at", "expected an integer, got [1]"),
+        "empty": ("$.advertisements[0].posted_at", "expected an integer, got ''"),
+        "true": ("$.advertisements[0].posted_at", "expected an integer, got True"),
+        "inf": ("$.advertisements[0].posted_at", "expected an integer, got inf"),
+        "nan": ("$.advertisements[0].posted_at", "expected an integer, got nan"),
+        "big": ("$.advertisements[0].posted_at", f"posted_at must lie in [0, t_end=30], got {BIG}"),
+    }),
+    "rfq.min_reputation": (("rfqs", 0), "min_reputation", {
+        "missing": None,
+        "null": ("$.rfqs[0].min_reputation", "expected a number, got None"),
+        "list": ("$.rfqs[0].min_reputation", "expected a number, got [1]"),
+        "empty": ("$.rfqs[0].min_reputation", "expected a number, got ''"),
+        "true": ("$.rfqs[0].min_reputation", "expected a number, got True"),
+        "inf": ("$.rfqs[0].min_reputation", "expected a finite number, got inf"),
+        "nan": ("$.rfqs[0].min_reputation", "expected a finite number, got nan"),
+        "big": ("$.rfqs[0].min_reputation", f"expected a finite number, got {BIG}"),
+    }),
+}
+
+
 class TestLoadScenario:
     def test_minimal_document(self):
         scenario = load_scenario(MINIMAL)
@@ -237,6 +413,26 @@ class TestLoadScenario:
             load_scenario(yaml.safe_dump(doc, sort_keys=False))
         assert exc.value.path == path
         assert exc.value.reason.startswith("unknown key")
+
+    @pytest.mark.parametrize("case", ["missing", *BAD_VALUES])
+    @pytest.mark.parametrize("field", sorted(FIELD_ERRORS))
+    def test_field_errors_name_their_path(self, field, case):
+        route, key, expected = FIELD_ERRORS[field]
+        doc = copy.deepcopy(FULL)
+        node = doc
+        for step in route:
+            node = node[step]
+        if case == "missing":
+            del node[key]
+        else:
+            node[key] = BAD_VALUES[case]
+        document = yaml.safe_dump(doc, sort_keys=False)
+        if expected[case] is None:
+            load_scenario(document)
+            return
+        with pytest.raises(ScenarioValidationError) as exc:
+            load_scenario(document)
+        assert (exc.value.path, exc.value.reason) == expected[case]
 
     @pytest.mark.parametrize("old, new, path", [
         # Agenda.t_min was validated and then read by nothing.

@@ -230,7 +230,11 @@ def test_pure_composer_out_of_stack_is_a_depth_error():
 # those, and hands a document with any other scalar, a flow sequence or a
 # nested flow collection to the second tier.
 READABLE = ["12", "-3", "0x1F", "017", "0b101", "1_000", "1.5", "1.0e+3", ".inf", "-.inf",
-            ".nan", "true", "no", "on", "null", "abc", "2001-01-01"]
+            ".nan", "true", "no", "on", "null", "abc", "2001-01-01",
+            # Decimals, which the scanner builds without the resolver, and
+            # near misses of their pattern, which still go through it.
+            "-0", "0.50", "-0.0", "00.5", "1.", ".5", "+1", "+1.5", "10.19", "4000",
+            "18446744073709551615"]
 layout_scalars = st.sampled_from(READABLE * 8 + SCALARS)
 MISSES = ["continuation", "tab", "quote", "long-key", "document-start", "document-end"]
 
@@ -359,3 +363,68 @@ def test_line_scanner_matches_safe_loader(loader, root, separator, data):
         assert ("ok", repr(scanned)) == expected
     elif miss is None and used <= set(READABLE):
         pytest.fail(f"the scanner did not read {document!r}")
+
+
+# A decimal's pattern, with the forms around it: signs, leading zeros,
+# underscores, bare dots and exponents.
+decimal_like = st.from_regex(
+    r"[-+]?(0|[1-9][0-9]{0,3}|0[0-9_]{1,3}|[1-9][0-9_]{1,4})?(\.[0-9_]{0,3})?([eE][-+]?[0-9]{1,3})?",
+    fullmatch=True,
+)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+@settings(max_examples=200, deadline=None)
+@given(token=decimal_like)
+def test_decimal_like_tokens_match_safe_loader(loader, token):
+    # By repr, so that -0.0 keeps its sign and 0.50 stays a float.
+    document = f"k: {token}\n"
+    assert outcome(document, loader) == outcome(document, REFERENCE[loader])
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("token", READABLE)
+def test_only_strict_decimals_skip_the_resolver(loader, token, monkeypatch):
+    resolved = []
+    resolve = yamlload._LineLoader.resolve
+    monkeypatch.setattr(yamlload._LineLoader, "resolve", lambda self, kind, value, implicit: (
+        resolved.append(value) or resolve(self, kind, value, implicit)
+    ))
+    builder = loader(f"k: {token}\n")
+    try:
+        scanned = builder._scan_lines()
+    finally:
+        builder.dispose()
+    assert repr(scanned) == repr(yaml.load(f"k: {token}\n", Loader=yaml.SafeLoader))
+    strict = re.fullmatch(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?", token) is not None
+    assert (token in resolved) is not strict
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("digits", ["1" * 5000, "1" * 5000 + ".5"], ids=["int", "float"])
+def test_decimal_past_the_int_digit_limit(loader, digits):
+    # int() refuses a decimal of more than 4300 digits with a bare ValueError,
+    # which SafeLoader lets escape; here it is a ConstructorError at its line.
+    # float() has no such limit.
+    document = f"a: 1\nk: {digits}\n"
+    expected = outcome(document, REFERENCE[loader])
+    assert outcome(document, loader) == expected
+    if "." not in digits:
+        assert expected == ("ConstructorError", 2)
+
+
+# The pattern that once screened documents for the line scanner: any
+# character but a newline and printable ASCII, and the quotes and indicators
+# that the layout has no use for.
+OLD_SCREEN = re.compile("[^\n%s]" % re.escape(
+    "".join(c for c in map(chr, range(32, 127)) if c not in "\"'&*!?|>")
+))
+
+
+@pytest.mark.parametrize("char", [*map(chr, range(128)), "\u00e9", "\u2028", "\ufeff"], ids=ord)
+def test_screen_refuses_what_the_pattern_refused(char):
+    # Inside a comment, followed by another, so that every character the
+    # screen lets through, a newline among them, leaves a valid line.
+    document = f"k: v  # a{char}# b\n"
+    scanned = yamlload._LineLoader(document)._scan_lines()
+    assert (scanned is not yamlload._EVENTS) == (OLD_SCREEN.search(document) is None)

@@ -44,7 +44,6 @@ from .tactics import (
 )
 from .agent import (
     AgentState,
-    PlanLibrary,
     SessionEntry,
     agent_step,
     proxy_filter,

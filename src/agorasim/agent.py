@@ -1,4 +1,4 @@
-"""The cloud-agent runtime: per-session records, plans and the per-tick step.
+"""The cloud-agent runtime: per-session records and the per-tick step.
 
 An agent is a single logical actor. Its state is mutated only inside
 agent_step, which consumes an ordered inbox and returns an ordered outbox;
@@ -9,21 +9,23 @@ Each live negotiation is one `SessionEntry` in the agent's `AgendaDB`. The
 entry holds the session's metadata (opponent, product, role, restricted
 agenda, the hybrid deadline fixed at COMMENCE, round counters), the agent's
 belief about the opponent (its last `BELIEF_WINDOW` packages, the newest
-being the standing offer) and the agent's desire for the session (the target
-utility fixed at COMMENCE). An entry leaves the DB when its session is
+being the standing offer). An entry leaves the DB when its session is
 acquired or terminated, so the agent keeps nothing for a closed session.
 
-The sweep that opens each step (`AgendaDB.expired`) is the only deadline
-check: no message read after it is late for its session.
+Every agent follows one plan, in this order: the sweep that opens each step
+(`AgendaDB.expired`) terminates every session past its deadline, so it is
+the only deadline check and no message read after it is late; each offer
+that passes the filter is countered or acquired; then each session the
+agent initiated and has not yet opened gets its opening offer. Otherwise
+the agent waits.
 
 An offer that passes `proxy_filter` is answered in agent_step's own frame:
 the belief window shifts, and once it is full the three-point concession
 ratio λ is averaged over the agenda's sorted issue ids; `adapt_tactic` is
 called only for a λ outside [1 - LAMBDA_BAND, 1 + LAMBDA_BAND] (inside the
-band, or NaN, it would return its input). The plan is read from the
-library's memo; the resource level is read only for a projection that can be
-under pressure (`ResourceProjection.pressed_at`); `decide_response` builds
-the counter, and the step emits it as one record.
+band, or NaN, it would return its input). The resource level is read only
+for a projection that can be under pressure (`ResourceProjection.pressed_at`);
+`decide_response` builds the counter, and the step emits it as one record.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ BELIEF_WINDOW = 3
 
 @dataclass
 class SessionEntry:
-    """One live negotiation, agent-side: metadata, belief and desire."""
+    """One live negotiation, agent-side: metadata and belief."""
 
     session: SessionId
     opponent: AgentId
@@ -135,8 +137,6 @@ class SessionEntry:
     t0: int
     t_max_eff: float
     initiator: bool
-    # The desire: utility of the agent's own opening package.
-    target_utility: float
     opened: bool = False
     next_round: int = 0
     last_seen_round: int = -1
@@ -153,12 +153,12 @@ class SessionEntry:
 class AgendaDB:
     """Active sessions keyed by session id; entries leave on acquire/terminate.
 
-    The DB keeps two facts so that agent_step and wake_threshold walk it only
-    when a walk can find something:
+    The DB keeps two facts so that agent_step walks it only when a walk can
+    find something, and wake_threshold reads them without a walk:
 
-    - `unopened`: the number of initiator entries not yet opened. `add`
-      counts an entry that enters unopened, `mark_opened` and `remove`
-      uncount it.
+    - `unopened`: the number of initiator entries not yet opened, each of
+      which the next step sends its opening. `add` counts an entry that
+      enters unopened, `mark_opened` and `remove` uncount it.
     - `due`: the earliest entry deadline (t0 + t_max_eff), exactly, or inf
       when no entry has one; a NaN deadline never passes and is not counted.
       `add` lowers it to the entry's deadline. When the entry that holds it
@@ -199,7 +199,8 @@ class AgendaDB:
             self.due = self._earliest()
 
     def mark_opened(self, entry: SessionEntry) -> None:
-        """Record that the entry, which is in the DB, sent its first offer."""
+        """Record that the entry, which is in the DB, needs no opening: it
+        has sent its first offer or answered the opponent's."""
         if not entry.opened:
             entry.opened = True
             if entry.initiator:
@@ -283,139 +284,27 @@ def proxy_filter(
 
 
 # ---------------------------------------------------------------------------
-# Plans
-# ---------------------------------------------------------------------------
-
-class PlanKind(Enum):
-    MAKE_OFFER = "make_offer"
-    MAKE_COUNTER = "make_counter"
-    ACCEPT = "accept"
-    TERMINATE = "terminate"
-    IDLE = "idle"
-
-
-class PlanCondition(Enum):
-    DEADLINE_PASSED = "deadline_passed"
-    OFFER_MEETS_TARGET = "offer_meets_target"
-    OFFER_STANDING = "offer_standing"
-    OPENING_PENDING = "opening_pending"
-    ALWAYS = "always"
-
-
-@dataclass(frozen=True)
-class PlanRule:
-    when: PlanCondition
-    do: PlanKind
-
-
-DEFAULT_PLAN_RULES: tuple[PlanRule, ...] = (
-    PlanRule(PlanCondition.DEADLINE_PASSED, PlanKind.TERMINATE),
-    PlanRule(PlanCondition.OFFER_STANDING, PlanKind.MAKE_COUNTER),
-    PlanRule(PlanCondition.OPENING_PENDING, PlanKind.MAKE_OFFER),
-    PlanRule(PlanCondition.ALWAYS, PlanKind.IDLE),
-)
-
-
-class PlanLibrary:
-    """Ordered trigger -> plan rules; first match wins.
-
-    `tests_target` records whether any rule tests OFFER_MEETS_TARGET; only
-    then does agent_step pay for the standing offer's utility.
-
-    `choose` memoises the first match for each combination of the facts
-    agent_step computes. The memo fills on first use of a combination, so a
-    library that is never consulted costs nothing. On the offer path a step
-    reads the memo itself, keyed by (deadline passed, True, False, opening
-    pending), and calls `choose` only on a miss; a library that tests
-    OFFER_MEETS_TARGET is consulted through `_plan`, which scores the offer.
-    """
-
-    def __init__(self, rules: Sequence[PlanRule]) -> None:
-        if not rules:
-            raise ValueError("plan library must not be empty")
-        if rules[-1].when is not PlanCondition.ALWAYS:
-            raise ValueError("final plan rule must be a catch-all")
-        self.rules: tuple[PlanRule, ...] = tuple(rules)
-        self.tests_target = any(
-            rule.when is PlanCondition.OFFER_MEETS_TARGET for rule in self.rules
-        )
-        self._memo: dict[tuple[bool, bool, bool, bool], PlanKind] = {}
-
-    @classmethod
-    def default(cls) -> "PlanLibrary":
-        return cls(DEFAULT_PLAN_RULES)
-
-    def choose(
-        self,
-        deadline_passed: bool,
-        offer_standing: bool,
-        target_met: bool,
-        opening_pending: bool,
-    ) -> PlanKind:
-        """The plan of the first rule whose trigger holds for these facts;
-        deterministic for fixed facts."""
-        key = (deadline_passed, offer_standing, target_met, opening_pending)
-        plan = self._memo.get(key)
-        if plan is None:
-            plan = self._memo[key] = _first_match(self.rules, *key)
-        return plan
-
-
-# The plans agent_step tells apart per message, bound once as _COMMENCE is.
-_PLAN_TERMINATE = PlanKind.TERMINATE
-_PLAN_ACCEPT = PlanKind.ACCEPT
-_PLAN_COUNTER = PlanKind.MAKE_COUNTER
-_PLAN_OFFER = PlanKind.MAKE_OFFER
-
-
-def _first_match(
-    rules: Sequence[PlanRule],
-    deadline_passed: bool,
-    offer_standing: bool,
-    target_met: bool,
-    opening_pending: bool,
-) -> PlanKind:
-    holds = {
-        PlanCondition.DEADLINE_PASSED: deadline_passed,
-        PlanCondition.OFFER_MEETS_TARGET: target_met,
-        PlanCondition.OFFER_STANDING: offer_standing,
-        PlanCondition.OPENING_PENDING: opening_pending,
-        PlanCondition.ALWAYS: True,
-    }
-    for rule in rules:
-        if holds[rule.when]:
-            return rule.do
-    return PlanKind.IDLE
-
-
-# ---------------------------------------------------------------------------
 # Agent state and step function
 # ---------------------------------------------------------------------------
 
 @dataclass
 class AgentState:
-    """Everything one agent owns: tactic, schedule, plans, live sessions."""
+    """Everything one agent owns: tactic, schedule, live sessions."""
 
     agent_id: AgentId
     role: Perspective
     tactic: TacticParams
     resources: ResourceProjection = field(default_factory=ResourceProjection)
     declared_agendas: dict[ProductId, ValidatedAgenda] = field(default_factory=dict)
-    plans: PlanLibrary = field(default_factory=PlanLibrary.default)
     agenda_db: AgendaDB = field(default_factory=AgendaDB)
     jitter: float = 0.0
     # The stream _jittered draws from; only an agent with positive jitter
     # draws, and one without a stream of its own is given Random(0).
     rng: Optional[random.Random] = None
-    # What earlier opens derived, reused by later ones: the schedule shifted
-    # to the tick of the last open, as (tick, shifted), and each opening's
-    # (agenda, target utility) by (id of that restricted agenda, role, k).
-    # Each entry holds its agenda, so the id is not reused. The schedule is
-    # fixed for the run, so the tick alone names its shift.
+    # The schedule shifted to the tick of the last open, as (tick, shifted),
+    # reused by later opens at that tick. The schedule is fixed for the run,
+    # so the tick alone names its shift.
     shifted: Optional[tuple[int, ResourceProjection]] = None
-    openings: dict[tuple[int, Perspective, float], tuple[ValidatedAgenda, float]] = field(
-        default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         if self.rng is None and not self.jitter <= 0.0:
@@ -507,17 +396,6 @@ def _open_session(state: AgentState, msg: NegotiationMessage, now: int) -> None:
         shifted = state.shifted = (now, state.resources.shifted(now))
     t_max_eff = effective_deadline(min(info.t_max, agenda.t_max), shifted[1])
     role = Perspective.BUYER if info.buyer == state.agent_id else Perspective.SELLER
-    # At t = 0 under a positive deadline every issue's concession fraction is
-    # exactly k, whatever its exponent, so the opening is derived once per
-    # restricted agenda, role and k. A zero deadline concedes in full and a
-    # NaN one fails the test: those derive afresh.
-    key = (id(agenda), role, state.tactic.k) if t_max_eff > 0.0 else None
-    opening = state.openings.get(key)
-    if opening is None:
-        package = generate_offer_package(agenda, 0.0, t_max_eff, state.tactic)
-        opening = (agenda, aggregate_utility(agenda, package, role))
-        if key is not None:
-            state.openings[key] = opening
     entry = SessionEntry(
         session=msg.session,
         opponent=info.seller if role is Perspective.BUYER else info.buyer,
@@ -527,37 +405,14 @@ def _open_session(state: AgentState, msg: NegotiationMessage, now: int) -> None:
         t0=now,
         t_max_eff=t_max_eff,
         initiator=info.initiator == state.agent_id,
-        target_utility=opening[1],
     )
     state.agenda_db.add(entry)
-
-
-def _plan(state: AgentState, entry: SessionEntry, now: int) -> PlanKind:
-    """The plan for one session, from the facts the plan library may test.
-
-    `target_met` (the standing offer's utility against the target) is computed
-    only when a rule of the library tests it, and is False otherwise.
-    """
-    plans = state.plans
-    standing = entry.standing
-    target_met = False
-    if standing is not None and plans.tests_target:
-        target_met = (
-            aggregate_utility(entry.agenda, standing, entry.role)
-            >= entry.target_utility
-        )
-    return plans.choose(
-        now > entry.t0 + entry.t_max_eff,
-        standing is not None,
-        target_met,
-        entry.initiator and not entry.opened,
-    )
 
 
 def agent_step(
     state: AgentState, inbox: Iterable[NegotiationMessage], now: int
 ) -> list[NegotiationMessage]:
-    """One deliberation tick: sweep, filter, learn, adapt, plan, respond.
+    """One deliberation tick: sweep, filter, learn, adapt, respond, open.
 
     Deterministic in (state, inbox, now). Mutates the state in place and
     returns the ordered outbox; rejected messages are logged, never raised.
@@ -607,7 +462,7 @@ def agent_step(
             db.remove(session)
             continue
 
-        # Offer: learn, adapt, then plan.
+        # Offer: learn, adapt, then answer.
         recent = entry.recent
         offers = entry.offers_received = entry.offers_received + 1
         if len(recent) < BELIEF_WINDOW - 1:
@@ -638,44 +493,28 @@ def agent_step(
             lam = total / len(issue_ids)
             if lam > _LAMBDA_HIGH or lam < _LAMBDA_LOW:
                 state.tactic = adapt_tactic(state.tactic, lam, offers)
-        plans = state.plans
-        if plans.tests_target:
-            plan = _plan(state, entry, now)
-        else:
-            key = (now > entry.t0 + entry.t_max_eff, True, False,
-                   entry.initiator and not entry.opened)
-            plan = plans._memo.get(key)
-            if plan is None:
-                plan = plans.choose(*key)
-        if plan is _PLAN_TERMINATE:
-            outbox.append(
-                _emit(state, entry, now, _TERMINATE, reason=TERMINATE_DEADLINE)
-            )
-            db.remove(session)
-        elif plan is _PLAN_ACCEPT:
+        if aggressive is None:
+            aggressive = state.resources.pressed_at(now)
+        response_kind, response_package = decide_response(
+            entry.agenda, entry.role, msg, now - entry.t0, entry.t_max_eff,
+            _effective_params(state, True) if aggressive else state.tactic,
+        )
+        # The answer is the session's first message if the agent initiated
+        # it and has not opened yet. An acquired entry leaves the DB in the
+        # resolution below, so no opening is pending for it either.
+        db.mark_opened(entry)
+        if response_kind is _RESPONSE_ACQUIRE:
             if acquire_products is None:
                 acquire_products = set()
             acquire_products.add(entry.product)
-        elif plan is _PLAN_COUNTER or plan is _PLAN_OFFER:
-            if aggressive is None:
-                aggressive = state.resources.pressed_at(now)
-            response_kind, response_package = decide_response(
-                entry.agenda, entry.role, msg, now - entry.t0, entry.t_max_eff,
-                _effective_params(state, True) if aggressive else state.tactic,
-            )
-            if response_kind is _RESPONSE_ACQUIRE:
-                if acquire_products is None:
-                    acquire_products = set()
-                acquire_products.add(entry.product)
-            else:
-                db.mark_opened(entry)
-                # _emit's record, built here.
-                round_ = entry.next_round
-                entry.next_round = round_ + 1
-                outbox.append(new_record(NegotiationMessage, (
-                    session, state.agent_id, entry.opponent, round_, now, _OFFER,
-                    response_package, None, None,
-                )))
+        else:
+            # _emit's record, built here.
+            round_ = entry.next_round
+            entry.next_round = round_ + 1
+            outbox.append(new_record(NegotiationMessage, (
+                session, state.agent_id, entry.opponent, round_, now, _OFFER,
+                response_package, None, None,
+            )))
 
     # Opening offers for sessions this agent initiates, in session-id order
     # because jitter draws from rng.
@@ -684,8 +523,6 @@ def agent_step(
         if len(pending) > 1:
             pending.sort(key=_SESSION)
         for entry in pending:
-            if _plan(state, entry, now) is not _PLAN_OFFER:
-                continue
             if aggressive is None:
                 aggressive = state.resources.pressed_at(now)
             package = generate_offer_package(
@@ -735,28 +572,15 @@ def agent_step(
 def wake_threshold(state: AgentState) -> Optional[float]:
     """The tick past which agent_step has work for this agent without mail.
 
-    None when the agent holds no entry. It is -inf when an unopened
-    initiator entry's plan before its deadline is MAKE_OFFER (the opening
-    goes out at the next step); otherwise it is the earliest entry deadline,
-    `AgendaDB.due`, past which the sweep terminates that entry. That plan
-    reads only facts that change with mail, so an opening not due now is not
-    due later without mail. At or before the threshold, a step with an empty
-    inbox sweeps nothing, opens nothing, resolves nothing and draws no random
-    number: it returns [] and changes nothing.
-
-    The entries are walked only while an opening is pending; otherwise the
-    answer is read off the DB.
+    None when the agent holds no entry. It is -inf while an initiator entry
+    is unopened (its opening goes out at the next step); otherwise it is the
+    earliest entry deadline, `AgendaDB.due`, past which the sweep terminates
+    that entry. An opened entry speaks again only to answer mail. At or
+    before the threshold, a step with an empty inbox sweeps nothing, opens
+    nothing, resolves nothing and draws no random number: it returns [] and
+    changes nothing.
     """
     db = state.agenda_db
     if not db._entries:
         return None
-    if db.unopened:
-        for entry in db:
-            if (
-                entry.initiator
-                and not entry.opened
-                # At the deadline tick itself the deadline has not yet passed.
-                and _plan(state, entry, entry.t0 + entry.t_max_eff) is PlanKind.MAKE_OFFER
-            ):
-                return -math.inf
-    return db.due
+    return -math.inf if db.unopened else db.due

@@ -21,9 +21,9 @@ tuple of the same fields and can be unpacked, and a modified copy is made
 with `_replace`, not `dataclasses.replace`.
 
 On the per-message path (`agent._emit`, `agent._jittered`,
-`Marketplace.commence_negotiation`, `tactics.generate_offer_package` for
-openings and `tactics.decide_response`, which builds a counter's package
-and its response) a record is built by one C call,
+`Marketplace.commence_negotiation`, `tactics.generate_offer_package` for an
+opening offer and `tactics.decide_response`, which builds a counter's
+package and its response) a record is built by one C call,
 `new_record(Cls, (every field, ...))`, `new_record` being `tuple.__new__`.
 Calling the class instead runs the `__new__` that NamedTuple generates in
 Python, a frame per record. The C call fills no defaults, so these builders

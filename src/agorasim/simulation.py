@@ -31,15 +31,7 @@ from typing import Any, Optional
 
 import yaml
 
-from .agent import (
-    AgentState,
-    PlanCondition,
-    PlanKind,
-    PlanLibrary,
-    PlanRule,
-    agent_step,
-    wake_threshold,
-)
+from .agent import AgentState, agent_step, wake_threshold
 from .core import (
     DELIVERY_ORDER,
     Agenda,
@@ -96,7 +88,6 @@ class AgentSpec:
     tactic: TacticParams
     resources: ResourceProjection
     agendas: dict[ProductId, ValidatedAgenda]
-    plan_rules: Optional[tuple[PlanRule, ...]] = None
     jitter: float = 0.0
 
 
@@ -151,8 +142,6 @@ MAX_T_END = 2**53
 _ROLES = {"buyer": Perspective.BUYER, "seller": Perspective.SELLER}
 _DIRECTIONS = {"ascending": Direction.ASCENDING, "descending": Direction.DESCENDING}
 _STANCES = {s.value: s for s in Stance}
-_PLAN_CONDITIONS = {c.value: c for c in PlanCondition}
-_PLAN_KINDS = {k.value: k for k in PlanKind}
 _REQUIRED = object()  # a field reader's default: the key must be present
 _FLOAT_MAX = sys.float_info.max
 
@@ -161,12 +150,11 @@ _FLOAT_MAX = sys.float_info.max
 KEYS: dict[str, frozenset[str]] = {
     "root": frozenset({"name", "seed", "t_end", "options", "agents", "advertisements", "rfqs"}),
     "options": frozenset({"require_overlap"}),
-    "agent": frozenset({"id", "role", "tactic", "resources", "jitter", "agendas", "plan_rules"}),
+    "agent": frozenset({"id", "role", "tactic", "resources", "jitter", "agendas"}),
     "tactic": frozenset({"stance", "k", "beta"}),
     "resources": frozenset({"threshold", "schedule"}),
     "agenda": frozenset({"product", "t_max", "issues"}),
     "issue": frozenset({"id", "weight", "min", "max", "direction"}),
-    "plan_rule": frozenset({"when", "do"}),
     "advertisement": frozenset({"agent", "product", "issues", "posted_at"}),
     "rfq": frozenset({"agent", "product", "issues", "min_reputation", "posted_at"}),
 }
@@ -338,23 +326,6 @@ def _parse_agenda(node: Any, path: str, role: Perspective) -> tuple[ProductId, V
     return product, agenda
 
 
-def _parse_plan_rules(node: Any, path: str) -> Optional[tuple[PlanRule, ...]]:
-    if node is None:
-        return None
-    rules = []
-    for i, rule_node in enumerate(_as_list(node, path)):
-        rpath = f"{path}[{i}]"
-        rule_node = _as_map(rule_node, rpath, KEYS["plan_rule"])
-        when = _enum(_str_field(rule_node, "when", rpath), _PLAN_CONDITIONS, f"{rpath}.when")
-        do = _enum(_str_field(rule_node, "do", rpath), _PLAN_KINDS, f"{rpath}.do")
-        rules.append(PlanRule(when, do))
-    try:
-        PlanLibrary(rules)
-    except ValueError as exc:
-        _fail(path, str(exc))
-    return tuple(rules)
-
-
 def _parse_agent(node: Any, path: str) -> AgentSpec:
     node = _as_map(node, path, KEYS["agent"])
     agent_id = _str_field(node, "id", path)
@@ -372,14 +343,12 @@ def _parse_agent(node: Any, path: str) -> AgentSpec:
         if product in agendas:
             _fail(f"{path}.agendas[{i}]", f"duplicate agenda for product {product!r}")
         agendas[product] = agenda
-    plan_rules = _parse_plan_rules(node.get("plan_rules"), f"{path}.plan_rules")
     return AgentSpec(
         agent_id=agent_id,
         role=role,
         tactic=tactic,
         resources=resources,
         agendas=agendas,
-        plan_rules=plan_rules,
         jitter=jitter,
     )
 
@@ -637,17 +606,12 @@ def build_agent_states(scenario: Scenario, seed: int) -> dict[AgentId, AgentStat
     deterministic RNG stream, seeded from the run's seed and its id."""
     states: dict[AgentId, AgentState] = {}
     for spec in sorted(scenario.agents, key=lambda s: s.agent_id):
-        plans = (
-            PlanLibrary(spec.plan_rules) if spec.plan_rules is not None
-            else PlanLibrary.default()
-        )
         states[spec.agent_id] = AgentState(
             agent_id=spec.agent_id,
             role=spec.role,
             tactic=spec.tactic,
             resources=spec.resources,
             declared_agendas=dict(spec.agendas),
-            plans=plans,
             jitter=spec.jitter,
             # Only a jittered agent draws, so only it pays for seeding a stream.
             rng=random.Random(f"{seed}:{spec.agent_id}") if spec.jitter > 0.0 else None,

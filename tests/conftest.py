@@ -125,7 +125,6 @@ def make_entry(
     t0: int = 0,
     t_max_eff: float = 20.0,
     initiator: bool = False,
-    target_utility: float = 0.9,
 ) -> SessionEntry:
     return SessionEntry(
         session=session,
@@ -136,7 +135,6 @@ def make_entry(
         t0=t0,
         t_max_eff=t_max_eff,
         initiator=initiator,
-        target_utility=target_utility,
     )
 
 

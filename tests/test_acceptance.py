@@ -150,9 +150,7 @@ def test_c04_response_protocol_end_to_end():
 def _scripted_buyer():
     agent = make_agent(tactic=TacticParams(k=0.0, beta=1.0, stance=Stance.LINEAR))
     agent.declared_agendas["vm"] = make_agenda(t_max=20)
-    agent.agenda_db.add(
-        make_entry(t0=0, t_max_eff=20.0, target_utility=0.95)
-    )
+    agent.agenda_db.add(make_entry(t0=0, t_max_eff=20.0))
     return agent
 
 

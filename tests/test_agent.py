@@ -1,7 +1,6 @@
-"""Agent runtime: proxy filtering, beliefs, plans, stepping, resolution."""
+"""Agent runtime: proxy filtering, beliefs, stepping, resolution."""
 
 import copy
-import itertools
 import logging
 import math
 import random
@@ -12,16 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from agorasim.agent import (
     BELIEF_WINDOW,
+    TERMINATE_DEADLINE,
     AgendaDB,
     AgentState,
     EmptyCandidatesError,
     FilterVerdict,
-    PlanCondition,
-    PlanKind,
-    PlanLibrary,
-    PlanRule,
     RejectReason,
-    _plan,
     agent_step,
     proxy_filter,
     resolve_concurrent_agreements,
@@ -35,7 +30,6 @@ from agorasim.core import (
     NegotiationMessage,
     OfferPackage,
     Perspective,
-    restrict_agenda,
 )
 from agorasim.marketplace import transcript_line
 from agorasim.tactics import (
@@ -44,11 +38,9 @@ from agorasim.tactics import (
     Stance,
     TacticParams,
     adapt_tactic,
-    aggregate_utility,
     classify_concession,
     concession_rate,
     effective_deadline,
-    generate_offer_package,
 )
 from conftest import make_agenda, make_agent, make_entry, make_issue, make_offer
 
@@ -286,27 +278,32 @@ class TestAdaptation:
     mean_lambda and adapt_tactic called on every offer."""
 
     @staticmethod
-    def check(plans, tactic, packages, agenda=None):
+    def check(tactic, packages, agenda=None):
+        """The number of offers the agent read before it acquired or the
+        packages ran out."""
         if agenda is None:
             agenda = make_agenda(
                 make_issue("price", weight=0.5, lo=-1.0, hi=1.0),
                 make_issue("cpu", weight=0.5, lo=-1.0, hi=1.0),
             )
-        agent = make_agent(tactic=tactic, plans=plans)
+        agent = make_agent(tactic=tactic)
         agent.agenda_db.add(make_entry(agenda=agenda, t_max_eff=100.0))
         reference = make_entry(agenda=agenda, t_max_eff=100.0)
         expected = tactic
         bits = struct.Struct("<dd").pack
+        read = 0
         for i, values in enumerate(packages):
             if "s-1" not in agent.agenda_db:
-                break  # acquired or terminated
+                break  # acquired
             agent_step(agent, [make_offer(values=values, round=i, sent_at=i + 1)], now=i + 1)
+            read += 1
             reference.recent = (*reference.recent, OfferPackage(values))[-BELIEF_WINDOW:]
             lam = mean_lambda(reference)
             if lam is not None:
                 expected = adapt_tactic(expected, lam, i + 1)
             assert agent.tactic == expected
             assert bits(agent.tactic.k, agent.tactic.beta) == bits(expected.k, expected.beta)
+        return read
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -315,16 +312,9 @@ class TestAdaptation:
             min_size=1, max_size=7,
         ),
         beta=st.sampled_from((0.2, 1.0, 5.0, 20.0)),
-        counter=st.booleans(),
     )
-    def test_tactic_equals_adapt_tactic_on_every_offer(self, packages, beta, counter):
-        # A library that answers each offer, or one that lets it stand and
-        # keeps the session open for every offer drawn.
-        plans = PlanLibrary.default() if counter else PlanLibrary((
-            PlanRule(PlanCondition.DEADLINE_PASSED, PlanKind.TERMINATE),
-            PlanRule(PlanCondition.ALWAYS, PlanKind.IDLE),
-        ))
-        self.check(plans, TacticParams(k=0.0, beta=beta), packages)
+    def test_tactic_equals_adapt_tactic_on_every_offer(self, packages, beta):
+        self.check(TacticParams(k=0.0, beta=beta), packages)
 
     @pytest.mark.parametrize("price, cpu", [
         pytest.param((0.5, 0.5, 0.0), (0.2, 0.2, 0.9), id="flat"),
@@ -335,8 +325,9 @@ class TestAdaptation:
     ])
     def test_every_kind_of_ratio(self, price, cpu):
         packages = [{"price": p, "cpu": c} for p, c in zip(price, cpu)]
-        idle = PlanLibrary((PlanRule(PlanCondition.ALWAYS, PlanKind.IDLE),))
-        self.check(idle, TacticParams(k=0.0, beta=1.0), packages * 2)
+        # The named ratio, that of the first full window, is read; after it
+        # the agent may acquire.
+        assert self.check(TacticParams(k=0.0, beta=1.0), packages * 2) >= BELIEF_WINDOW
 
     def test_ratios_sum_left_to_right_in_issue_order(self):
         # Ratios 1e16, 3 and -1e16 in sorted issue order: left to right the
@@ -352,72 +343,10 @@ class TestAdaptation:
             {"a": 1.0, "b": 1.0, "c": 1.0},
             {"a": 1.0 + 1e16, "b": 4.0, "c": 1.0 - 1e16},
         ]
-        idle = PlanLibrary((PlanRule(PlanCondition.ALWAYS, PlanKind.IDLE),))
-        self.check(idle, TacticParams(k=0.0, beta=1.0), packages, agenda)
+        assert self.check(TacticParams(k=0.0, beta=1.0), packages, agenda) == 3
         reference = make_entry(agenda=agenda)
         reference.recent = tuple(OfferPackage(values) for values in packages)
         assert not 1.0 - LAMBDA_BAND <= mean_lambda(reference) <= 1.0 + LAMBDA_BAND
-
-
-class TestPlans:
-    # choose(deadline passed, offer standing, target met, opening pending)
-    def test_default_library_order(self):
-        plans = PlanLibrary.default()
-        assert plans.choose(True, False, False, False) is PlanKind.TERMINATE
-        assert plans.choose(False, True, False, False) is PlanKind.MAKE_COUNTER
-        assert plans.choose(False, False, False, True) is PlanKind.MAKE_OFFER
-        assert plans.choose(False, False, False, False) is PlanKind.IDLE
-
-    def test_first_match_wins(self):
-        plans = PlanLibrary.default()
-        assert plans.choose(True, True, True, True) is PlanKind.TERMINATE
-        assert plans.choose(False, True, False, True) is PlanKind.MAKE_COUNTER
-
-    def test_custom_accept_rule(self):
-        plans = PlanLibrary(
-            (
-                PlanRule(PlanCondition.OFFER_MEETS_TARGET, PlanKind.ACCEPT),
-                PlanRule(PlanCondition.ALWAYS, PlanKind.IDLE),
-            )
-        )
-        assert plans.choose(False, True, True, False) is PlanKind.ACCEPT
-        assert plans.choose(False, True, False, False) is PlanKind.IDLE
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        rules=st.lists(
-            st.builds(
-                PlanRule, st.sampled_from(PlanCondition), st.sampled_from(PlanKind)
-            ),
-            max_size=6,
-        ),
-        last=st.sampled_from(PlanKind),
-    )
-    def test_memoised_choice_equals_first_match(self, rules, last):
-        plans = PlanLibrary([*rules, PlanRule(PlanCondition.ALWAYS, last)])
-
-        def first_match(facts):
-            deadline_passed, offer_standing, target_met, opening_pending = facts
-            holds = {
-                PlanCondition.DEADLINE_PASSED: deadline_passed,
-                PlanCondition.OFFER_MEETS_TARGET: target_met,
-                PlanCondition.OFFER_STANDING: offer_standing,
-                PlanCondition.OPENING_PENDING: opening_pending,
-                PlanCondition.ALWAYS: True,
-            }
-            return next(rule.do for rule in plans.rules if holds[rule.when])
-
-        for _ in range(2):  # fills the memo, then reads it
-            for facts in itertools.product((False, True), repeat=4):
-                assert plans.choose(*facts) is first_match(facts)
-
-    def test_library_must_not_be_empty(self):
-        with pytest.raises(ValueError):
-            PlanLibrary(())
-
-    def test_library_needs_catch_all(self):
-        with pytest.raises(ValueError):
-            PlanLibrary((PlanRule(PlanCondition.DEADLINE_PASSED, PlanKind.IDLE),))
 
 
 class TestPollResources:
@@ -486,6 +415,22 @@ class TestAgentStep:
         outbox = agent_step(agent, [], now=5)
         assert [m.kind for m in outbox] == [MessageKind.OFFER]
         assert outbox[0].package.values["price"] == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("price, kinds", [
+        (10.0, [MessageKind.ACQUIRE]), (19.0, [MessageKind.OFFER]),
+    ])
+    def test_initiator_answering_an_offer_sends_no_opening(self, price, kinds):
+        # An offer read before the opening went out is answered instead:
+        # acquired, or countered with the one offer; no opening is drawn.
+        agent = self.buyer()
+        agent.jitter, agent.rng = 0.5, random.Random(0)
+        agent.agenda_db.add(make_entry(initiator=True, t0=10))
+        rng_state = agent.rng.getstate()
+        outbox = agent_step(agent, [make_offer(values={"price": price}, sent_at=9)], now=10)
+        assert [m.kind for m in outbox] == kinds
+        assert agent.rng.getstate() == rng_state
+        assert agent.agenda_db.unopened == 0
+        assert wake_threshold(agent) in (None, 30.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -570,6 +515,29 @@ class TestAgentStep:
         assert wake_threshold(agent) == 13.5
         agent.agenda_db.add(make_entry(session="s-3", initiator=True, t0=20))
         assert wake_threshold(agent) == float("-inf")
+
+    def test_one_step_sweeps_then_counters_then_opens(self):
+        # The sweep ends s-1 before its offer is read, so that offer, which
+        # the buyer would acquire, is dropped as for an unknown session; the
+        # offer on s-2 is countered and s-3's opening goes out.
+        agent = self.buyer()
+        agent.agenda_db.add(make_entry(session="s-1", t0=0, t_max_eff=5.0))
+        agent.agenda_db.add(make_entry(session="s-2", t0=0))
+        agent.agenda_db.add(make_entry(session="s-3", initiator=True, t0=6))
+        inbox = [
+            make_offer(session="s-1", values={"price": 10.0}, sent_at=5),
+            make_offer(session="s-2", values={"price": 19.0}, sent_at=5),
+        ]
+        outbox = agent_step(agent, inbox, now=6)
+        assert [(m.session, m.kind, m.reason) for m in outbox] == [
+            ("s-1", MessageKind.TERMINATE, TERMINATE_DEADLINE),
+            ("s-2", MessageKind.OFFER, None),
+            ("s-3", MessageKind.OFFER, None),
+        ]
+        assert outbox[1].package.values["price"] == pytest.approx(13.0)
+        assert outbox[2].package.values["price"] == pytest.approx(10.0)
+        assert [e.session for e in agent.agenda_db] == ["s-2", "s-3"]
+        assert wake_threshold(agent) == 20.0
 
     def test_non_initiator_waits(self):
         agent = self.buyer()
@@ -790,37 +758,6 @@ class TestAgentStep:
             agent_step(agent, [offer], now)
             assert_fresh(agent)
 
-    def target_rule_buyer(self, rules):
-        agent = self.buyer()
-        agent.plans = PlanLibrary(rules)
-        agent.agenda_db.add(make_entry(t0=0, target_utility=0.6))
-        return agent
-
-    def test_offer_meets_target_rule_acquires(self):
-        rules = (PlanRule(PlanCondition.OFFER_MEETS_TARGET, PlanKind.ACCEPT),
-                 *PlanLibrary.default().rules)
-        # At now=2 the planned counter is 11 (utility 0.9): the default rules
-        # counter an offer of 13 (0.7), the target rule takes it (0.7 >= 0.6).
-        outbox = agent_step(
-            self.target_rule_buyer(PlanLibrary.default().rules),
-            [make_offer(values={"price": 13.0}, sent_at=1)], now=2,
-        )
-        assert [m.kind for m in outbox] == [MessageKind.OFFER]
-        agent = self.target_rule_buyer(rules)
-        outbox = agent_step(
-            agent, [make_offer(values={"price": 13.0}, sent_at=1)], now=2
-        )
-        assert [m.kind for m in outbox] == [MessageKind.ACQUIRE]
-        assert outbox[0].package.values["price"] == 13.0
-        assert "s-1" not in agent.agenda_db
-        # An offer of 15 (0.5) misses the goal and is countered.
-        agent = self.target_rule_buyer(rules)
-        outbox = agent_step(
-            agent, [make_offer(values={"price": 15.0}, sent_at=1)], now=2
-        )
-        assert [m.kind for m in outbox] == [MessageKind.OFFER]
-        assert "s-1" in agent.agenda_db
-
     def test_resource_pressure_forces_buy_side_stance(self):
         from agorasim.agent import _effective_params
 
@@ -844,19 +781,15 @@ class TestAgentStep:
 
 
 def reference_wake_threshold(state):
-    """wake_threshold as a walk over every entry: -inf when an unopened
-    initiator entry's plan at its deadline is MAKE_OFFER, else the earliest
-    deadline that is not NaN, else inf; None without entries."""
+    """wake_threshold as a walk over every entry: -inf when an initiator
+    entry is unopened, else the earliest deadline that is not NaN, else inf;
+    None without entries."""
     if not state.agenda_db:
         return None
     threshold = math.inf
     for entry in state.agenda_db:
         deadline = entry.t0 + entry.t_max_eff
-        if (
-            entry.initiator
-            and not entry.opened
-            and _plan(state, entry, deadline) is PlanKind.MAKE_OFFER
-        ):
+        if entry.initiator and not entry.opened:
             return -math.inf
         if deadline < threshold:
             threshold = deadline
@@ -870,14 +803,6 @@ class TestAgendaDBFacts:
 
     SESSIONS = tuple(f"s-{i}" for i in range(5))
     DEADLINES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0]) | st.floats(-30.0, 60.0)
-    PLANS = {
-        "default": PlanLibrary.default(),
-        # An opening is never due.
-        "no-opening": PlanLibrary((
-            PlanRule(PlanCondition.OPENING_PENDING, PlanKind.IDLE),
-            PlanRule(PlanCondition.ALWAYS, PlanKind.IDLE),
-        )),
-    }
 
     @staticmethod
     def assert_facts(db):
@@ -890,7 +815,7 @@ class TestAgendaDBFacts:
     @given(st.data())
     def test_facts_hold_after_every_operation(self, data):
         db = AgendaDB()
-        agent = make_agent(plans=self.PLANS[data.draw(st.sampled_from(sorted(self.PLANS)))])
+        agent = make_agent()
         agent.agenda_db = db
         for _ in range(data.draw(st.integers(1, 30))):
             op = data.draw(st.sampled_from(["add", "remove", "mark_opened", "expired"]))
@@ -929,9 +854,9 @@ class TestAgendaDBFacts:
 
 
 class TestSessionOpen:
-    """Opening a session reuses what earlier opens derived: the restricted
-    agenda, the opening's target utility and the shifted resource projection.
-    Each entry must still hold exactly what a fresh derivation gives."""
+    """Opening a session reuses the resource projection an earlier open at
+    the same tick shifted. Each entry must still hold exactly the deadline a
+    fresh derivation gives."""
 
     def test_deadline_is_fresh_with_the_projection_shared_within_a_tick(self):
         resources = ResourceProjection(
@@ -962,55 +887,6 @@ class TestSessionOpen:
         # share one shifted projection.
         assert seen["s-1"] != seen["s-3"]
         assert shifts[0] is not shifts[1] and shifts[1] is shifts[2]
-
-    def opening_target(self, agent, entry):
-        package = generate_offer_package(entry.agenda, 0.0, entry.t_max_eff, agent.tactic)
-        return aggregate_utility(entry.agenda, package, entry.role)
-
-    def two_issue_agent(self):
-        agent = make_agent()
-        agent.declared_agendas["vm"] = make_agenda(
-            make_issue("price", weight=0.6),
-            make_issue("memory", weight=0.4, lo=1.0, hi=64.0, direction=Direction.DESCENDING),
-            t_max=4000,
-        )
-        return agent
-
-    @settings(max_examples=80)
-    @given(st.data())
-    def test_opening_target_equals_a_fresh_derivation(self, data):
-        agent = self.two_issue_agent()
-        ks = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3))
-        for now in range(data.draw(st.integers(1, 10))):
-            agent.tactic = TacticParams(
-                k=data.draw(st.sampled_from(ks)), beta=data.draw(st.floats(0.05, 20.0))
-            )
-            # The agent is buyer-1: a buyer here, or the seller facing buyer-2.
-            buyer, seller = data.draw(
-                st.sampled_from([("buyer-1", "seller-1"), ("buyer-2", "buyer-1")])
-            )
-            ids = data.draw(st.sampled_from(
-                [("price",), ("memory",), ("price", "memory"), ("memory", "price")]
-            ))
-            t_max = data.draw(st.sampled_from([0, 1e-9, 5, 4000]))
-            sid = f"s-{now}"
-            agent_step(agent, [commence(sid, buyer=buyer, seller=seller, t_max=t_max,
-                                        sent_at=now, receiver="buyer-1", issue_ids=ids)], now)
-            entry = agent.agenda_db.get(sid)
-            assert entry.t_max_eff == t_max
-            assert entry.agenda is restrict_agenda(agent.declared_agendas["vm"], ids)
-            assert entry.target_utility == self.opening_target(agent, entry)
-
-    def test_zero_deadline_after_a_memoised_open_derives_afresh(self):
-        agent = self.two_issue_agent()
-        agent.tactic = TacticParams(k=0.25, beta=2.0)
-        agent_step(agent, [commence("s-1", t_max=5, receiver="buyer-1")], 0)
-        agent_step(agent, [commence("s-2", t_max=0, receiver="buyer-1")], 0)
-        memoised, zero = agent.agenda_db.get("s-1"), agent.agenda_db.get("s-2")
-        assert zero.agenda is memoised.agenda
-        assert zero.target_utility == self.opening_target(agent, zero)
-        assert zero.target_utility != memoised.target_utility
-        assert len(agent.openings) == 1
 
 
 class TestResolveConcurrentAgreements:

@@ -6,6 +6,10 @@ verdict) or an import nothing reads any more. Nothing fails when that
 happens, so this test looks: each module-level `_private` name, and each
 import outside `__init__.py` (whose imports are the package's exports), must
 be read somewhere in its own module.
+
+A record's field can outlive its reader the same way: written at every open
+and read by nothing. So each field of the agent's dataclasses must be read
+as an attribute somewhere in the package.
 """
 
 import ast
@@ -110,3 +114,87 @@ def test_an_orphaned_alias_is_found():
 ])
 def test_replaced_helpers_stay_deleted(module, name):
     assert not hasattr(importlib.import_module(f"agorasim.{module}"), name)
+
+
+def dataclass_fields(source):
+    """(class, field, line) for each annotated field of each @dataclass in
+    `source`, ClassVars aside."""
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef) or not any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in node.decorator_list
+        ):
+            continue
+        for item in node.body:
+            if (
+                isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and "ClassVar" not in ast.unparse(item.annotation)
+            ):
+                yield node.name, item.target.id, item.lineno
+
+
+def attributes_read(sources):
+    """Every attribute name loaded in `sources`, by `x.name` or by
+    `attrgetter("name", ...)`. Storing into it, `x.name[key] = value`, is
+    a write."""
+    read = set()
+    for source in sources:
+        nodes = list(ast.walk(ast.parse(source)))
+        stored_into = {
+            id(node.value) for node in nodes
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+        }
+        for node in nodes:
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and id(node) not in stored_into
+            ):
+                read.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "attrgetter"
+            ):
+                read.update(a.value for a in node.args if isinstance(a, ast.Constant))
+    return read
+
+
+def unread_fields(source, sources):
+    read = attributes_read(sources)
+    return sorted(
+        f"{cls}.{name} (line {line})"
+        for cls, name, line in dataclass_fields(source)
+        if name not in read
+    )
+
+
+def test_every_agent_field_is_read():
+    source = (Path(agorasim.__file__).resolve().parent / "agent.py").read_text(encoding="utf-8")
+    assert {"SessionEntry", "AgentState"} <= {cls for cls, _, _ in dataclass_fields(source)}
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert unread_fields(source, sources) == []
+
+
+def test_a_field_written_but_never_read_is_found():
+    # A memo filled at every open and consulted by nothing, beside fields
+    # read by attribute and by attrgetter.
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "from operator import attrgetter\n"
+        "from typing import ClassVar\n"
+        "@dataclass\n"
+        "class State:\n"
+        "    tactic: int\n"
+        "    session: str\n"
+        "    openings: dict = field(default_factory=dict)\n"
+        "    LIMIT: ClassVar[int] = 3\n"
+        "@dataclass(frozen=True)\n"
+        "class Verdict:\n"
+        "    ok: bool\n"
+        "_SESSION = attrgetter('session')\n"
+        "def step(state, verdict):\n"
+        "    state.openings[state.tactic] = verdict.ok\n"
+    )
+    assert unread_fields(source, [source]) == ["State.openings (line 8)"]

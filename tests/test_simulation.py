@@ -14,17 +14,10 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from agorasim import marketplace, simulation, yamlload
-from agorasim.agent import (
-    DEFAULT_PLAN_RULES,
-    AgentState,
-    PlanCondition,
-    PlanKind,
-    PlanRule,
-    _plan,
-)
-from agorasim.core import DELIVERY_ORDER, Perspective
+from agorasim.agent import AgentState
+from agorasim.core import DELIVERY_ORDER, MessageKind, Perspective
 from agorasim.marketplace import Marketplace
-from agorasim.tactics import TacticParams
+from agorasim.tactics import STANCE_BETA, ResourceProjection, Stance, TacticParams
 from agorasim.simulation import (
     ScenarioParseError,
     ScenarioValidationError,
@@ -77,7 +70,6 @@ FULL = {
             "tactic": {"stance": "linear", "k": 0.0, "beta": 1.0},
             "resources": {"threshold": 0.2, "schedule": [[0, 1.0]]},
             "jitter": 0.0,
-            "plan_rules": [{"when": "always", "do": "idle"}],
             "agendas": [{
                 "product": "vm",
                 "t_max": 10,
@@ -101,7 +93,9 @@ FULL = {
 }
 
 #: Per mapping: the route to one in FULL, a key, its misspelling and the
-#: path the loader must name.
+#: path the loader must name. A key of None adds the misspelling instead:
+#: `plan_rules`, the plan library of earlier versions, as every agent now
+#: follows one fixed plan.
 MISSPELLED = {
     "root": ((), "t_end", "t_ned", "$.t_ned"),
     "options": (("options",), "require_overlap", "require_overlab", "$.options.require_overlab"),
@@ -112,8 +106,7 @@ MISSPELLED = {
     "agenda": (("agents", 0, "agendas", 0), "t_max", "tmax", "$.agents[0].agendas[0].tmax"),
     "issue": (("agents", 1, "agendas", 0, "issues", 0), "weight", "wieght",
               "$.agents[1].agendas[0].issues[0].wieght"),
-    "plan_rule": (("agents", 0, "plan_rules", 0), "do", "then",
-                  "$.agents[0].plan_rules[0].then"),
+    "plan_rules": (("agents", 0), None, "plan_rules", "$.agents[0].plan_rules"),
     "advertisement": (("advertisements", 0), "posted_at", "posted", "$.advertisements[0].posted"),
     "rfq": (("rfqs", 0), "min_reputation", "min_reputaton", "$.rfqs[0].min_reputaton"),
 }
@@ -342,29 +335,6 @@ class TestLoadScenario:
         with pytest.raises(ScenarioValidationError):
             load_scenario(doc)
 
-    def test_plan_rules_parse(self):
-        doc = MINIMAL.replace(
-            "    agendas:",
-            "    plan_rules:\n"
-            "      - {when: deadline_passed, do: terminate}\n"
-            "      - {when: always, do: idle}\n"
-            "    agendas:",
-            1,
-        )
-        scenario = load_scenario(doc)
-        assert scenario.agents[0].plan_rules is not None
-
-    def test_plan_rules_need_catch_all(self):
-        doc = MINIMAL.replace(
-            "    agendas:",
-            "    plan_rules:\n"
-            "      - {when: deadline_passed, do: terminate}\n"
-            "    agendas:",
-            1,
-        )
-        with pytest.raises(ScenarioValidationError):
-            load_scenario(doc)
-
     def test_nan_schedule_tick_rejected(self):
         doc = MINIMAL.replace(
             "    role: buyer\n",
@@ -408,7 +378,7 @@ class TestLoadScenario:
         node = doc
         for step in route:
             node = node[step]
-        node[typo] = node.pop(key)
+        node[typo] = node.pop(key) if key is not None else [{"when": "always", "do": "idle"}]
         with pytest.raises(ScenarioValidationError) as exc:
             load_scenario(yaml.safe_dump(doc, sort_keys=False))
         assert exc.value.path == path
@@ -438,11 +408,7 @@ class TestLoadScenario:
         # Agenda.t_min was validated and then read by nothing.
         ("        t_max: 10\n", "        t_max: 10\n        t_min: 0\n",
          "$.agents[0].agendas[0].t_min"),
-        # The goal_terminal condition never held.
-        ("    agendas:", "    plan_rules:\n      - {when: goal_terminal, do: idle}\n"
-         "      - {when: always, do: idle}\n    agendas:",
-         "$.agents[0].plan_rules[0].when"),
-    ], ids=["t_min", "goal_terminal"])
+    ], ids=["t_min"])
     def test_removed_knobs_fail_at_their_path(self, old, new, path):
         with pytest.raises(ScenarioValidationError) as exc:
             load_scenario(MINIMAL.replace(old, new, 1))
@@ -929,29 +895,6 @@ def _polling_run(scenario):
     return market.transcript_lines(), report, market
 
 
-def _with_rules(scenario, rules):
-    """The scenario with every agent on the given plan rules."""
-    return replace(
-        scenario, agents=tuple(replace(a, plan_rules=rules) for a in scenario.agents)
-    )
-
-
-_DEADLINE, _COUNTER, _OPENING, _IDLE = DEFAULT_PLAN_RULES
-#: Plan libraries that change when openings go out and when offers are taken.
-PLAN_VARIANTS = {
-    "default": None,
-    "opening-idle": (
-        _DEADLINE, _COUNTER, PlanRule(PlanCondition.OPENING_PENDING, PlanKind.IDLE), _IDLE,
-    ),
-    "standing-accept": (
-        _DEADLINE, PlanRule(PlanCondition.OFFER_STANDING, PlanKind.ACCEPT), _OPENING, _IDLE,
-    ),
-    "target-first": (
-        PlanRule(PlanCondition.OFFER_MEETS_TARGET, PlanKind.ACCEPT), *DEFAULT_PLAN_RULES,
-    ),
-}
-
-
 def _outputs(run):
     lines, report, market = run
     return lines, emit_report(report), market.trust.export_lines()
@@ -962,14 +905,70 @@ def _tiny_workload(name, seed):
     return load_scenario(marketgen.generate(name, seed, **marketgen.WORKLOADS[name].tiny))
 
 
+#: Agent settings that change when offers are conceded and taken and when
+#: sessions close, for the polling comparisons: each puts every agent of a
+#: scenario on one setting. The shipped scenarios' agents are mostly
+#: conceders and long-negotiation's all linear, so each comparison adds the
+#: stance its inputs do not already run on. Under disjoint.yaml the seller's
+#: opening lies outside the buyer's space and the session idles, so there a
+#: stance changes nothing.
+VARIANTS = ("depleted", "headstrong", "jittered")
+
+
+#: Resources that run down from 1 at tick 0 to 0 at tick 20 against a
+#: threshold of 0.5: a session commenced at tick t has a deadline of at
+#: most 10 - t, and past tick 10 one of 0.
+DEPLETED = ResourceProjection(points=((0.0, 1.0), (20.0, 0.0)), r_threshold=0.5)
+
+
+def _on_variant(spec, variant):
+    if variant == "jittered":
+        return replace(spec, jitter=0.3)
+    if variant == "depleted":
+        return replace(spec, resources=DEPLETED)
+    stance = Stance(variant)
+    tactic = TacticParams(k=spec.tactic.k, beta=STANCE_BETA[stance], stance=stance)
+    return replace(spec, tactic=tactic)
+
+
+def _with_variant(scenario, variant):
+    """The scenario with every agent on the given variant; "default" leaves
+    it as written. A stance keeps each agent's k and takes the stance's
+    beta; "jittered" draws each counter's concession from the agent's
+    seeded stream; "depleted" puts every agent on DEPLETED resources."""
+    if variant == "default":
+        return scenario
+    agents = tuple(_on_variant(a, variant) for a in scenario.agents)
+    return replace(scenario, agents=agents)
+
+
+def _idle_bilateral(t_max, t_end):
+    """bilateral.yaml with the seller's price range moved to [15, 25]. The
+    seller initiates; its k = 0 opening at 25 lies outside the buyer's
+    [10, 20], so the buyer rejects it as out-of-space, and neither side
+    speaks again until the deadline sweep."""
+    text = (SCENARIOS_DIR / "bilateral.yaml").read_text(encoding="utf-8")
+    text = text.replace("t_end: 64", f"t_end: {t_end}").replace("t_max: 20", f"t_max: {t_max}")
+    buyer, seller, rest = text.partition("  - id: seller-1\n")
+    rest = rest.replace("min: 10, max: 20", "min: 15, max: 25", 1)
+    return load_scenario(buyer + seller + rest)
+
+
+def _assert_idles(lines):
+    """The session idled: its one offer is the seller's opening, which the
+    buyer rejects (or, past a zero deadline, never reads), and it ended, if
+    at all, by the deadline sweep."""
+    records = [json.loads(line) for line in lines]
+    assert [r["kind"] for r in records[:3]] == ["commence", "commence", "offer"]
+    assert records[2]["sender"] == "seller-1"
+    assert all((r["kind"], r["reason"]) == ("terminate", "deadline") for r in records[3:])
+
+
 class TestWakeUps:
-    @pytest.mark.parametrize("variant", sorted(PLAN_VARIANTS))
+    @pytest.mark.parametrize("variant", ["default", *VARIANTS, "linear"])
     @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
     def test_shipped_scenarios_match_polling(self, path, variant):
-        scenario = load_scenario(path.read_text(encoding="utf-8"))
-        rules = PLAN_VARIANTS[variant]
-        if rules is not None:
-            scenario = _with_rules(scenario, rules)
+        scenario = _with_variant(load_scenario(path.read_text(encoding="utf-8")), variant)
         expected = _outputs(_polling_run(scenario))
         assert _outputs(simulation.run_simulation_with_market(scenario)) == expected
 
@@ -980,31 +979,30 @@ class TestWakeUps:
         expected = _outputs(_polling_run(scenario))
         assert _outputs(simulation.run_simulation_with_market(scenario)) == expected
 
-    @pytest.mark.parametrize("variant", sorted(set(PLAN_VARIANTS) - {"default"}))
+    @pytest.mark.parametrize("variant", ["conceder", *VARIANTS])
     @pytest.mark.parametrize("workload", sorted(_marketgen().WORKLOADS))
-    def test_workload_plan_variants_match_polling(self, workload, variant):
-        scenario = _with_rules(_tiny_workload(workload, 0), PLAN_VARIANTS[variant])
+    def test_workload_variants_match_polling(self, workload, variant):
+        scenario = _with_variant(_tiny_workload(workload, 0), variant)
         expected = _outputs(_polling_run(scenario))
         assert _outputs(simulation.run_simulation_with_market(scenario)) == expected
 
     @pytest.mark.parametrize("source, variant", [
-        pytest.param(source, variant, id=f"{source}-{variant}".removesuffix("-default"))
-        for variant in ("default", "opening-idle")
-        for source in ("concurrent.yaml", "market-10x5.yaml", "long-negotiation")
+        *(pytest.param(source, variant, id=f"{source}-{variant}".removesuffix("-default"))
+          for variant in ("default", "depleted")
+          for source in ("concurrent.yaml", "market-10x5.yaml", "long-negotiation")),
+        pytest.param("idle-bilateral", "default", id="idle-bilateral"),
     ])
     def test_no_step_without_work(self, monkeypatch, source, variant):
-        # A step with an empty inbox is only taken when the plan library
-        # would send a pending opening or an entry's deadline has passed,
-        # and then it sends something; anything else is polling.
+        # A step with an empty inbox is only taken when a pending opening
+        # is to be sent or an entry's deadline has passed, and then it sends
+        # something; anything else is polling.
         steps = []
         original = simulation.agent_step
 
         def checking(state, inbox, now):
             if not inbox:
                 assert any(
-                    now > e.t0 + e.t_max_eff
-                    or (e.initiator and not e.opened
-                        and _plan(state, e, now) is PlanKind.MAKE_OFFER)
+                    now > e.t0 + e.t_max_eff or (e.initiator and not e.opened)
                     for e in state.agenda_db
                 ), f"{state.agent_id} stepped at tick {now} with nothing to do"
             outbox = original(state, inbox, now)
@@ -1013,26 +1011,20 @@ class TestWakeUps:
             return outbox
 
         monkeypatch.setattr(simulation, "agent_step", checking)
-        if source.endswith(".yaml"):
-            text = (SCENARIOS_DIR / source).read_text(encoding="utf-8")
+        if source == "idle-bilateral":
+            scenario = _idle_bilateral(40, 300)
+        elif source.endswith(".yaml"):
+            scenario = load_scenario((SCENARIOS_DIR / source).read_text(encoding="utf-8"))
         else:
-            text = _marketgen().generate(source, 0)
-        scenario = load_scenario(text)
-        if PLAN_VARIANTS[variant] is not None:
-            scenario = _with_rules(scenario, PLAN_VARIANTS[variant])
-        run_simulation(scenario)
+            scenario = load_scenario(_marketgen().generate(source, 0))
+        lines, _ = run_simulation(_with_variant(scenario, variant))
         assert steps
-
-
-#: Both parties of bilateral.yaml on a library that never acts: once
-#: commenced, each session idles until its deadline sweep.
-IDLE_RULES = (PlanRule(PlanCondition.ALWAYS, PlanKind.IDLE),)
-
-
-def _idle_bilateral(t_max, t_end):
-    text = (SCENARIOS_DIR / "bilateral.yaml").read_text(encoding="utf-8")
-    text = text.replace("t_end: 64", f"t_end: {t_end}").replace("t_max: 20", f"t_max: {t_max}")
-    return _with_rules(load_scenario(text), IDLE_RULES)
+        if source == "idle-bilateral":
+            _assert_idles(lines)
+            # Both parties read COMMENCE at 1, the buyer rejects the opening
+            # at 2, both sweep the session at 42, past its deadline at 41,
+            # and at 43 the seller reads the buyer's TERMINATE for it.
+            assert steps == [1, 1, 2, 42, 42, 43]
 
 
 class TestIdleSessions:
@@ -1044,6 +1036,7 @@ class TestIdleSessions:
         scenario = _idle_bilateral(t_max, t_end)
         expected = _outputs(_polling_run(scenario))
         assert _outputs(simulation.run_simulation_with_market(scenario)) == expected
+        _assert_idles(expected[0])
 
     def test_the_run_past_the_deadline_sweep_ignores_t_end(self):
         # The sweep closes both sessions at tick 42 and the run ends at 43,
@@ -1051,6 +1044,7 @@ class TestIdleSessions:
         expected = _outputs(_polling_run(_idle_bilateral(40, 300)))
         far = simulation.run_simulation_with_market(_idle_bilateral(40, 2**53))
         assert _outputs(far) == expected
+        _assert_idles(far[0])
         assert far[1].ticks == 43
 
     def test_sessions_open_up_to_the_float_limit(self, monkeypatch):
@@ -1065,10 +1059,12 @@ class TestIdleSessions:
 
         monkeypatch.setattr(simulation.Marketplace, "due_messages", counting)
         lines, report = run_simulation(_idle_bilateral(2**53, 2**53))
-        assert visited == [0, 1, 2**53]
+        # COMMENCE at 0, the opening at 1, its rejection at 2, then t_end.
+        assert visited == [0, 1, 2, 2**53]
         assert report.ticks == 2**53
         assert [s.outcome for s in report.sessions] == ["open"]
-        assert [json.loads(line)["kind"] for line in lines] == ["commence", "commence"]
+        _assert_idles(lines)
+        assert len(lines) == 3
 
 
 class TestDeadlineContract:
@@ -1151,38 +1147,27 @@ class TestTracedCallCounts:
 
 class TestSessionOpenCounts:
     """On dense-market at seed 1 (432 opens of 216 sessions) the restriction
-    and the opening are derived once per (agent, product, issue set), not
-    once per open, and an answer to an offer builds its counter and scores
-    it without either name. The counts are exact at this seed."""
+    is derived once per (agent, product, issue set), not once per open;
+    opening a session derives no offer, and an answer to an offer builds its
+    counter and scores it without either name. The counts are exact at this
+    seed."""
 
     @staticmethod
     def counted_run(monkeypatch, workload, seed):
         """A run of the workload with the calls counted: `restrict`
-        validations, `offer` (agent.generate_offer_package), `opening` (those
-        made while a session opens) and `utility` (the three names of
-        aggregate_utility that the benchmark's tracer counts)."""
+        validations, `offer` (agent.generate_offer_package) and `utility`
+        (the three names of aggregate_utility that the benchmark's tracer
+        counts)."""
         from agorasim import agent, core, tactics
 
-        counts = {"restrict": 0, "offer": 0, "utility": 0, "opening": 0}
-        opening = []
+        counts = {"restrict": 0, "offer": 0, "utility": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
                 counts[name] += 1
-                if opening and name == "offer":
-                    counts["opening"] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
-        def open_session(state, msg, now):
-            opening.append(msg)
-            try:
-                return original_open(state, msg, now)
-            finally:
-                opening.pop()
-
-        original_open = agent._open_session
-        monkeypatch.setattr(agent, "_open_session", open_session)
         # restrict_agenda validates only what it has not restricted before.
         monkeypatch.setattr(core, "validate_agenda", counting("restrict", core.validate_agenda))
         monkeypatch.setattr(
@@ -1196,7 +1181,7 @@ class TestSessionOpenCounts:
         lines, _, market = simulation.run_simulation_with_market(scenario)
         return counts, lines, market
 
-    def test_dense_market_derives_each_opening_once(self, monkeypatch):
+    def test_dense_market_derives_each_restriction_once(self, monkeypatch):
         counts, _, market = self.counted_run(monkeypatch, "dense-market", 1)
         opens = [
             (m.receiver, m.commence.product, frozenset(m.commence.issue_ids))
@@ -1205,19 +1190,24 @@ class TestSessionOpenCounts:
             if m.commence is not None
         ]
         assert (len(opens), len(set(opens))) == (432, 72)
-        assert counts["opening"] == 72
         assert counts["restrict"] == 72
-        # 72 derived openings and 216 opening offers; 72 opening targets,
-        # the resolutions and the report.
-        assert counts["offer"] == 288
-        assert counts["utility"] == 136
+        # One offer package per opening offer (the seller initiates), none
+        # while a session opens; the utilities are the resolutions and the
+        # report.
+        openings = sum(
+            1 for session in market.sessions.values()
+            for m in session.transcript
+            if m.kind is MessageKind.OFFER and m.sender == session.seller and m.round == 0
+        )
+        assert counts["offer"] == openings == 216
+        assert counts["utility"] == 64
 
     def test_long_negotiation_utility_calls_do_not_grow_with_messages(self, monkeypatch):
         counts, lines, market = self.counted_run(monkeypatch, "long-negotiation", 1)
         sessions = len(market.sessions)
-        # Per session and side at most one opening target, one resolution
-        # candidate and one report utility; none per offer.
-        assert counts["utility"] <= 6 * sessions
+        # Per session and side at most one resolution candidate and one
+        # report utility; none per offer.
+        assert counts["utility"] <= 4 * sessions
         assert len(lines) > 1000 * sessions
 
 

@@ -128,8 +128,8 @@ class Scenario:
 # Loader: `yaml.load` with a `yamlload` loader turns the text into plain
 # dicts, lists and scalars, SafeLoader's data, nesting capped at
 # `yamlload.MAX_DEPTH`, in two tiers. Documents in the scenario files' block
-# layout are read from their lines; any other has its parser events checked
-# once and goes to PyYAML's own loader. The functions below validate that
+# layout are read from their lines; any other is read once by PyYAML's own
+# composer and constructor, the cap applied. The functions below validate that
 # data into the frozen model above, each field fetched and checked in one
 # step, and name the path of the first violation.
 # ---------------------------------------------------------------------------
@@ -402,10 +402,10 @@ def load_scenario(document: str) -> Scenario:
     loader, in two tiers. A document in the block layout that `marketgen`
     writes (plain tokens, one-line flow maps of them, no quotes or tabs) is
     read from its lines without the parser, each distinct token and flow-map
-    part built once. Any other document has its events checked once for the
-    depth cap and the composer's alias and anchor errors, and is then read
-    by PyYAML's own loader, both on libyaml when PyYAML was built with it,
-    else on PyYAML's pure-Python parser.
+    part built once. Any other document is read once by PyYAML's own
+    pure-Python composer and its constructor, the depth cap applied as the
+    events are read, on libyaml's parser when PyYAML was built with it, else
+    on PyYAML's pure-Python parser.
     Either way the data and the error line numbers are those of
     `yaml.SafeLoader`; only the wording of a parse error's reason depends on
     the parser. Raises ScenarioParseError, with the line, for malformed YAML,

@@ -23,22 +23,24 @@ construct, nesting past MAX_DEPTH) sends the whole document to the second
 tier; the line scanner raises no error itself. A `str.translate` that deletes
 the layout's characters finds any other before a line is read.
 
-The second tier reads the first document's parser events once with the
-composer's checks, raising its undefined-alias and duplicate-anchor errors
-in event order, and then hands the document to PyYAML's own loader on the
-same parser, `library`, which reads the text again. A scalar it cannot
-construct (`!!int x`, `!!int ''`) is a ConstructorError at its line, where
-SafeLoader lets a bare ValueError, KeyError or IndexError escape.
+The second tier is PyYAML's own composer and SafeConstructor on the loader's
+parser, which read the text once; on libyaml's parser, too, the composer is
+PyYAML's pure-Python one, as libyaml's has no depth cap. The composer raises
+its undefined-alias, duplicate-anchor and second-document errors in event
+order. A scalar the constructor cannot build (`!!int x`, `!!int ''`) is a
+ConstructorError at its line, where SafeLoader lets a bare ValueError,
+KeyError or IndexError escape.
 
 Nesting deeper than MAX_DEPTH open collections is a ComposerError at the
-collection that crosses it, raised by that first read on either parser, so
-the library loader never composes a deeper document. MAX_DEPTH sits well
-inside the stack of PyYAML's pure composer, which recurses about two frames
-per level and ran out of stack short of 500 levels; should it still run out,
-that too is a ComposerError. The pure scanner, quadratic in open flow
-brackets, needs no cap of its own: it reads at most 1024 characters, or to
-the end of a line and one token on, ahead of the parser, so the first read
-stops it within that distance of the crossing.
+collection that crosses it, raised as the composer takes its event.
+MAX_DEPTH sits well inside the stack of PyYAML's composer, which recurses
+about two frames per level and ran out of stack short of 500 levels. Should
+it still run out, perhaps inside the parser, which then loses its place, the
+events are read again from the start under the cap, and the error names the
+deepest collection. The pure scanner, quadratic in open flow brackets, needs
+no cap of its own: it reads at most 1024 characters, or to the end of a line
+and one token on, ahead of the parser, so the cap stops it within that
+distance of the crossing.
 """
 
 from __future__ import annotations
@@ -47,14 +49,11 @@ import re
 from typing import Any
 
 import yaml
-from yaml.composer import ComposerError
+from yaml.composer import Composer, ComposerError
 from yaml.constructor import ConstructorError, SafeConstructor
-from yaml.events import AliasEvent, MappingEndEvent, ScalarEvent, SequenceEndEvent, StreamEndEvent
+from yaml.events import CollectionEndEvent, CollectionStartEvent, DocumentEndEvent
 from yaml.nodes import ScalarNode
-from yaml.parser import Parser
-from yaml.reader import Reader
 from yaml.resolver import Resolver
-from yaml.scanner import Scanner
 
 MAX_DEPTH = 200
 
@@ -94,47 +93,54 @@ def _too_deep(mark: Any) -> ComposerError:
     return ComposerError(None, None, "document is nested too deeply", mark)
 
 
-def _with_scalar_errors(base: type) -> type:
-    class Library(base):
-        """PyYAML's loader, except that a scalar it cannot construct is a
-        ConstructorError at the scalar's line."""
-
-        def construct_object(self, node: Any, deep: bool = False) -> Any:
-            try:
-                return super().construct_object(node, deep=deep)
-            except (ValueError, LookupError, AttributeError):
-                raise ConstructorError(
-                    None, None, f"cannot construct a {node.tag} value", node.start_mark
-                ) from None
-
-    return Library
-
-
 class _LineLoader(SafeConstructor, Resolver):
-    """Builds the one document of a stream from its lines, else checks its
-    events and hands it to the library loader (see module doc)."""
-
-    library: type  # PyYAML's loader on the same parser
+    """Builds the one document of a stream from its lines, else has PyYAML's
+    composer and constructor read it with the depth cap (see module doc)."""
 
     def __init__(self, document: str) -> None:
-        SafeConstructor.__init__(self)
-        Resolver.__init__(self)
         self._document = document
         self._plain_values: dict[str, Any] = {}
         self._parts: dict[str, tuple] = {}  # a flow mapping part's (key, value)
+        # Open collections in the second tier; the most, and where first.
+        self._depth = self._deepest = 0
+        self._deepest_mark: Any = None
 
     def get_single_data(self) -> Any:
         data = self._scan_lines()
         if data is not _EVENTS:
             return data
-        deepest = self._drain()
-        loader = self.library(self._document)
         try:
-            return loader.get_single_data()
+            return super().get_single_data()
         except RecursionError:
-            raise _too_deep(deepest) from None
+            pass
+        # Out of stack, perhaps inside the parser (see module doc).
+        events = type(self)(self._document)
+        try:
+            while not isinstance(events.get_event(), DocumentEndEvent):
+                pass
         finally:
-            loader.dispose()
+            events.dispose()
+        raise _too_deep(events._deepest_mark)
+
+    def get_event(self) -> Any:
+        event = super().get_event()
+        if isinstance(event, CollectionStartEvent):
+            depth = self._depth = self._depth + 1
+            if depth > self._deepest:
+                self._deepest, self._deepest_mark = depth, event.start_mark
+            if depth > MAX_DEPTH:
+                raise _too_deep(event.start_mark)
+        elif isinstance(event, CollectionEndEvent):
+            self._depth -= 1
+        return event
+
+    def construct_object(self, node: Any, deep: bool = False) -> Any:
+        try:
+            return super().construct_object(node, deep=deep)
+        except (ValueError, LookupError, AttributeError):
+            raise ConstructorError(
+                None, None, f"cannot construct a {node.tag} value", node.start_mark
+            ) from None
 
     def _scan_lines(self) -> Any:
         """Builds the document from its lines when it keeps to the block
@@ -285,65 +291,22 @@ class _LineLoader(SafeConstructor, Resolver):
         self._plain_values[raw] = value
         return value
 
-    def _drain(self) -> Any:
-        """Reads the first document's events with the composer's checks and
-        the depth cap; returns the mark where it went deepest."""
-        self.get_event()  # StreamStartEvent
-        if self.check_event(StreamEndEvent):
-            return None
-        self.get_event()  # DocumentStartEvent
-        anchors: dict[str, Any] = {}
-        event = self.get_event()
-        depth = deepest = 0
-        deepest_mark = event.start_mark
-        while True:
-            cls = event.__class__
-            if cls is MappingEndEvent or cls is SequenceEndEvent:
-                depth -= 1
-            elif cls is AliasEvent:
-                if event.anchor not in anchors:
-                    raise ComposerError(
-                        None, None, f"found undefined alias {event.anchor!r}", event.start_mark
-                    )
-            else:
-                anchor = event.anchor
-                if anchor is not None:
-                    if anchor in anchors:
-                        raise ComposerError(
-                            f"found duplicate anchor {anchor!r}; first occurrence", anchors[anchor],
-                            "second occurrence", event.start_mark,
-                        )
-                    anchors[anchor] = event.start_mark
-                if cls is not ScalarEvent:
-                    if depth >= MAX_DEPTH:
-                        raise _too_deep(event.start_mark)
-                    depth += 1
-                    if depth > deepest:
-                        deepest, deepest_mark = depth, event.start_mark
-            if depth == 0:
-                return deepest_mark
-            event = self.get_event()
 
-
-class PureLoader(_LineLoader, Reader, Scanner, Parser):
+class PureLoader(_LineLoader, yaml.SafeLoader):
     """The scenario loader on PyYAML's pure-Python reader, scanner and parser."""
 
-    library = _with_scalar_errors(yaml.SafeLoader)
-
     def __init__(self, stream: str) -> None:
-        Reader.__init__(self, stream)
-        Scanner.__init__(self)
-        Parser.__init__(self)
+        yaml.SafeLoader.__init__(self, stream)
         _LineLoader.__init__(self, stream)
 
 
 if hasattr(yaml, "CSafeLoader"):
 
-    class LibyamlLoader(_LineLoader, yaml.cyaml.CParser):
-        """The scenario loader on libyaml's parser."""
-
-        library = _with_scalar_errors(yaml.CSafeLoader)
+    class LibyamlLoader(_LineLoader, Composer, yaml.CSafeLoader):
+        """The scenario loader on libyaml's parser, and PyYAML's composer:
+        libyaml's own composer has no depth cap."""
 
         def __init__(self, stream: str) -> None:
-            yaml.cyaml.CParser.__init__(self, stream)
+            yaml.CSafeLoader.__init__(self, stream)
+            Composer.__init__(self)
             _LineLoader.__init__(self, stream)

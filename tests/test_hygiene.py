@@ -111,6 +111,9 @@ def test_an_orphaned_alias_is_found():
     # Replaced by one `str.translate` that deletes the characters the line
     # scanner's layout allows.
     ("yamlload", "_OUTSIDE"),
+    # Replaced by the loaders' own `construct_object`, now that the second
+    # tier is the loader itself rather than a second loader class.
+    ("yamlload", "_with_scalar_errors"),
 ])
 def test_replaced_helpers_stay_deleted(module, name):
     assert not hasattr(importlib.import_module(f"agorasim.{module}"), name)

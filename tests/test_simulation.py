@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
+from yaml.composer import Composer
 
 from agorasim import marketplace, simulation, yamlload
 from agorasim.agent import AgentState
@@ -522,7 +523,7 @@ class TestLoaders:
             return real_load(*args, **kwargs)
 
         monkeypatch.setattr(yaml, "load", counting_load)
-        for document in (MINIMAL, MINIMAL.replace("vm}", "!!str vm}")):  # line scanner, library
+        for document in (MINIMAL, MINIMAL.replace("vm}", "!!str vm}")):  # line scanner, second tier
             calls.clear()
             load_scenario(document)
             assert calls == [simulation._yaml_loader()]
@@ -546,26 +547,25 @@ class TestLoaders:
     def test_own_documents_are_read_from_their_lines(self, yaml_loader, monkeypatch, source):
         # The line scanner reads every document the project writes but
         # market-10x5.yaml, whose `schedule: [[0, 1.0], [48, 0.1]]` is a flow
-        # sequence and sends it to the library loader; either way the
-        # scenario is the one the library loader builds.
+        # sequence and sends it to the second tier, PyYAML's composer; either
+        # way the scenario is the one the composer builds.
         if isinstance(source, Path):
             text = source.read_text(encoding="utf-8")
         else:
             text = _marketgen().generate(*source)
         scan_lines = yamlload._LineLoader._scan_lines
         monkeypatch.setattr(yamlload._LineLoader, "_scan_lines", lambda self: yamlload._EVENTS)
-        from_library = load_scenario(text)
-        library = simulation._yaml_loader().library
+        from_composer = load_scenario(text)
+        compose = Composer.get_single_node
         read = []
 
-        class Spy(library):
-            def __init__(self, *args):
-                read.append(True)
-                super().__init__(*args)
+        def spy(self):
+            read.append(True)
+            return compose(self)
 
         monkeypatch.setattr(yamlload._LineLoader, "_scan_lines", scan_lines)
-        monkeypatch.setattr(simulation._yaml_loader(), "library", Spy)
-        assert load_scenario(text) == from_library
+        monkeypatch.setattr(Composer, "get_single_node", spy)
+        assert load_scenario(text) == from_composer
         assert len(read) == (getattr(source, "name", None) == "market-10x5.yaml")
 
     @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)

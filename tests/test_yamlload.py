@@ -2,12 +2,14 @@
 
 import re
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import assume, event, given, settings, strategies as st
 from yaml.composer import ComposerError
 from yaml.constructor import ConstructorError
+from yaml.parser import Parser
 
 from agorasim import yamlload
 
@@ -91,8 +93,8 @@ def tree_strategy(leaves, tags, rich: bool):
 
 trees = tree_strategy(scalars, TAGS, rich=True)
 # Untagged collections of untagged scalars, where only scalars carry
-# anchors: the second tier checks their anchors and aliases in event order
-# before the library loader reads the document.
+# anchors: the second tier's composer raises their anchor and alias errors
+# in event order.
 plain_trees = tree_strategy(
     st.sampled_from([text for text in SCALARS if not text.startswith("!")]).map(
         lambda text: ("scalar", text)
@@ -206,23 +208,73 @@ class TestExamples:
         assert exc.value.problem_mark.line + 1 == 2
 
 
-def test_pure_composer_out_of_stack_is_a_depth_error():
-    # PyYAML's pure composer recurses about two frames per level, so a caller
-    # already deep in the stack can make it run out within the cap.
-    document = "[\n" * yamlload.MAX_DEPTH + "]" * yamlload.MAX_DEPTH + "\n"
-    frame, frames = sys._getframe(), 0
+def stack_height() -> int:
+    """The number of frames on the caller's stack."""
+    frame, frames = sys._getframe(1), 0
     while frame is not None:
         frame, frames = frame.f_back, frames + 1
+    return frames
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_pure_composer_out_of_stack_is_a_depth_error(loader):
+    # PyYAML's pure composer, which both loaders' second tier runs, recurses
+    # about two frames per level, so a caller already deep in the stack can
+    # make it run out within the cap.
+    document = "[\n" * yamlload.MAX_DEPTH + "]" * yamlload.MAX_DEPTH + "\n"
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(frames + yamlload.MAX_DEPTH)
+    sys.setrecursionlimit(stack_height() + yamlload.MAX_DEPTH)
     try:
         with pytest.raises(ComposerError) as exc:
-            yaml.load(document, Loader=yamlload.PureLoader)
+            yaml.load(document, Loader=loader)
     finally:
         sys.setrecursionlimit(limit)
     assert exc.value.problem == "document is nested too deeply"
     # The bracket that opens the deepest level.
     assert exc.value.problem_mark.line + 1 == yamlload.MAX_DEPTH
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_out_of_stack_anywhere_names_the_deepest_collection(loader):
+    # The stack may run out in the parser under the composer, which then
+    # loses its place in the events. Block mappings, one a line, and on the
+    # last line the flow sequence that opens level MAX_DEPTH.
+    depth = yamlload.MAX_DEPTH
+    document = "".join(" " * i + "k:\n" for i in range(depth - 1)) + " " * (depth - 1) + "[1]\n"
+    outcomes = set()
+    limit = sys.getrecursionlimit()
+    height = stack_height()
+    try:
+        for room in range(40, 2 * depth + 40, 20):
+            sys.setrecursionlimit(height + room)
+            try:
+                yaml.load(document, Loader=loader)
+                outcomes.add("ok")
+            except ComposerError as exc:
+                outcomes.add((exc.problem, exc.problem_mark.line + 1))
+    finally:
+        sys.setrecursionlimit(limit)
+    # With room enough the document loads; with too little, wherever the
+    # stack runs out, the error names the deepest collection.
+    assert ("document is nested too deeply", depth) in outcomes
+    assert outcomes <= {"ok", ("document is nested too deeply", depth)}
+
+
+def test_second_tier_reads_each_event_once(monkeypatch):
+    # market-10x5.yaml's flow sequences send it to the second tier.
+    text = (Path(__file__).parents[1] / "scenarios" / "market-10x5.yaml").read_text(encoding="utf-8")
+    events = len(list(yaml.parse(text)))
+    expected = yaml.load(text, Loader=yaml.SafeLoader)
+    read = []
+    get_event = Parser.get_event
+
+    def spy(self):
+        read.append(True)
+        return get_event(self)
+
+    monkeypatch.setattr(Parser, "get_event", spy)
+    assert yaml.load(text, Loader=yamlload.PureLoader) == expected
+    assert len(read) == events
 
 
 # The line scanner's layout, and near misses of it. Scalars come from SCALARS,

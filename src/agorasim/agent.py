@@ -35,7 +35,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -269,7 +269,11 @@ def proxy_filter(
             return _OUT_OF_SPACE
     else:
         values = package.values
-        rows = entry.agenda.rows()
+        # Agenda.rows(), its cache read in place.
+        agenda = entry.agenda
+        rows = agenda._rows
+        if rows is None:
+            rows = agenda.rows()
         for issue_id, _, vmin, vmax, _, _ in rows:
             offered = values.get(issue_id)
             if offered is None or not vmin <= offered <= vmax:
@@ -332,7 +336,9 @@ def resolve_concurrent_agreements(
 
 
 _SESSION = attrgetter("session")
-_SESSION_ROUND = attrgetter("session", "round")
+# A NegotiationMessage's session and round, read by position like
+# core.DELIVERY_ORDER.
+_SESSION_ROUND = itemgetter(0, 3)
 
 
 def _emit(
@@ -432,22 +438,25 @@ def agent_step(
 
     # Sweep sessions whose effective deadline has passed. The sweep draws no
     # randomness and the outbox is sorted at the end, so stored order will do.
-    for entry in db.expired(now):
-        outbox.append(
-            _emit(state, entry, now, _TERMINATE, reason=TERMINATE_DEADLINE)
-        )
-        db.remove(entry.session)
+    # No entry has passed its deadline at a tick not past `due`.
+    if now > db.due:
+        for entry in db.expired(now):
+            outbox.append(
+                _emit(state, entry, now, _TERMINATE, reason=TERMINATE_DEADLINE)
+            )
+            db.remove(entry.session)
 
     if not isinstance(inbox, list):
         inbox = list(inbox)
     if len(inbox) > 1:
         inbox = sorted(inbox, key=DELIVERY_ORDER)
+    entries = db._entries
     for msg in inbox:
         session, _, _, round_, _, kind, package, _, _ = msg
         if kind is _COMMENCE:
             _open_session(state, msg, now)
             continue
-        entry = db.get(session)
+        entry = entries.get(session)
         verdict = proxy_filter(msg, entry, now)
         if not verdict.ok:
             if logger.isEnabledFor(logging.DEBUG):
@@ -502,7 +511,8 @@ def agent_step(
         # The answer is the session's first message if the agent initiated
         # it and has not opened yet. An acquired entry leaves the DB in the
         # resolution below, so no opening is pending for it either.
-        db.mark_opened(entry)
+        if not entry.opened:
+            db.mark_opened(entry)
         if response_kind is _RESPONSE_ACQUIRE:
             if acquire_products is None:
                 acquire_products = set()

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import kernels
@@ -229,8 +229,10 @@ new_record = tuple.__new__
 
 #: Sort key of the delivery order: send tick, session, sender, round. The
 #: tick loop routes and an agent reads its inbox in this order; the
-#: marketplace hands each inbox over in the order it was queued.
-DELIVERY_ORDER = attrgetter("sent_at", "session", "sender", "round")
+#: marketplace hands each inbox over in the order it was queued. It reads the
+#: fields by position, which costs less than by name, so it holds only while
+#: NegotiationMessage keeps its field order.
+DELIVERY_ORDER = itemgetter(4, 0, 1, 3)
 
 
 def validate_agenda(agenda: Agenda) -> ValidatedAgenda:

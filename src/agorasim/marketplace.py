@@ -411,6 +411,11 @@ class SessionState:
     # session takes no more offers, so score_behavior reads its final trails.
     offer_count: int = 0
     trails: dict[AgentId, dict[IssueId, list[float]]] = field(default_factory=dict)
+    # The buyer's and the seller's TrustStats, the ones their trust records
+    # hold, bound by route_message at each party's first routed message here,
+    # so a party that never sends gets no record from this session.
+    buyer_stats: Optional[TrustStats] = None
+    seller_stats: Optional[TrustStats] = None
 
     @property
     def is_open(self) -> bool:
@@ -875,6 +880,9 @@ class Marketplace:
             seller=match.seller,
             initiator=match.seller,
         )
+        due = self._pending.get(now + 1)
+        if due is None:
+            due = self._pending[now + 1] = {}
         for i, receiver in enumerate((match.buyer, match.seller)):
             # session, sender, receiver, round, sent_at, kind, package,
             # reason, commence
@@ -884,24 +892,14 @@ class Marketplace:
             ))
             session.transcript.append(msg)
             self._log.append(msg)
-            self._enqueue(msg)
+            inbox = due.get(receiver)
+            if inbox is None:
+                due[receiver] = [msg]
+            else:
+                inbox.append(msg)
         return session
 
     # -- routing -----------------------------------------------------------
-
-    def _enqueue(self, msg: NegotiationMessage) -> None:
-        """File the message under its receiver for delivery at the next tick."""
-        # No setdefault: it would build a fresh list for every message.
-        tick = msg.sent_at + 1
-        due = self._pending.get(tick)
-        if due is None:
-            self._pending[tick] = {msg.receiver: [msg]}
-            return
-        inbox = due.get(msg.receiver)
-        if inbox is None:
-            due[msg.receiver] = [msg]
-        else:
-            inbox.append(msg)
 
     def due_messages(self, now: int) -> dict[AgentId, list[NegotiationMessage]]:
         """Pop messages due for delivery this tick, per receiver, each inbox
@@ -927,11 +925,15 @@ class Marketplace:
         and trails. A delivery without compliance violations returns one
         shared result.
         """
-        session_id, sender, _, _, sent_at, kind, package, reason, _ = msg
+        session_id, sender, receiver, _, sent_at, kind, package, reason, _ = msg
         session = self.sessions.get(session_id)
         if session is None:
             return self._reject(sender, DeliveryStatus.UNKNOWN_SESSION)
-        if sender != session.buyer and sender != session.seller:
+        if sender == session.buyer:
+            stats = session.buyer_stats
+        elif sender == session.seller:
+            stats = session.seller_stats
+        else:
             return self._reject(sender, DeliveryStatus.NOT_PARTICIPANT)
         if kind is _COMMENCE:
             return self._reject(sender, DeliveryStatus.NOT_FROM_MARKET)
@@ -969,14 +971,29 @@ class Marketplace:
                         trails[issue_id] = [value]
                     else:
                         trail.append(value)
-        stats = self.trust.record(sender).stats
+        if stats is None:
+            stats = self.trust.record(sender).stats
+            if sender == session.buyer:
+                session.buyer_stats = stats
+            else:
+                session.seller_stats = stats
         stats.messages_sent += 1
         stats.violations += len(violations)
         self._dirty.add(sender)
 
         session.transcript.append(msg)
         self._log.append(msg)
-        self._enqueue(msg)
+        # Queued under its receiver for delivery at the next tick. No
+        # setdefault: it would build a fresh list or dict for every message.
+        due = self._pending.get(sent_at + 1)
+        if due is None:
+            self._pending[sent_at + 1] = {receiver: [msg]}
+        else:
+            inbox = due.get(receiver)
+            if inbox is None:
+                due[receiver] = [msg]
+            else:
+                inbox.append(msg)
         if kind is _ACQUIRE:
             session.outcome = _AGREED
             session.final_package = package

@@ -701,9 +701,11 @@ def run_simulation_with_market(
         market.run_matchmaking(now)
         inboxes = market.due_messages(now)
         outgoing = []
-        busy = {a for a in inboxes if a in states}
-        busy.update(a for a, threshold in wake.items() if now > threshold)
-        for agent_id in sorted(busy):
+        # The agents with mail, then those woken without any.
+        busy = [a for a in inboxes if a in states]
+        busy += [a for a, threshold in wake.items() if now > threshold and a not in inboxes]
+        busy.sort()
+        for agent_id in busy:
             state = states[agent_id]
             outgoing.extend(agent_step(state, inboxes.get(agent_id, []), now))
             threshold = wake_threshold(state)

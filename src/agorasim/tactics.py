@@ -369,29 +369,26 @@ def decide_response(
             f = 0.0
         elif f > 1.0:
             f = 1.0
+        width = vmax - vmin
         if ascending:
-            v = vmin + f * (vmax - vmin)
+            v = vmin + f * width
         else:
-            v = vmin + (1.0 - f) * (vmax - vmin)
+            v = vmin + (1.0 - f) * width
         if v < vmin:
             v = vmin
         elif v > vmax:
             v = vmax
         values[issue_id] = v
+        # aggregate_utility's scores without its clamp to [0, 1], which
+        # changes nothing here: v and offered lie in [vmin, vmax] (or v is
+        # NaN), and rounding is monotone, so each difference lies in
+        # [0, width] and each quotient in [0, 1].
         if buyer:
-            s = (vmax - v) / (vmax - vmin)
-            o = (vmax - offered) / (vmax - vmin)
+            s = (vmax - v) / width
+            o = (vmax - offered) / width
         else:
-            s = (v - vmin) / (vmax - vmin)
-            o = (offered - vmin) / (vmax - vmin)
-        if s < 0.0:
-            s = 0.0
-        elif s > 1.0:
-            s = 1.0
-        if o < 0.0:
-            o = 0.0
-        elif o > 1.0:
-            o = 1.0
+            s = (v - vmin) / width
+            o = (offered - vmin) / width
         mine += weight * s
         theirs += weight * o
     if mine < 0.0:

@@ -10,6 +10,11 @@ be read somewhere in its own module.
 A record's field can outlive its reader the same way: written at every open
 and read by nothing. So each field of the agent's dataclasses must be read
 as an attribute somewhere in the package.
+
+The message path reads a `NegotiationMessage` by position: its sort keys
+are `itemgetter`s and each reader unpacks the whole tuple. Reordering the
+fields would then read the wrong ones without an error, so the field order
+is pinned here.
 """
 
 import ast
@@ -201,3 +206,24 @@ def test_a_field_written_but_never_read_is_found():
         "    state.openings[state.tactic] = verdict.ok\n"
     )
     assert unread_fields(source, [source]) == ["State.openings (line 8)"]
+
+
+def test_the_message_path_reads_messages_by_position():
+    from agorasim.agent import _SESSION_ROUND
+    from agorasim.core import (
+        DELIVERY_ORDER, CommenceInfo, MessageKind, NegotiationMessage, OfferPackage,
+    )
+
+    assert NegotiationMessage._fields == (
+        "session", "sender", "receiver", "round", "sent_at", "kind", "package",
+        "reason", "commence",
+    )
+    # No two fields equal, so a key reading the wrong one gives another tuple.
+    msg = NegotiationMessage(
+        session="s-1", sender="a", receiver="b", round=2, sent_at=7,
+        kind=MessageKind.OFFER, package=OfferPackage({"price": 1.5}), reason="r",
+        commence=CommenceInfo("vm", ("price",), 9, "a", "b", "b"),
+    )
+    assert len(set(map(repr, msg))) == len(msg)
+    assert DELIVERY_ORDER(msg) == (msg.sent_at, msg.session, msg.sender, msg.round)
+    assert _SESSION_ROUND(msg) == (msg.session, msg.round)

@@ -1268,6 +1268,25 @@ class TestIncrementalWatchdog:
         for rec in market.trust.records():
             assert (rec.behavior_norm, rec.stance) == (1.0, Stance.LINEAR)
 
+    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.name)
+    def test_each_session_binds_the_archived_stats(self, path):
+        # Routing counts a message on the stats it bound to the session at the
+        # sender's first routed message there, so each bound object must be
+        # the one the archive holds, and bound exactly for the parties that
+        # had a message routed.
+        _, _, market = run_simulation_with_market(load_scenario(path.read_text(encoding="utf-8")))
+        bound = 0
+        for session in market.sessions.values():
+            routed = {msg.sender for msg in session.transcript} - {MARKETPLACE_ID}
+            for party, stats in (
+                (session.buyer, session.buyer_stats), (session.seller, session.seller_stats)
+            ):
+                assert (stats is not None) == (party in routed)
+                if stats is not None:
+                    assert stats is market.trust.record(party).stats
+                    bound += 1
+        assert bound
+
     def test_offer_trails_match_the_references(self):
         market = self.market()
         session = self.commence(market, 0)

@@ -1117,9 +1117,17 @@ class TestTracedCallCounts:
     parties, and never again on the offer path. An inlined copy that
     bypassed a name would zero its per-layer metrics (`agent.filter`,
     `agent.reject.*`, `tactics.decide`, `tactics.deadline`); the counts are
-    exact at this seed."""
+    exact at this seed.
 
-    def test_long_negotiation_seed_1(self, monkeypatch):
+    Dense-market at seed 1 takes the paths long-negotiation never reaches:
+    COMMENCE bursts (216 sessions, 432 opens), deadline sweeps, TERMINATEs,
+    and `unknown-session` and `out-of-space` rejections, so fewer offers are
+    answered than messages filtered, and more messages routed than
+    filtered."""
+
+    @staticmethod
+    def counted_run(monkeypatch, workload):
+        """The calls of each wrapped name in one run of the workload at seed 1."""
         from agorasim import agent
 
         counts = dict.fromkeys(("filter", "decide", "deadline", "step", "route"), 0)
@@ -1139,9 +1147,17 @@ class TestTracedCallCounts:
         monkeypatch.setattr(
             Marketplace, "route_message", counting("route", Marketplace.route_message)
         )
-        run_simulation(load_scenario(_marketgen().generate("long-negotiation", 1)))
-        assert counts == {
+        run_simulation(load_scenario(_marketgen().generate(workload, 1)))
+        return counts
+
+    def test_long_negotiation_seed_1(self, monkeypatch):
+        assert self.counted_run(monkeypatch, "long-negotiation") == {
             "filter": 11_697, "decide": 11_691, "deadline": 12, "step": 7_824, "route": 11_697,
+        }
+
+    def test_dense_market_seed_1(self, monkeypatch):
+        assert self.counted_run(monkeypatch, "dense-market") == {
+            "filter": 548, "decide": 142, "deadline": 432, "step": 283, "route": 678,
         }
 
 
